@@ -16,7 +16,7 @@ from .normalize import ConfusionMap, fix_confusions, normalize_number, strip_cur
 from .ruledsl import CompiledRules, RuleFile, compile_rules, parse_rules, print_rules
 from .tabrec import (LabelsConfig, TabConfig, TableType, extract_table, group_rows,
                      identify_pages, map_to_record, split_multiline)
-from .textprep import PrepOptions, load_document, normalize_text
+from .textprep import load_document, normalize_text
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "Annotation", "BBox", "Cell", "CompiledRules", "ConfusionMap", "CostCategory",
     "CostsCompositionRecord", "CostsEvolutionRecord", "Detection", "DetectionClass",
     "Document", "EvalReport", "ExtractionResult", "GoldSet", "LabelsConfig", "Match",
-    "OcrEntry", "PageDetections", "Period", "PerformanceScenariosRecord", "PrepOptions",
+    "OcrEntry", "PageDetections", "Period", "PerformanceScenariosRecord",
     "RawTable", "RuleFile", "Scenario", "SectionConfig", "TabConfig", "TableType", "Token",
     "annotate_sections", "compile_rules", "contains_center", "evaluate", "export_results",
     "extract_table", "f_measure", "find_matches", "fix_confusions", "group_rows",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .model import Annotation, Document, SchemaError, Token
+from .model import Annotation, Document, SchemaError, Token, parse_json_object
 
 SECTION_KEY = "SECTION"
 
@@ -84,11 +84,7 @@ class SectionConfig:
 
 
 def load_section_config(path: str | Path) -> SectionConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: not valid JSON ({e.msg} at line {e.lineno})") from None
-    return SectionConfig.from_dict(data)
+    return SectionConfig.from_dict(parse_json_object(Path(path).read_text(encoding="utf-8"), path))
 
 
 def default_section_config() -> SectionConfig:

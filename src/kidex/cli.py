@@ -1,14 +1,15 @@
 """Command-line entry point: annotate, tables, eval, gen.
 
-Outputs are sorted by (doc_id, field/type) before writing, so reruns and
-any ``--workers`` value produce byte-identical files.
+Documents are processed one at a time in a single process. Outputs are
+sorted by (doc_id, field/type) before writing, so reruns produce
+byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Optional
 from . import annotate as annotate_mod
 from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
-from .model import SchemaError, load_page_detections
+from .model import SchemaError, load_page_detections, parse_json_object
 from .normalize import ConfusionMap
 
 EXIT_OK = 0
@@ -33,22 +34,21 @@ class Config:
     tab: dict = field(default_factory=dict)  # inline TabConfig fields
     confusions: Optional[dict] = None
     locale_hint: str = "it"
-    workers: int = 1
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":
         if not path:
             return cls()
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json_object(Path(path).read_text(encoding="utf-8"), path)
         cfg = cls()
-        for key in ("rules", "sections", "labels", "locale_hint", "workers", "confusions"):
+        for key in ("rules", "sections", "labels", "locale_hint", "confusions"):
             if key in data:
                 setattr(cfg, key, data[key])
         tab = data.get("tab", {})
         if isinstance(tab, str):  # a path to a separate tab-config JSON
             if not Path(tab).exists():
                 raise FileNotFoundError(tab)
-            tab = json.loads(Path(tab).read_text(encoding="utf-8"))
+            tab = parse_json_object(Path(tab).read_text(encoding="utf-8"), tab)
         cfg.tab = tab
         for name in ("rules", "sections", "labels"):
             value = getattr(cfg, name)
@@ -86,6 +86,10 @@ def _page_file_paths(pages: Path) -> list[Path]:
     raise FileNotFoundError(str(pages))
 
 
+# mask files are named <doc_id>.p<page>.json
+_MASK_SUFFIX_RE = re.compile(r"\.p\d+\.json$")
+
+
 def _doc_id_for(path: Path) -> str:
     stem = path.stem
     return stem[:-6] if stem.endswith(".pages") else stem
@@ -118,17 +122,14 @@ def cmd_annotate(args, config: Config) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_IO
 
-    def process(path: Path) -> list[matcher.ExtractionResult]:
-        doc = textprep.load_document(_doc_id_for(path), path)
-        doc = annotate_mod.tokenize_document(doc)
-        doc = annotate_mod.annotate_sections(doc, section_cfg)
-        _doc, results = matcher.run_rules(compiled, doc)
-        return results
-
-    workers = max(1, args.workers or config.workers)
+    results: list[matcher.ExtractionResult] = []
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_doc = list(pool.map(process, docs))
+        for path in docs:
+            doc = textprep.load_document(_doc_id_for(path), path)
+            doc = annotate_mod.tokenize_document(doc)
+            doc = annotate_mod.annotate_sections(doc, section_cfg)
+            _doc, found = matcher.run_rules(compiled, doc)
+            results.extend(found)
     except matcher.RuleComplexityError as e:
         print(f"rule error: {e}", file=sys.stderr)
         return EXIT_RULES
@@ -136,7 +137,6 @@ def cmd_annotate(args, config: Config) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_IO
 
-    results = [r for chunk in per_doc for r in chunk]
     results.sort(key=lambda r: (r.doc_id, r.field, r.first_token, r.last_token, r.rule_id))
     try:
         matcher.export_results(results, args.format, args.out)
@@ -173,7 +173,7 @@ def cmd_tables(args, config: Config) -> int:
             print(f"warning: skipping malformed mask file {path.name}: {e}", file=sys.stderr)
             if args.strict:
                 return EXIT_IO
-            skipped_docs.add(path.name.split(".p")[0])
+            skipped_docs.add(_MASK_SUFFIX_RE.sub("", path.name))
 
     try:
         page_files = _page_file_paths(Path(args.pages))
@@ -181,39 +181,33 @@ def cmd_tables(args, config: Config) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_IO
 
-    def process(path: Path) -> list[dict]:
-        doc = textprep.load_document(_doc_id_for(path), path)
-        if doc.doc_id in skipped_docs:
-            return []
-        page_map = tabrec.identify_pages(doc.page_texts(), tab_cfg)
-        rows = []
-        for ttype in tabrec.TableType:
-            pageno = page_map.get(ttype)
-            record = None
-            if pageno is not None and (doc.doc_id, pageno) in masks:
-                page = masks[(doc.doc_id, pageno)]
-                try:
-                    hit = tabrec.extract_table(page, ttype, tab_cfg, labels)
-                except tabrec.AmbiguousTableError as e:
-                    print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
-                    hit = None
-                if hit is not None:
-                    record, warnings = tabrec.map_to_record(hit[0], hit[1], labels, cmap,
-                                                            config.locale_hint)
-                    for w in warnings:
-                        print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
-            rows.append(tabrec.table_row_dict(doc.doc_id, pageno, ttype, record))
-        return rows
-
-    workers = max(1, args.workers or config.workers)
+    rows: list[dict] = []
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_doc = list(pool.map(process, page_files))
+        for path in page_files:
+            doc = textprep.load_document(_doc_id_for(path), path)
+            if doc.doc_id in skipped_docs:
+                continue
+            page_map = tabrec.identify_pages(doc.page_texts(), tab_cfg)
+            for ttype in tabrec.TableType:
+                pageno = page_map.get(ttype)
+                record = None
+                if pageno is not None and (doc.doc_id, pageno) in masks:
+                    page = masks[(doc.doc_id, pageno)]
+                    try:
+                        hit = tabrec.extract_table(page, ttype, tab_cfg, labels)
+                    except tabrec.AmbiguousTableError as e:
+                        print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
+                        hit = None
+                    if hit is not None:
+                        record, warnings = tabrec.map_to_record(hit[0], hit[1], labels, cmap,
+                                                                config.locale_hint)
+                        for w in warnings:
+                            print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
+                rows.append(tabrec.table_row_dict(doc.doc_id, pageno, ttype, record))
     except (OSError, SchemaError, textprep.IngestError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_IO
 
-    rows = [row for chunk in per_doc for row in chunk]
     rows.sort(key=lambda r: (r["doc_id"], r["type"]))
     try:
         tabrec.write_tables_jsonl(rows, args.out)
@@ -239,7 +233,10 @@ def _load_predictions(pred_dir: Path):
     for name in ("fields.jsonl", "fields.csv"):
         path = pred_dir / name
         if path.exists():
-            for row in matcher.read_results_file(path):
+            for i, row in enumerate(matcher.read_results_file(path), 1):
+                for key in ("doc_id", "field", "value"):
+                    if not isinstance(row.get(key), str):
+                        raise SchemaError(f"{path}: row {i}: field {key!r} missing or not a string")
                 fields.append((row["doc_id"], row["field"], row["value"]))
             break
     tables = {}
@@ -289,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kidex",
                                      description="Key-information-document extraction toolkit")
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker threads per command (default 1)")
     parser.add_argument("--strict", action="store_true",
                         help="fail on malformed inputs instead of skipping")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -329,7 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = Config.load(args.config)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, SchemaError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_IO
     return args.func(args, config)

@@ -7,13 +7,12 @@ mismatches are counted as incorrect rather than missing.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .model import SchemaError, TypedRecord
+from .model import SchemaError, TypedRecord, read_jsonl
 from .tabrec import TableType, parse_table_row, read_tables_jsonl
 
 _WS_RE = re.compile(r"\s+")
@@ -44,13 +43,7 @@ class GoldSet:
 def load_gold_fields(path: str | Path) -> list[Triple]:
     triples: list[Triple] = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}:{lineno}: not valid JSON ({e.msg})") from None
+    for lineno, row in read_jsonl(path):
         for key in ("doc_id", "field", "value"):
             if key not in row:
                 raise SchemaError(f"{path}:{lineno}: missing field {key!r}")

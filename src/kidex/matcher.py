@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .model import Annotation, Document
+from .model import Annotation, Document, read_jsonl
 from .ruledsl import (OP_GEND, OP_GSTART, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS,
                       OP_SETPOS, OP_SPLIT, CompiledPattern, CompiledRule, CompiledRules)
 
@@ -74,9 +74,6 @@ class DocContext:
 
     def add_annotation(self, ann: Annotation) -> None:
         self._add_to_index(ann)
-
-    def token_text(self, i: int) -> str:
-        return self.texts[i]
 
     def ann_values(self, key: str, i: int) -> list[str]:
         return self._index.get(key, {}).get(i, [])
@@ -236,13 +233,7 @@ def export_results(results: Iterable[ExtractionResult], format: str,
 def read_results_file(path: str | Path) -> list[dict]:
     """Read back an exported results file (either format) as dicts."""
     path = Path(path)
-    rows: list[dict] = []
     if path.suffix.lower() == ".csv":
         with path.open(encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append(dict(row))
-    else:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+            return [dict(row) for row in csv.DictReader(fh)]
+    return [row for _lineno, row in read_jsonl(path)]

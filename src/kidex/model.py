@@ -1,7 +1,7 @@
 """Shared domain types: tokens, annotations, boxes, detections and typed records.
 
-Everything here is immutable after construction and safe to share across
-workers. Geometry uses integer pixel coordinates with a top-left origin.
+Everything here is immutable after construction. Geometry uses integer
+pixel coordinates with a top-left origin.
 """
 from __future__ import annotations
 
@@ -15,6 +15,33 @@ from typing import Iterable, Mapping, Optional
 
 class SchemaError(ValueError):
     """An input file violates its documented schema; the message names the field."""
+
+
+def parse_json_object(text: str, source: str | Path) -> dict:
+    """Parse ``text``, read from ``source``, as one JSON object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{source}: not valid JSON ({e.msg} at line {e.lineno})") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"{source}: expected a JSON object")
+    return data
+
+
+def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, object) for every non-blank line of a JSON-lines file."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{path}:{lineno}: not valid JSON ({e.msg})") from None
+        if not isinstance(row, dict):
+            raise SchemaError(f"{path}:{lineno}: expected a JSON object")
+        rows.append((lineno, row))
+    return rows
 
 
 def dec_str(value: Decimal) -> str:
@@ -305,14 +332,7 @@ class PageDetections:
 
 
 def load_page_detections(path: str | Path) -> PageDetections:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: not valid JSON ({e.msg} at line {e.lineno})") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    return PageDetections.from_dict(data)
+    return PageDetections.from_dict(parse_json_object(Path(path).read_text(encoding="utf-8"), path))
 
 
 def dump_page_detections(page: PageDetections, path: str | Path) -> None:

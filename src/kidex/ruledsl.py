@@ -638,9 +638,6 @@ class AnyPred:
     def test(self, ctx, i: int) -> bool:
         return True
 
-    def describe(self) -> str:
-        return "/*/"
-
 
 class TextRegexPred:
     __slots__ = ("rx",)
@@ -649,10 +646,7 @@ class TextRegexPred:
         self.rx = rx
 
     def test(self, ctx, i: int) -> bool:
-        return self.rx.fullmatch(ctx.token_text(i)) is not None
-
-    def describe(self) -> str:
-        return f"/{self.rx.pattern}/"
+        return self.rx.fullmatch(ctx.texts[i]) is not None
 
 
 class TextEqPred:
@@ -662,10 +656,7 @@ class TextEqPred:
         self.value = value
 
     def test(self, ctx, i: int) -> bool:
-        return ctx.token_text(i) == self.value
-
-    def describe(self) -> str:
-        return f'{{word:"{self.value}"}}'
+        return ctx.texts[i] == self.value
 
 
 class AnnEqPred:
@@ -678,9 +669,6 @@ class AnnEqPred:
     def test(self, ctx, i: int) -> bool:
         return self.value in ctx.ann_values(self.key, i)
 
-    def describe(self) -> str:
-        return f'{{{self.key}:"{self.value}"}}'
-
 
 class AnnRegexPred:
     __slots__ = ("key", "rx")
@@ -692,9 +680,6 @@ class AnnRegexPred:
     def test(self, ctx, i: int) -> bool:
         return any(self.rx.fullmatch(v) for v in ctx.ann_values(self.key, i))
 
-    def describe(self) -> str:
-        return f"{{{self.key}:/{self.rx.pattern}/}}"
-
 
 class AndPred:
     __slots__ = ("preds",)
@@ -704,9 +689,6 @@ class AndPred:
 
     def test(self, ctx, i: int) -> bool:
         return all(p.test(ctx, i) for p in self.preds)
-
-    def describe(self) -> str:
-        return "[" + " & ".join(p.describe() for p in self.preds) + "]"
 
 
 # instruction opcodes; programs are tuples of (op, a, b)
@@ -877,7 +859,7 @@ def compile_pattern(node: PatternExpr, bindings: Iterable[Binding] = ()) -> Comp
     return _PatternCompiler(env).compile(node)
 
 
-def compile(rules: RuleFile) -> CompiledRules:  # noqa: A001 - established operation name
+def compile_rules(rules: RuleFile) -> CompiledRules:
     """Compile every rule; total on valid rule files except malformed char regexes."""
     env = rules.binding_map()
     by_stage: dict[int, list[CompiledRule]] = {}
@@ -887,8 +869,3 @@ def compile(rules: RuleFile) -> CompiledRules:  # noqa: A001 - established opera
             CompiledRule(rule.rule_id, rule.stage, pattern, rule.actions))
     stages = tuple((stage, tuple(by_stage[stage])) for stage in sorted(by_stage))
     return CompiledRules(stages)
-
-
-def compile_rules(rules: RuleFile) -> CompiledRules:
-    """Alias for :func:`compile` that doesn't shadow the builtin at call sites."""
-    return compile(rules)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 from .model import (BBox, Cell, CostCategory, CostsCompositionRecord, CostsEvolutionRecord,
                     Detection, PageDetections, PerformanceScenariosRecord, Period, PeriodCosts,
                     RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
-                    contains_center, iou)
+                    contains_center, iou, parse_json_object, read_jsonl)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -350,11 +350,7 @@ class LabelsConfig:
 
 
 def load_labels_config(path: str | Path) -> LabelsConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: not valid JSON ({e.msg} at line {e.lineno})") from None
-    return LabelsConfig.from_dict(data)
+    return LabelsConfig.from_dict(parse_json_object(Path(path).read_text(encoding="utf-8"), path))
 
 
 def default_labels_config() -> LabelsConfig:
@@ -599,12 +595,4 @@ def write_tables_jsonl(rows: Iterable[dict], path: str | Path) -> None:
 
 
 def read_tables_jsonl(path: str | Path) -> list[dict]:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}:{lineno}: not valid JSON ({e.msg})") from None
-    return rows
+    return [row for _lineno, row in read_jsonl(path)]

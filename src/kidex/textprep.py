@@ -5,26 +5,16 @@ UTF-8 text file or a page-text JSON file ``{"doc_id": ..., "pages": [...]}``.
 """
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .model import Document, SchemaError
+from .model import Document, SchemaError, parse_json_object
 
 
 class IngestError(ValueError):
     """Input bytes or file structure cannot be ingested."""
-
-
-@dataclass(frozen=True)
-class PrepOptions:
-    collapse_whitespace: bool = True
-    dehyphenate_linebreaks: bool = True
-    map_ligatures: bool = True
-    strip_control_chars: bool = True
 
 
 LIGATURES = {"ﬁ": "fi", "ﬂ": "fl", "ﬀ": "ff", "ﬃ": "ffi", "ﬄ": "ffl"}
@@ -40,21 +30,14 @@ def _keep_char(ch: str) -> bool:
     return ch in "\n\t" or unicodedata.category(ch) != "Cc"
 
 
-def normalize_text(raw: str, opts: Optional[PrepOptions] = None) -> str:
+def normalize_text(raw: str) -> str:
     """Deterministic cleanup: control chars, ligatures, line-break hyphens, whitespace."""
-    opts = opts or PrepOptions()
-    text = raw
-    if opts.strip_control_chars:
-        text = "".join(ch for ch in text if _keep_char(ch))
-    if opts.map_ligatures:
-        for lig, repl in LIGATURES.items():
-            text = text.replace(lig, repl)
-    if opts.dehyphenate_linebreaks:
-        text = _DEHYPHEN_RE.sub("", text)
-    if opts.collapse_whitespace:
-        text = _HSPACE_RE.sub(" ", text)
-        text = _MANY_NEWLINES_RE.sub("\n\n", text)
-    return text
+    text = "".join(ch for ch in raw if _keep_char(ch))
+    for lig, repl in LIGATURES.items():
+        text = text.replace(lig, repl)
+    text = _DEHYPHEN_RE.sub("", text)
+    text = _HSPACE_RE.sub(" ", text)
+    return _MANY_NEWLINES_RE.sub("\n\n", text)
 
 
 def _read_utf8(path: Path) -> str:
@@ -65,12 +48,7 @@ def _read_utf8(path: Path) -> str:
 
 
 def _parse_page_file(raw: str, path: Path) -> tuple[Optional[str], list[str]]:
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: not valid JSON ({e.msg} at line {e.lineno})") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+    data = parse_json_object(raw, path)
     if "pages" not in data:
         raise SchemaError(f"{path}: missing field 'pages'")
     pages = data["pages"]
@@ -85,8 +63,7 @@ def _parse_page_file(raw: str, path: Path) -> tuple[Optional[str], list[str]]:
     return doc_id, pages
 
 
-def load_document(doc_id: str, source: str | Path,
-                  opts: Optional[PrepOptions] = None) -> Document:
+def load_document(doc_id: str, source: str | Path) -> Document:
     """Load and normalize a plain-text or page-text file into an untokenized Document.
 
     Page-text files (``.json``) record page-break offsets: each page is
@@ -98,7 +75,7 @@ def load_document(doc_id: str, source: str | Path,
     raw = _read_utf8(path)
     if path.suffix.lower() == ".json":
         file_doc_id, pages = _parse_page_file(raw, path)
-        normed = [normalize_text(p, opts) for p in pages]
+        normed = [normalize_text(p) for p in pages]
         text = "\n".join(normed)
         breaks: list[int] = []
         pos = 0
@@ -106,4 +83,4 @@ def load_document(doc_id: str, source: str | Path,
             pos += len(page) + 1
             breaks.append(pos)
         return Document(doc_id=file_doc_id or doc_id, text=text, pages=tuple(breaks))
-    return Document(doc_id=doc_id, text=normalize_text(raw, opts))
+    return Document(doc_id=doc_id, text=normalize_text(raw))

@@ -210,9 +210,9 @@ def test_normalization_suite_rules_and_enumeration():
     _ok("normalization suite", f"{checked} formats, idempotent on canonical outputs")
 
 
-# --- 8. determinism across workers ------------------------------------------------
+# --- 8. determinism across runs ---------------------------------------------------
 
-def test_every_command_deterministic_across_workers(workdir):
+def test_every_command_deterministic_across_runs(workdir):
     corpus_a = workdir / "det_a"
     corpus_b = workdir / "det_b"
     assert main(["gen", "--n", "30", "--seed", "3", "--noise", "0.2", "--out", str(corpus_a)]) == 0
@@ -223,21 +223,19 @@ def test_every_command_deterministic_across_workers(workdir):
               for p in sorted(corpus_b.rglob("*")) if p.is_file()}
     assert tree_a == tree_b
 
-    outputs = {}
-    for workers in ("1", "4"):
-        fields = workdir / f"det_fields_w{workers}.csv"
-        tables = workdir / f"det_tables_w{workers}.jsonl"
-        pred = workdir / f"det_pred_w{workers}"
+    outputs = []
+    for run in (1, 2):
+        fields = workdir / f"det_fields_r{run}.csv"
+        tables = workdir / f"det_tables_r{run}.jsonl"
+        pred = workdir / f"det_pred_r{run}"
         pred.mkdir(exist_ok=True)
-        assert main(["--workers", workers, "annotate", "--in", str(corpus_a / "docs"),
-                     "--out", str(fields)]) == 0
-        assert main(["--workers", workers, "tables", "--masks", str(corpus_a / "masks"),
+        assert main(["annotate", "--in", str(corpus_a / "docs"), "--out", str(fields)]) == 0
+        assert main(["tables", "--masks", str(corpus_a / "masks"),
                      "--pages", str(corpus_a / "docs"), "--out", str(tables)]) == 0
         (pred / "fields.csv").write_bytes(fields.read_bytes())
         (pred / "tables.jsonl").write_bytes(tables.read_bytes())
-        assert main(["--workers", workers, "eval", "--gold", str(corpus_a / "gold"),
-                     "--pred", str(pred)]) == 0
-        outputs[workers] = (fields.read_bytes(), tables.read_bytes(),
-                            (pred / "eval_report.json").read_bytes())
-    assert outputs["1"] == outputs["4"]
-    _ok("determinism", "annotate/tables/eval byte-identical for workers 1 and 4; gen trees identical")
+        assert main(["eval", "--gold", str(corpus_a / "gold"), "--pred", str(pred)]) == 0
+        outputs.append((fields.read_bytes(), tables.read_bytes(),
+                        (pred / "eval_report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    _ok("determinism", "annotate/tables/eval byte-identical across two runs; gen trees identical")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kidex
 from kidex.cli import main
 
 
@@ -81,6 +86,26 @@ def test_tables_malformed_mask_warns_not_fails(corpus, tmp_path, capsys):
     assert "skipping malformed" in capsys.readouterr().err
 
 
+def test_tables_malformed_mask_skips_doc_whose_id_contains_dot_p(corpus, tmp_path):
+    # doc id "kid.pa01": only the trailing ".p<page>.json" names the page
+    docs, masks = tmp_path / "docs", tmp_path / "masks"
+    docs.mkdir()
+    masks.mkdir()
+    for doc_id, new_id in (("kid00001", "kid.pa01"), ("kid00002", "kid00002")):
+        doc = json.loads((corpus / "docs" / f"{doc_id}.pages.json").read_text(encoding="utf-8"))
+        doc["doc_id"] = new_id
+        (docs / f"{new_id}.pages.json").write_text(json.dumps(doc), encoding="utf-8")
+        for p in (corpus / "masks").glob(f"{doc_id}.p*.json"):
+            mask = json.loads(p.read_text(encoding="utf-8"))
+            mask["doc_id"] = new_id
+            (masks / p.name.replace(doc_id, new_id)).write_text(json.dumps(mask), encoding="utf-8")
+    (masks / "kid.pa01.p3.json").write_text("{broken", encoding="utf-8")
+    out = tmp_path / "tables.jsonl"
+    assert main(["tables", "--masks", str(masks), "--pages", str(docs), "--out", str(out)]) == 0
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    assert [r["doc_id"] for r in rows] == ["kid00002"] * 3
+
+
 def test_tables_strict_malformed_exit_1(corpus, tmp_path):
     masks = tmp_path / "masks"
     masks.mkdir()
@@ -131,20 +156,50 @@ def test_eval_missing_gold_exit_1(tmp_path, capsys):
     assert "fields.jsonl" in capsys.readouterr().err
 
 
-def test_workers_flag_byte_identical(corpus, tmp_path):
-    outs = []
-    for k in (1, 4):
-        out = tmp_path / f"fields{k}.csv"
-        assert main(["--workers", str(k), "annotate", "--in", str(corpus / "docs"),
-                     "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def _pred_dir_with_fields(tmp_path, lines):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    (pred / "fields.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return pred
+
+
+def test_eval_malformed_prediction_line_exit_1(corpus, tmp_path, capsys):
+    good = json.dumps({"doc_id": "kid00001", "field": "isin", "value": "X"})
+    pred = _pred_dir_with_fields(tmp_path, [good, "{broken"])
+    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "fields.jsonl:2: not valid JSON" in err
+
+
+@pytest.mark.parametrize("key", ["doc_id", "field", "value"])
+def test_eval_prediction_row_missing_key_exit_1(corpus, tmp_path, capsys, key):
+    row = {"doc_id": "kid00001", "field": "isin", "value": "X"}
+    del row[key]
+    pred = _pred_dir_with_fields(tmp_path, [json.dumps(row)])
+    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert repr(key) in err
+
+
+def test_workers_flag_rejected(tmp_path):
+    # commands run single-process; a stray --workers must fail loudly, not be ignored
+    src = Path(kidex.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "kidex.cli", "--workers", "2", "annotate",
+                           "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: kidex")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_config_file_overrides(tmp_path, corpus):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"workers": 2, "tab": {"confidence_threshold": 0.99}}),
-                   encoding="utf-8")
+    cfg.write_text(json.dumps({"tab": {"confidence_threshold": 0.99}}), encoding="utf-8")
     out = tmp_path / "tables.jsonl"
     assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
                  "--pages", str(corpus / "docs"), "--out", str(out)]) == 0

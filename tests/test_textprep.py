@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kidex.model import SchemaError
-from kidex.textprep import IngestError, PrepOptions, load_document, normalize_text
+from kidex.textprep import IngestError, load_document, normalize_text
 
 
 def test_ligatures_mapped():
@@ -36,13 +36,6 @@ def test_control_chars_stripped_except_newline():
 
 def test_crlf_becomes_lf():
     assert normalize_text("a\r\nb") == "a\nb"
-
-
-def test_options_can_disable_each_step():
-    raw = "ﬁne-\nline  x"
-    assert normalize_text(raw, PrepOptions(map_ligatures=False)).startswith("ﬁ")
-    assert "-\n" in normalize_text(raw, PrepOptions(dehyphenate_linebreaks=False))
-    assert "  " in normalize_text(raw, PrepOptions(collapse_whitespace=False))
 
 
 def test_idempotence_on_random_noise():
