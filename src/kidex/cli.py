@@ -234,17 +234,10 @@ def _load_predictions(pred_dir: Path):
         path = pred_dir / name
         if path.exists():
             for i, row in enumerate(matcher.read_results_file(path), 1):
-                for key in ("doc_id", "field", "value"):
-                    if not isinstance(row.get(key), str):
-                        raise SchemaError(f"{path}: row {i}: field {key!r} missing or not a string")
-                fields.append((row["doc_id"], row["field"], row["value"]))
+                fields.append(evalkit._field_triple(row, f"{path}: row {i}"))
             break
-    tables = {}
     tables_path = pred_dir / "tables.jsonl"
-    if tables_path.exists():
-        for row in tabrec.read_tables_jsonl(tables_path):
-            doc_id, _page, ttype, record = tabrec.parse_table_row(row)
-            tables[(doc_id, ttype)] = (row["status"], record)
+    tables = evalkit.load_gold_tables(tables_path) if tables_path.exists() else {}
     return fields, tables
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from . import tabrec
 from .model import SchemaError, TypedRecord, read_jsonl
-from .tabrec import TableType, parse_table_row, read_tables_jsonl
+from .tabrec import TableType
 
 _WS_RE = re.compile(r"\s+")
 
@@ -40,14 +41,19 @@ class GoldSet:
         return cls(frozenset(normed), dict(tables))
 
 
+def _field_triple(row: Mapping, where: str) -> Triple:
+    """The (doc_id, field, value) of one gold or predicted field row."""
+    for key in ("doc_id", "field", "value"):
+        if not isinstance(row.get(key), str):
+            raise SchemaError(f"{where}: field {key!r} missing or not a string")
+    return row["doc_id"], row["field"], row["value"]
+
+
 def load_gold_fields(path: str | Path) -> list[Triple]:
     triples: list[Triple] = []
     seen = set()
     for lineno, row in read_jsonl(path):
-        for key in ("doc_id", "field", "value"):
-            if key not in row:
-                raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
-        triple = (row["doc_id"], row["field"], row["value"])
+        triple = _field_triple(row, f"{path}:{lineno}")
         if triple in seen:
             raise SchemaError(f"{path}:{lineno}: duplicate gold triple {triple!r}")
         seen.add(triple)
@@ -57,8 +63,8 @@ def load_gold_fields(path: str | Path) -> list[Triple]:
 
 def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str, Optional[TypedRecord]]]:
     out = {}
-    for row in read_tables_jsonl(path):
-        doc_id, _page, ttype, record = parse_table_row(row)
+    for row in tabrec.read_tables_jsonl(path):
+        doc_id, _page, ttype, record = tabrec.parse_table_row(row)
         out[(doc_id, ttype)] = (row["status"], record)
     return out
 

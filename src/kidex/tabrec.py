@@ -8,6 +8,7 @@ the three typed financial records.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from .annotate import PUNCT_CHARS
 from .model import (BBox, Cell, CostCategory, CostsCompositionRecord, CostsEvolutionRecord,
                     Detection, PageDetections, PerformanceScenariosRecord, Period, PeriodCosts,
                     RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
@@ -107,7 +109,7 @@ def _norm_ws(s: str) -> str:
     return _WS_RE.sub(" ", s).strip().casefold()
 
 
-_PUNCT_STRIP_RE = re.compile(r"[.,:;!?()\[\]{}\"'«»%€]")
+_PUNCT_STRIP_RE = re.compile("[" + re.escape("".join(sorted(PUNCT_CHARS))) + "]")
 
 
 def _norm_label(s: str) -> str:
@@ -115,10 +117,15 @@ def _norm_label(s: str) -> str:
     return _norm_ws(_PUNCT_STRIP_RE.sub(" ", s))
 
 
-def _label_found(needle_norm: str, haystack_norm: str) -> bool:
-    if not needle_norm:
-        return False
-    return re.search(r"(?<!\w)" + re.escape(needle_norm) + r"(?!\w)", haystack_norm) is not None
+@functools.cache
+def _pool_re(labels: tuple[str, ...]) -> re.Pattern:
+    """One word-bounded alternation over a label pool, searched in normalized text.
+
+    Labels that normalize to nothing never match. Keys are label tuples from
+    the labels config, never document text, so the cache stays small.
+    """
+    needles = [re.escape(n) for n in map(_norm_label, labels) if n]
+    return re.compile(r"(?<!\w)(?:" + ("|".join(needles) or r"(?!)") + r")(?!\w)")
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +259,15 @@ def split_multiline(row: Iterable[Cell], schema_labels: Iterable[str]) -> list[C
     field label (each a distinct one) or a numeric value; genuine
     multi-line prose is left alone. The bbox is divided evenly by line count.
     """
-    label_keys = {_norm_label(lbl) for lbl in schema_labels}
+    label_keys: Optional[set[str]] = None
     out: list[Cell] = []
     for cell in row:
         parts = [p.strip() for p in cell.text.split("\n")] if cell.text else []
         if len(parts) < 2 or any(not p for p in parts):
             out.append(cell)
             continue
+        if label_keys is None:
+            label_keys = {_norm_label(lbl) for lbl in schema_labels}
         used_labels: set[str] = set()
         splittable = True
         for part in parts:
@@ -281,15 +290,13 @@ def split_multiline(row: Iterable[Cell], schema_labels: Iterable[str]) -> list[C
 
 
 def extract_table(page: PageDetections, type_hint: Optional[TableType],
-                  cfg: TabConfig,
-                  labels: Optional["LabelsConfig"] = None) -> Optional[tuple[TableType, RawTable]]:
+                  cfg: TabConfig, labels: "LabelsConfig") -> Optional[tuple[TableType, RawTable]]:
     """Full per-page composition; None when no table is identified (a Missing)."""
     tables, cells = filter_detections(page, cfg)
     if not tables:
         return None
     assignment = assign_cells(tables, cells)
     order = sorted(range(len(tables)), key=lambda i: (tables[i].bbox.top, tables[i].bbox.left))
-    labels = labels or default_labels_config()
     for idx in order:
         assigned = assignment[idx]
         if not assigned:
@@ -361,30 +368,27 @@ def default_labels_config() -> LabelsConfig:
 _PERIOD_RE = re.compile(r"(\d+)\s*(?:anni|anno|years|year)(?!\w)")
 
 
-def _match_label(text: str, pools: Mapping, norm_cache: dict) -> Optional[object]:
-    """Key of the first label pool matching the text at word boundaries."""
-    hay = _norm_label(text)
-    if not hay:
-        return None
-    for key, labels in pools.items():
-        for label in labels:
-            needle = norm_cache.setdefault(label, _norm_label(label))
-            if _label_found(needle, hay):
+def _row_label(norms: list[str], pools: Mapping) -> Optional[object]:
+    """Key of the pool whose label occurs in a row's normalized cell texts.
+
+    The first matching cell in row order decides; within it, the first
+    pool in config order.
+    """
+    for norm in norms:
+        for key, labels in pools.items():
+            if _pool_re(tuple(labels)).search(norm):
                 return key
     return None
 
 
-def _period_columns(table: RawTable, labels: LabelsConfig) -> list[tuple[int, Period]]:
+def _period_columns(table: RawTable, norm_rows: list[list[str]],
+                    initial: re.Pattern) -> list[tuple[int, Period]]:
     """(column center x, period) pairs discovered from header-like cells."""
     found: list[tuple[int, int]] = []  # (center_x, years)
-    initial_keys = [_norm_label(s) for s in labels.initial_period]
-    for row in table.rows:
-        for cell in row:
-            norm = _norm_label(cell.text)
-            if not norm:
-                continue
+    for row, norms in zip(table.rows, norm_rows):
+        for cell, norm in zip(row, norms):
             center = (cell.bbox.left + cell.bbox.right) // 2
-            if any(_label_found(k, norm) for k in initial_keys):
+            if initial.search(norm):
                 found.append((center, 1))
                 continue
             m = _PERIOD_RE.search(norm)
@@ -423,7 +427,7 @@ def _numeric_cells(row: Iterable[Cell], cmap: ConfusionMap,
     return out
 
 
-def map_to_record(ttype: TableType, table: RawTable, labels: Optional[LabelsConfig] = None,
+def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
                   cmap: Optional[ConfusionMap] = None,
                   locale_hint: str = "it") -> tuple[TypedRecord, list[str]]:
     """Map a reconstructed grid onto its typed record; returns (record, warnings).
@@ -433,19 +437,14 @@ def map_to_record(ttype: TableType, table: RawTable, labels: Optional[LabelsConf
     in column order with a warning. A record with nothing matched is still
     returned, all-missing.
     """
-    labels = labels or default_labels_config()
     cmap = cmap or ConfusionMap()
     warnings: list[str] = []
-    cache: dict = {}
+    norm_rows = [[_norm_label(cell.text) for cell in row] for row in table.rows]
 
     if ttype is TableType.COSTS_COMPOSITION:
         entries: dict[CostCategory, Optional[Decimal]] = {}
-        for row in table.rows:
-            category = None
-            for cell in row:
-                category = _match_label(cell.text, labels.categories, cache)
-                if category is not None:
-                    break
+        for row, norms in zip(table.rows, norm_rows):
+            category = _row_label(norms, labels.categories)
             numerics = _numeric_cells(row, cmap, locale_hint)
             if category is None:
                 if numerics:
@@ -458,7 +457,8 @@ def map_to_record(ttype: TableType, table: RawTable, labels: Optional[LabelsConf
             warnings.append("costs composition: nothing matched, all-missing record")
         return CostsCompositionRecord(entries), warnings
 
-    columns = _period_columns(table, labels)
+    initial = _pool_re(tuple(labels.initial_period))
+    columns = _period_columns(table, norm_rows, initial)
     if not columns:
         warnings.append("no period header readable; assigning by column order")
     period_order = [Period.INITIAL, Period.INTERMEDIATE, Period.RECOMMENDED]
@@ -485,15 +485,11 @@ def map_to_record(ttype: TableType, table: RawTable, labels: Optional[LabelsConf
 
     if ttype is TableType.COSTS_EVOLUTION:
         ev_entries: dict[Period, PeriodCosts] = {}
-        for row in table.rows:
-            metric = None
-            for cell in row:
-                metric = _match_label(cell.text, labels.evolution_metrics, cache)
-                if metric is not None:
-                    break
+        for row, norms in zip(table.rows, norm_rows):
+            metric = _row_label(norms, labels.evolution_metrics)
             numerics = _numeric_cells(row, cmap, locale_hint)
             if metric is None or not numerics:
-                if metric is None and numerics and not _row_is_header(row, labels):
+                if metric is None and numerics and not _row_is_header(norms, initial):
                     warnings.append(f"evolution row unmatched: {[c.text for c in row]!r}")
                 continue
             for period, value, kind in assign(numerics, lambda _pct: metric):
@@ -510,24 +506,16 @@ def map_to_record(ttype: TableType, table: RawTable, labels: Optional[LabelsConf
     # pair of metric rows, so it carries forward until the next label
     perf_entries: dict[tuple[Scenario, Period], ScenarioCell] = {}
     current_scenario: Optional[Scenario] = None
-    for row in table.rows:
-        scenario = None
-        for cell in row:
-            scenario = _match_label(cell.text, labels.scenarios, cache)
-            if scenario is not None:
-                break
+    for row, norms in zip(table.rows, norm_rows):
+        scenario = _row_label(norms, labels.scenarios)
         if scenario is not None:
             current_scenario = scenario
-        metric = None
-        for cell in row:
-            metric = _match_label(cell.text, labels.perf_metrics, cache)
-            if metric is not None:
-                break
+        metric = _row_label(norms, labels.perf_metrics)
         numerics = _numeric_cells(row, cmap, locale_hint)
         if not numerics:
             continue
         if current_scenario is None:
-            if not _row_is_header(row, labels):
+            if not _row_is_header(norms, initial):
                 warnings.append(f"performance row unmatched: {[c.text for c in row]!r}")
             continue
         kind_of = (lambda _pct: metric) if metric else (
@@ -544,14 +532,9 @@ def map_to_record(ttype: TableType, table: RawTable, labels: Optional[LabelsConf
     return PerformanceScenariosRecord(perf_entries), warnings
 
 
-def _row_is_header(row: Iterable[Cell], labels: LabelsConfig) -> bool:
+def _row_is_header(norms: list[str], initial: re.Pattern) -> bool:
     """Heuristic: a row whose only numerics sit in period-label cells."""
-    for cell in row:
-        norm = _norm_label(cell.text)
-        if norm and (_PERIOD_RE.search(norm)
-                     or any(_label_found(_norm_label(s), norm) for s in labels.initial_period)):
-            return True
-    return False
+    return any(_PERIOD_RE.search(norm) or initial.search(norm) for norm in norms)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ UTF-8 text file or a page-text JSON file ``{"doc_id": ..., "pages": [...]}``.
 from __future__ import annotations
 
 import re
-import unicodedata
 from pathlib import Path
 from typing import Optional
 
@@ -23,16 +22,14 @@ LIGATURES = {"ﬁ": "fi", "ﬂ": "fl", "ﬀ": "ff", "ﬃ": "ffi", "ﬄ": "ffl"}
 _DEHYPHEN_RE = re.compile(r"(?<=[^\W\d_])-\n(?=[^\W\d_])", re.UNICODE)
 _HSPACE_RE = re.compile(r"[ \t]{2,}|\t")
 _MANY_NEWLINES_RE = re.compile(r"\n{3,}")
-
-
-def _keep_char(ch: str) -> bool:
-    # newline and tab survive; tabs are folded to spaces by the collapse step
-    return ch in "\n\t" or unicodedata.category(ch) != "Cc"
+# Unicode category Cc except newline and tab; tabs are folded to spaces by
+# the collapse step
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]")
 
 
 def normalize_text(raw: str) -> str:
     """Deterministic cleanup: control chars, ligatures, line-break hyphens, whitespace."""
-    text = "".join(ch for ch in raw if _keep_char(ch))
+    text = _CONTROL_RE.sub("", raw)
     for lig, repl in LIGATURES.items():
         text = text.replace(lig, repl)
     text = _DEHYPHEN_RE.sub("", text)

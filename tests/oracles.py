@@ -160,3 +160,29 @@ def expected_number(d1: str, d2: str, sep: Optional[str]) -> Optional[Decimal]:
     if not d2:
         return Decimal(d1)
     return Decimal((d1 or "0") + "." + d2)
+
+
+# ---------------------------------------------------------------------------
+# Label pools
+# ---------------------------------------------------------------------------
+
+_LABEL_PUNCT_RE = re.compile(r"[.,:;!?()\[\]{}\"'«»%€]")
+
+
+def _label_key(s: str) -> str:
+    return re.sub(r"\s+", " ", _LABEL_PUNCT_RE.sub(" ", s)).strip().casefold()
+
+
+def label_pool_oracle(text: str, pools: dict) -> Optional[object]:
+    """Key of the first pool with a label in the text, one label at a time:
+    both sides fold case, whitespace and punctuation, the label must sit at
+    word boundaries, and a label that folds to nothing never matches."""
+    hay = _label_key(text)
+    if not hay:
+        return None
+    for key, labels in pools.items():
+        for label in labels:
+            needle = _label_key(label)
+            if needle and re.search(r"(?<!\w)" + re.escape(needle) + r"(?!\w)", hay):
+                return key
+    return None

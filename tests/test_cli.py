@@ -183,6 +183,19 @@ def test_eval_prediction_row_missing_key_exit_1(corpus, tmp_path, capsys, key):
     assert repr(key) in err
 
 
+def test_eval_gold_value_not_a_string_exit_1(tmp_path, capsys):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    (gold / "fields.jsonl").write_text(
+        json.dumps({"doc_id": "kid00001", "field": "isin", "value": 5}) + "\n", encoding="utf-8")
+    pred = _pred_dir_with_fields(tmp_path, [])
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "fields.jsonl:1: field 'value' missing or not a string" in err
+    assert "Traceback" not in err
+
+
 def test_workers_flag_rejected(tmp_path):
     # commands run single-process; a stray --workers must fail loudly, not be ignored
     src = Path(kidex.__file__).resolve().parent.parent

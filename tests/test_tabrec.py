@@ -2,14 +2,15 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from kidex.model import (BBox, Cell, CostCategory, Detection, DetectionClass, OcrEntry,
                          PageDetections, Period, Scenario)
-from kidex.tabrec import (AmbiguousTableError, TabConfig, TableType, assign_cells, cell_text,
-                          default_labels_config, enlarge_bbox, extract_table, filter_detections,
-                          group_rows, identify_pages, identify_table, map_to_record,
-                          split_multiline)
-from oracles import cluster_rows_oracle
+from kidex.tabrec import (AmbiguousTableError, LabelsConfig, TabConfig, TableType, assign_cells,
+                          cell_text, default_labels_config, enlarge_bbox, extract_table,
+                          filter_detections, group_rows, identify_pages, identify_table,
+                          map_to_record, split_multiline)
+from oracles import cluster_rows_oracle, label_pool_oracle
 
 CFG = TabConfig()
 LABELS = default_labels_config()
@@ -317,6 +318,74 @@ def test_map_applies_confusion_repair():
                             cell(110, 0, 200, 20, "0,/5%")])
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, table, LABELS)
     assert record.entries[CostCategory.ENTRY] == Decimal("0.75")
+
+
+def _composition_keys(texts, labels=LABELS):
+    """Categories a one-row composition table maps: label cells, then one value."""
+    cells = [cell(100 * i, 0, 100 * i + 90, 20, t) for i, t in enumerate(texts)]
+    cells.append(cell(100 * len(texts), 0, 100 * len(texts) + 90, 20, "0,50%"))
+    record, _ = map_to_record(TableType.COSTS_COMPOSITION, _one_row_table(cells), labels)
+    return list(record.entries)
+
+
+def _categories(pools):
+    return LabelsConfig(initial_period=("1 anno",), scenarios={}, perf_metrics={},
+                        evolution_metrics={}, categories=pools)
+
+
+def test_label_first_matching_cell_decides():
+    # the later cell holds a label of the earlier (entry) pool; the first cell wins
+    assert _composition_keys(["Costi di uscita", "Costi di ingresso"]) == [CostCategory.EXIT]
+
+
+def test_label_cell_with_two_pools_maps_to_first_pool():
+    assert _composition_keys(["Costi di uscita e Costi di ingresso"]) == [CostCategory.ENTRY]
+
+
+def test_label_folds_case_whitespace_and_punctuation():
+    assert _composition_keys(["COSTI  di ingresso:"]) == [CostCategory.ENTRY]
+    assert _composition_keys(["(Costi di\ningresso)"]) == [CostCategory.ENTRY]
+    assert _composition_keys(["Costi-di ingresso"]) == []
+
+
+def test_label_matches_at_word_boundaries_only():
+    # "1 anno" inside "21 anno" is no initial period: 21 years is the recommended one
+    rows = [[cell(0, 0, 100, 20, "Investimento"), cell(110, 0, 200, 20, "3 anni"),
+             cell(210, 0, 300, 20, "21 anno")],
+            [cell(0, 40, 100, 60, "Costi totali"), cell(110, 40, 200, 60, "€ 380,00"),
+             cell(210, 40, 300, 60, "€ 650,00")]]
+    table = group_rows([c for row in rows for c in row], CFG)
+    record, _ = map_to_record(TableType.COSTS_EVOLUTION, table, LABELS)
+    assert set(record.entries) == {Period.INTERMEDIATE, Period.RECOMMENDED}
+    assert _composition_keys(["Costi di ingressox"]) == []
+
+
+def test_label_that_normalizes_to_empty_never_matches():
+    labels = _categories({CostCategory.ENTRY: ("...", " "),
+                          CostCategory.EXIT: ("Costi di uscita",)})
+    assert _composition_keys(["-", "Costi di uscita"], labels) == [CostCategory.EXIT]
+    assert _composition_keys(["-"], labels) == []
+
+
+_WORDS = ["costi", "Costi", "di", "ingresso", "uscita", "1", "21", "anno", "stress", "RIY", "ß",
+          "SS", "e"]
+_SEPS = [" ", "  ", "\t", "\n", ":", ", ", "(", ")", "%", "-", "€", "'", "«", "."]
+_phrase = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPS)),
+                   max_size=5).map(lambda parts: "".join(w + s for w, s in parts))
+_cased = st.tuples(_phrase, st.sampled_from([str, str.upper, str.lower, str.title])).map(
+    lambda pc: pc[1](pc[0]))
+
+
+@seed(20220601)
+@settings(max_examples=300, deadline=None, database=None)
+@given(pools=st.lists(st.lists(_cased, min_size=1, max_size=3), min_size=1, max_size=4),
+       texts=st.lists(_cased, min_size=1, max_size=3))
+def test_label_pools_agree_with_per_label_reference(pools, texts):
+    pools = dict(zip(CostCategory, map(tuple, pools)))
+    expected = next((k for k in (label_pool_oracle(t, pools) for t in texts)
+                     if k is not None), None)
+    want = [] if expected is None else [expected]
+    assert _composition_keys(texts, _categories(pools)) == want
 
 
 # --- extract_table -----------------------------------------------------------

@@ -34,6 +34,12 @@ def test_control_chars_stripped_except_newline():
     assert normalize_text("a\x00b\x07c\nd") == "abc\nd"
 
 
+def test_every_control_char_but_tab_and_newline_stripped():
+    controls = [chr(c) for c in (*range(0x20), *range(0x7F, 0xA0)) if chr(c) not in "\t\n"]
+    assert len(controls) == 63
+    assert normalize_text("a" + "".join(controls) + "b\xa0c\u2028d") == "ab\xa0c\u2028d"
+
+
 def test_crlf_becomes_lf():
     assert normalize_text("a\r\nb") == "a\nb"
 
