@@ -152,9 +152,14 @@ def cmd_annotate(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args, config: Config) -> int:
-    tab_cfg = config.tab_config()
-    labels = (tabrec.load_labels_config(args.labels or config.labels)
-              if (args.labels or config.labels) else tabrec.default_labels_config())
+    labels_path = args.labels or config.labels
+    try:
+        tab_cfg = config.tab_config()
+        labels = (tabrec.load_labels_config(labels_path) if labels_path
+                  else tabrec.default_labels_config())
+    except (OSError, SchemaError) as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_IO
     cmap = config.confusion_map()
 
     masks_dir = Path(args.masks)

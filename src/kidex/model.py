@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, TypeVar
+
+E = TypeVar("E", bound=Enum)
 
 
 class SchemaError(ValueError):
@@ -42,6 +44,14 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
             raise SchemaError(f"{path}:{lineno}: expected a JSON object")
         rows.append((lineno, row))
     return rows
+
+
+def enum_member(enum_cls: type[E], value, where: str) -> E:
+    """``enum_cls(value)``; an unknown value is a SchemaError, ``where`` leads its message."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise SchemaError(f"{where} {value!r}") from None
 
 
 def dec_str(value: Decimal) -> str:
@@ -257,12 +267,9 @@ class Detection:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Detection":
-        try:
-            kind = DetectionClass(d["class"])
-        except KeyError:
-            raise SchemaError("detection: missing field 'class'") from None
-        except ValueError:
-            raise SchemaError(f"detection: unknown class {d['class']!r}") from None
+        if "class" not in d:
+            raise SchemaError("detection: missing field 'class'")
+        kind = enum_member(DetectionClass, d["class"], "detection: unknown class")
         if "confidence" not in d:
             raise SchemaError("detection: missing field 'confidence'")
         return cls(kind, float(d["confidence"]), BBox.from_dict(d["bbox"]))
@@ -404,7 +411,12 @@ class CostCategory(str, Enum):
 
 
 def _dec_or_none(x) -> Optional[Decimal]:
-    return None if x is None else Decimal(str(x))
+    if x is None:
+        return None
+    try:
+        return Decimal(str(x))
+    except InvalidOperation:
+        raise SchemaError(f"record: not a number {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -440,7 +452,9 @@ class PerformanceScenariosRecord:
         entries = {}
         for s_name, periods in d.get("entries", {}).items():
             for p_name, cell in periods.items():
-                entries[(Scenario(s_name), Period(p_name))] = ScenarioCell.from_dict(cell)
+                key = (enum_member(Scenario, s_name, "record: unknown scenario"),
+                       enum_member(Period, p_name, "record: unknown period"))
+                entries[key] = ScenarioCell.from_dict(cell)
         return cls(entries)
 
     def __eq__(self, other):
@@ -471,7 +485,7 @@ class CostsEvolutionRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CostsEvolutionRecord":
-        return cls({Period(k): PeriodCosts.from_dict(v)
+        return cls({enum_member(Period, k, "record: unknown period"): PeriodCosts.from_dict(v)
                     for k, v in d.get("entries", {}).items()})
 
     def __eq__(self, other):
@@ -488,7 +502,7 @@ class CostsCompositionRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CostsCompositionRecord":
-        return cls({CostCategory(k): _dec_or_none(v)
+        return cls({enum_member(CostCategory, k, "record: unknown category"): _dec_or_none(v)
                     for k, v in d.get("entries", {}).items()})
 
     def __eq__(self, other):

@@ -8,6 +8,7 @@ the three typed financial records.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -18,13 +19,13 @@ from decimal import Decimal
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .annotate import PUNCT_CHARS
 from .model import (BBox, Cell, CostCategory, CostsCompositionRecord, CostsEvolutionRecord,
-                    Detection, PageDetections, PerformanceScenariosRecord, Period, PeriodCosts,
-                    RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
-                    contains_center, iou, parse_json_object, read_jsonl)
+                    Detection, OcrEntry, PageDetections, PerformanceScenariosRecord, Period,
+                    PeriodCosts, RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
+                    contains_center, enum_member, iou, parse_json_object, read_jsonl)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -68,6 +69,13 @@ DEFAULT_ANCHORS: dict[TableType, AnchorSet] = {
 }
 
 
+def _strings(value, where: str) -> tuple[str, ...]:
+    """A label pool or anchor list, which the config gives as a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: expected a list of strings")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class TabConfig:
     confidence_threshold: float = 0.6
@@ -92,14 +100,23 @@ class TabConfig:
         for name in ("confidence_threshold", "alignment_factor_ratio",
                      "enlargement_ratio", "ocr_iou_threshold"):
             if name in d:
-                kwargs[name] = float(d[name])
+                try:
+                    kwargs[name] = float(d[name])
+                except (TypeError, ValueError):
+                    raise SchemaError(f"tab config: {name!r} must be a number, "
+                                      f"got {d[name]!r}") from None
         if "anchors" in d:
             anchors = dict(DEFAULT_ANCHORS)
             for key, spec in d["anchors"].items():
-                anchors[TableType(key)] = AnchorSet(tuple(spec["page_strings"]),
-                                                    tuple(spec["table_strings"]))
+                ttype = enum_member(TableType, key, "tab config: 'anchors': unknown table type")
+                page, table = (_strings(spec.get(name), f"tab config: 'anchors.{key}.{name}'")
+                               for name in ("page_strings", "table_strings"))
+                anchors[ttype] = AnchorSet(page, table)
             kwargs["anchors"] = anchors
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise SchemaError(f"tab config: {e}") from None
 
 
 _WS_RE = re.compile(r"\s+")
@@ -183,24 +200,45 @@ def enlarge_bbox(cell: BBox, cfg: TabConfig, page_w: int, page_h: int) -> BBox:
     )
 
 
-def cell_text(cell: BBox, ocr: Iterable, cfg: TabConfig,
+class OcrIndex(NamedTuple):
+    """A page's OCR entries sorted by top edge, so ``cell_text`` can look up a band.
+
+    ``entries`` holds (page-order index, entry) pairs by ascending top, ties
+    in page order; ``tops[k]`` is the top edge of ``entries[k]``.
+    """
+    tops: list[int]
+    entries: list[tuple[int, OcrEntry]]
+
+
+def index_ocr(ocr: Iterable) -> OcrIndex:
+    """Sort OcrEntry-like objects (with ``bbox`` and ``text``) by top edge."""
+    entries = sorted(enumerate(ocr), key=lambda pair: pair[1].bbox.top)
+    return OcrIndex([entry.bbox.top for _, entry in entries], entries)
+
+
+def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig,
               page_w: Optional[int] = None, page_h: Optional[int] = None) -> Optional[str]:
     """Text of the OCR entry overlapping the enlarged cell best, if well enough.
 
-    ``ocr`` accepts OcrEntry-like objects with ``bbox`` and ``text``. When
+    Ties go to the entry first in page order. Only entries whose top lies in
+    a vertical band around the enlarged cell are scored: an entry reaching
+    IoU t is at most h/t tall (h the enlarged height), so one whose top is
+    more than ceil(h/t) above the enlarged top, or at or below its bottom,
+    scores under t. One more pixel of reach absorbs float rounding. When
     page dimensions are omitted, clamping cannot apply and the raw
     enlargement is used.
     """
     if page_w is None or page_h is None:
         page_w = page_h = 10 ** 9
     enlarged = enlarge_bbox(cell, cfg, page_w, page_h)
-    best_text, best_iou = None, 0.0
-    for entry in ocr:
-        score = iou(enlarged, entry.bbox)
-        if score > best_iou:
-            best_text, best_iou = entry.text, score
-    if best_iou >= cfg.ocr_iou_threshold:
-        return best_text
+    threshold = cfg.ocr_iou_threshold
+    reach = math.ceil(enlarged.height / threshold) + 1
+    lo = bisect.bisect_left(ocr.tops, enlarged.top - reach)
+    hi = bisect.bisect_left(ocr.tops, enlarged.bottom, lo)
+    best = max(((iou(enlarged, entry.bbox), -index, entry.text)
+                for index, entry in ocr.entries[lo:hi]), default=None)
+    if best is not None and best[0] >= threshold:
+        return best[2]
     return None
 
 
@@ -296,6 +334,7 @@ def extract_table(page: PageDetections, type_hint: Optional[TableType],
     if not tables:
         return None
     assignment = assign_cells(tables, cells)
+    ocr = index_ocr(page.ocr)
     order = sorted(range(len(tables)), key=lambda i: (tables[i].bbox.top, tables[i].bbox.left))
     for idx in order:
         assigned = assignment[idx]
@@ -303,7 +342,7 @@ def extract_table(page: PageDetections, type_hint: Optional[TableType],
             continue
         resolved = []
         for det in assigned:
-            text = cell_text(det.bbox, page.ocr, cfg, page.page_width, page.page_height)
+            text = cell_text(det.bbox, ocr, cfg, page.page_width, page.page_height)
             resolved.append(Cell(det.bbox, text or ""))
         ttype = identify_table(resolved, cfg)
         if ttype is None or (type_hint is not None and ttype is not type_hint):
@@ -342,15 +381,23 @@ class LabelsConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LabelsConfig":
+        def pools(group: Mapping, where: str, keys: Optional[type[Enum]] = None) -> dict:
+            out = {}
+            for k, v in group.items():
+                key = enum_member(keys, k, f"labels config: '{where}': unknown key") if keys else k
+                out[key] = _strings(v, f"labels config: '{where}.{k}'")
+            return out
+
         try:
             perf = d["performance_scenarios"]
             return cls(
-                initial_period=tuple(d["periods"]["initial"]),
-                scenarios={Scenario(k): tuple(v) for k, v in perf["scenarios"].items()},
-                perf_metrics={k: tuple(v) for k, v in perf["metrics"].items()},
-                evolution_metrics={k: tuple(v) for k, v in d["costs_evolution"]["metrics"].items()},
-                categories={CostCategory(k): tuple(v)
-                            for k, v in d["costs_composition"]["categories"].items()},
+                initial_period=_strings(d["periods"]["initial"],
+                                        "labels config: 'periods.initial'"),
+                scenarios=pools(perf["scenarios"], "performance_scenarios.scenarios", Scenario),
+                perf_metrics=pools(perf["metrics"], "performance_scenarios.metrics"),
+                evolution_metrics=pools(d["costs_evolution"]["metrics"], "costs_evolution.metrics"),
+                categories=pools(d["costs_composition"]["categories"],
+                                 "costs_composition.categories", CostCategory),
             )
         except KeyError as e:
             raise SchemaError(f"labels config: missing field {e.args[0]!r}") from None
@@ -563,7 +610,7 @@ def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional
     for key in ("doc_id", "type", "status"):
         if key not in d:
             raise SchemaError(f"tables row: missing field {key!r}")
-    ttype = TableType(d["type"])
+    ttype = enum_member(TableType, d["type"], "tables row: unknown type")
     record = None
     if d["status"] == "extracted":
         if d.get("record") is None:

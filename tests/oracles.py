@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: the matcher oracle
 walks the pattern AST enumerating whole derivations, the row oracle
-implements the clustering definition set-wise, and the number oracle is a
-direct decision table for single-separator numerals.
+implements the clustering definition set-wise, the number oracle is a
+direct decision table for single-separator numerals, and the OCR
+association oracle scores every OCR entry on the page.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from decimal import Decimal
 from typing import Optional
 
 from kidex import ruledsl
+from kidex.model import iou
+from kidex.tabrec import enlarge_bbox
 
 
 class TokenListCtx:
@@ -185,4 +188,25 @@ def label_pool_oracle(text: str, pools: dict) -> Optional[object]:
             needle = _label_key(label)
             if needle and re.search(r"(?<!\w)" + re.escape(needle) + r"(?!\w)", hay):
                 return key
+    return None
+
+
+# ---------------------------------------------------------------------------
+# OCR association
+# ---------------------------------------------------------------------------
+
+def ocr_association_oracle(cell, ocr, cfg, page_w=None, page_h=None) -> Optional[str]:
+    """All-pairs OCR association: every entry is scored against the enlarged
+    cell, the first maximum in ``ocr`` order wins, and it must reach the
+    IoU threshold."""
+    if page_w is None or page_h is None:
+        page_w = page_h = 10 ** 9
+    enlarged = enlarge_bbox(cell, cfg, page_w, page_h)
+    best_text, best_iou = None, 0.0
+    for entry in ocr:
+        score = iou(enlarged, entry.bbox)
+        if score > best_iou:
+            best_text, best_iou = entry.text, score
+    if best_iou >= cfg.ocr_iou_threshold:
+        return best_text
     return None

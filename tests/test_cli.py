@@ -114,6 +114,64 @@ def test_tables_strict_malformed_exit_1(corpus, tmp_path):
                  "--pages", str(corpus / "docs"), "--out", str(tmp_path / "t.jsonl")]) == 1
 
 
+def _packaged_labels() -> dict:
+    return json.loads((Path(kidex.__file__).parent / "data" / "labels.json")
+                      .read_text(encoding="utf-8"))
+
+
+def _labels_pool_a_string(labels):
+    labels["costs_composition"]["categories"]["entry"] = "Costi di ingresso"
+
+
+def _labels_without_performance_scenarios(labels):
+    del labels["performance_scenarios"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_labels_pool_a_string, "'costs_composition.categories.entry'"),
+    (_labels_without_performance_scenarios, "'performance_scenarios'"),
+], ids=["pool-a-string", "no-performance-scenarios"])
+def test_tables_bad_labels_config_is_input_error(corpus, tmp_path, capsys, edit, named):
+    labels = _packaged_labels()
+    edit(labels)
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(labels), encoding="utf-8")
+    out = tmp_path / "tables.jsonl"
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                 "--labels", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: labels config: ")
+    assert named in err
+    assert not out.exists()
+
+
+def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                 "--labels", str(missing), "--out", str(tmp_path / "t.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("tab, named", [
+    ({"ocr_iou_threshold": 1.5}, "ocr_iou_threshold"),
+    ({"enlargement_ratio": "wide"}, "'enlargement_ratio'"),
+    ({"anchors": {"costs_evolution": {"page_strings": "Costi",
+                                      "table_strings": ["Costi totali"]}}},
+     "'anchors.costs_evolution.page_strings'"),
+    ({"anchors": {"bogus": {"page_strings": ["a"], "table_strings": ["b"]}}}, "'bogus'"),
+], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type"])
+def test_tables_bad_tab_config_is_input_error(corpus, tmp_path, capsys, tab, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tab": tab}), encoding="utf-8")
+    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
+                 "--pages", str(corpus / "docs"), "--out", str(tmp_path / "t.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: tab config: ")
+    assert named in err
+
+
 def test_missing_page_makes_type_missing(corpus, tmp_path):
     # a doc without the costs-evolution anchor page: type reported missing
     docs = tmp_path / "docs"
@@ -194,6 +252,40 @@ def test_eval_gold_value_not_a_string_exit_1(tmp_path, capsys):
     assert err.startswith("input error: ")
     assert "fields.jsonl:1: field 'value' missing or not a string" in err
     assert "Traceback" not in err
+
+
+def _bogus_type(row):
+    row["type"] = "bogus"
+
+
+def _bogus_scenario(row):
+    row["record"]["entries"]["bogus"] = row["record"]["entries"].pop("stress")
+
+
+def _bogus_period(row):
+    row["record"]["entries"]["stress"]["bogus"] = row["record"]["entries"]["stress"].pop("initial")
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize("edit, message", [
+    (_bogus_type, "tables row: unknown type 'bogus'"),
+    (_bogus_scenario, "record: unknown scenario 'bogus'"),
+    (_bogus_period, "record: unknown period 'bogus'"),
+], ids=["type", "scenario", "period"])
+def test_eval_unknown_table_enum_value_exit_1(corpus, tmp_path, capsys, side, edit, message):
+    dirs = {name: tmp_path / name for name in ("gold", "pred")}
+    for d in dirs.values():
+        d.mkdir()
+        for name in ("fields.jsonl", "tables.jsonl"):
+            (d / name).write_bytes((corpus / "gold" / name).read_bytes())
+    tables = dirs[side] / "tables.jsonl"
+    rows = [json.loads(l) for l in tables.read_text(encoding="utf-8").splitlines()]
+    edit(next(r for r in rows
+              if r["type"] == "performance_scenarios" and r["status"] == "extracted"))
+    tables.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert main(["eval", "--gold", str(dirs["gold"]), "--pred", str(dirs["pred"])]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: {message}\n"
 
 
 def test_workers_flag_rejected(tmp_path):

@@ -1,16 +1,18 @@
 import random
+import re
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from kidex import tabrec
 from kidex.model import (BBox, Cell, CostCategory, Detection, DetectionClass, OcrEntry,
-                         PageDetections, Period, Scenario)
+                         PageDetections, Period, Scenario, SchemaError, iou)
 from kidex.tabrec import (AmbiguousTableError, LabelsConfig, TabConfig, TableType, assign_cells,
                           cell_text, default_labels_config, enlarge_bbox, extract_table,
                           filter_detections, group_rows, identify_pages, identify_table,
-                          map_to_record, split_multiline)
-from oracles import cluster_rows_oracle, label_pool_oracle
+                          index_ocr, map_to_record, parse_table_row, split_multiline)
+from oracles import cluster_rows_oracle, label_pool_oracle, ocr_association_oracle
 
 CFG = TabConfig()
 LABELS = default_labels_config()
@@ -132,11 +134,13 @@ def test_enlarge_never_shrinks():
 
 def test_cell_text_exact_match():
     box = BBox(10, 10, 100, 40)
-    assert cell_text(box, [OcrEntry(box, "Scenario di stress")], CFG) == "Scenario di stress"
+    assert cell_text(box, index_ocr([OcrEntry(box, "Scenario di stress")]), CFG) == \
+        "Scenario di stress"
 
 
 def test_cell_text_absent_without_overlap():
-    assert cell_text(BBox(10, 10, 100, 40), [OcrEntry(BBox(500, 500, 600, 540), "x")], CFG) is None
+    ocr = index_ocr([OcrEntry(BBox(500, 500, 600, 540), "x")])
+    assert cell_text(BBox(10, 10, 100, 40), ocr, CFG) is None
 
 
 def test_cell_text_best_iou_wins():
@@ -144,13 +148,56 @@ def test_cell_text_best_iou_wins():
     cfg = TabConfig(enlargement_ratio=0.0)
     box = BBox(0, 0, 10, 10)
     entries = [OcrEntry(BBox(0, 6, 10, 10), "worse"), OcrEntry(BBox(0, 0, 10, 7), "better")]
-    assert cell_text(box, entries, cfg) == "better"
+    assert cell_text(box, index_ocr(entries), cfg) == "better"
 
 
 def test_cell_text_threshold_applies():
     cfg = TabConfig(enlargement_ratio=0.0, ocr_iou_threshold=0.5)
     box = BBox(0, 0, 10, 10)
-    assert cell_text(box, [OcrEntry(BBox(0, 6, 10, 10), "x")], cfg) is None  # IoU 0.4
+    assert cell_text(box, index_ocr([OcrEntry(BBox(0, 6, 10, 10), "x")]), cfg) is None  # IoU 0.4
+
+
+def test_cell_text_identical_boxes_first_in_page_order_wins():
+    box = BBox(0, 0, 10, 10)
+    entries = [OcrEntry(BBox(50, 50, 60, 60), "far"), OcrEntry(box, "first"),
+               OcrEntry(box, "second")]
+    assert cell_text(box, index_ocr(entries), CFG) == "first"
+
+
+def test_cell_text_finds_tall_entry_starting_well_above_the_cell():
+    # IoU 20/76 >= 0.25 although the entry starts 56 px above a 20 px cell
+    cfg = TabConfig(enlargement_ratio=0.0, ocr_iou_threshold=0.25)
+    box = BBox(0, 100, 10, 120)
+    entries = [OcrEntry(BBox(0, 44, 10, 120), "tall"), OcrEntry(BBox(0, 150, 10, 160), "x")]
+    assert cell_text(box, index_ocr(entries), cfg) == "tall"
+
+
+_coord = st.integers(0, 120)
+_box = st.tuples(_coord, _coord, st.integers(1, 80), st.integers(1, 80)).map(
+    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+@seed(20220602)
+@settings(max_examples=400, deadline=None, database=None)
+@given(boxes=st.lists(_box, max_size=12),
+       copies=st.lists(st.integers(0, 11), max_size=4),
+       cells=st.lists(_box, min_size=1, max_size=4),
+       ratio=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       threshold=st.one_of(st.sampled_from([1.0, 0.05]), st.floats(0.05, 1.0)),
+       margin=st.one_of(st.none(), st.tuples(st.integers(0, 20), st.integers(0, 20))))
+def test_cell_text_agrees_with_all_pairs_reference(boxes, copies, cells, ratio, threshold,
+                                                    margin):
+    boxes += [boxes[i] for i in copies if i < len(boxes)]  # duplicate boxes tie
+    entries = [OcrEntry(b, str(i)) for i, b in enumerate(boxes)]
+    cfg = TabConfig(enlargement_ratio=ratio, ocr_iou_threshold=threshold)
+    page_w = page_h = None
+    if margin is not None:  # the page ends 0-20 px past the farthest box, so enlargement clamps
+        page_w = max(b.right for b in cells + boxes) + margin[0]
+        page_h = max(b.bottom for b in cells + boxes) + margin[1]
+    ocr = index_ocr(entries)
+    for box in cells + boxes:  # cells equal to an entry reach IoU 1
+        assert cell_text(box, ocr, cfg, page_w, page_h) == \
+            ocr_association_oracle(box, entries, cfg, page_w, page_h)
 
 
 # --- identify_table ----------------------------------------------------------
@@ -431,6 +478,31 @@ def test_extract_table_hint_must_match():
     assert extract_table(page, TableType.COSTS_EVOLUTION, CFG, LABELS) is not None
 
 
+def test_extract_table_scores_only_nearby_ocr(monkeypatch):
+    # 400 word-level entries below the table, clear of every box, as on dense pages
+    page = _synthetic_page()
+    rng = random.Random(4)
+    words = []
+    for _ in range(400):
+        left, top = rng.randrange(40, 2000), rng.randrange(340, 3400)
+        words.append(OcrEntry(BBox(left, top, left + rng.randrange(60, 361),
+                                   top + rng.randrange(28, 49)), "parola"))
+    ocr = list(page.ocr) + words
+    rng.shuffle(ocr)
+    dense = PageDetections("d", 4, 2480, 3508, page.detections, tuple(ocr))
+    expected = extract_table(page, None, CFG, LABELS)
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return iou(a, b)
+
+    monkeypatch.setattr(tabrec, "iou", counting_iou)
+    assert extract_table(dense, None, CFG, LABELS) == expected
+    n_cells = len(page.detections) - 1
+    assert len(calls) < n_cells * len(ocr) / 10
+
+
 def test_extract_table_regroups_after_split():
     # one merged cell stacks a label over a second label; splitting must
     # push the lower part into the second row
@@ -448,6 +520,67 @@ def test_extract_table_regroups_after_split():
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, hit[1], LABELS)
     assert record.entries[CostCategory.ENTRY] == Decimal("0.50")
     assert record.entries[CostCategory.EXIT] == Decimal("0.25")
+
+
+def _labels_dict() -> dict:
+    return {"periods": {"initial": ["1 anno"]},
+            "performance_scenarios": {"scenarios": {"stress": ["Scenario di stress"]},
+                                      "metrics": {"refund": ["Possibile rimborso"]}},
+            "costs_evolution": {"metrics": {"total_cost": ["Costi totali"]}},
+            "costs_composition": {"categories": {"entry": ["Costi di ingresso"]}}}
+
+
+@pytest.mark.parametrize("path", [("periods", "initial"),
+                                  ("performance_scenarios", "scenarios", "stress"),
+                                  ("performance_scenarios", "metrics", "refund"),
+                                  ("costs_evolution", "metrics", "total_cost"),
+                                  ("costs_composition", "categories", "entry")])
+@pytest.mark.parametrize("bad", ["Costi di ingresso", ["Costi di ingresso", 3], None])
+def test_labels_config_pool_must_be_a_list_of_strings(path, bad):
+    d = _labels_dict()
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    with pytest.raises(SchemaError, match=re.escape(f"labels config: '{'.'.join(path)}'")):
+        LabelsConfig.from_dict(d)
+
+
+def test_labels_config_unknown_category_is_schema_error():
+    d = _labels_dict()
+    d["costs_composition"]["categories"]["bogus"] = ["x"]
+    with pytest.raises(SchemaError, match="'costs_composition.categories': unknown key 'bogus'"):
+        LabelsConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"page_strings": "Costi", "table_strings": ["Costi totali"]}, "page_strings"),
+    ({"page_strings": ["Costi"], "table_strings": ["Costi totali", None]}, "table_strings"),
+    ({"page_strings": ["Costi"]}, "table_strings"),
+])
+def test_tab_config_anchor_list_must_be_a_list_of_strings(spec, named):
+    with pytest.raises(SchemaError, match=re.escape(f"'anchors.costs_evolution.{named}'")):
+        TabConfig.from_dict({"anchors": {"costs_evolution": spec}})
+
+
+def test_tab_config_out_of_range_is_schema_error():
+    with pytest.raises(SchemaError, match="tab config: ocr_iou_threshold must be in"):
+        TabConfig.from_dict({"ocr_iou_threshold": 0})
+
+
+def _composition_row(entries) -> dict:
+    return {"doc_id": "d", "page": 5, "type": "costs_composition", "status": "extracted",
+            "record": {"entries": entries}}
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"doc_id": "d", "type": "bogus", "status": "missing"}, "tables row: unknown type 'bogus'"),
+    (_composition_row({"bogus": "0.5"}), "record: unknown category 'bogus'"),
+    (_composition_row({"entry": "abc"}), "record: not a number 'abc'"),
+])
+def test_parse_table_row_rejects_unknown_values(row, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse_table_row(row)
 
 
 def test_config_validation():
