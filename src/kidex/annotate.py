@@ -1,6 +1,8 @@
-"""Tokenization and system annotations (document sections).
+r"""Tokenization and system annotations (document sections).
 
-Tokens split on whitespace, then leading/trailing punctuation is peeled off
+Tokens split on whitespace: one ``\S+`` regex scan finds each maximal run
+of characters for which ``str.isspace()`` is false (in ``str`` patterns
+``\s`` is exactly that set). Leading/trailing punctuation is then peeled off
 as single-character tokens so cues like ``ISIN :`` and ``12,5 %`` become
 separate tokens while interior punctuation (``1.234,56``, ``CH0524993752``)
 stays put.
@@ -8,6 +10,7 @@ stays put.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,6 +21,8 @@ SECTION_KEY = "SECTION"
 
 PUNCT_CHARS = set(".,:;!?()[]{}\"'«»%€")
 
+_NON_SPACE_RE = re.compile(r"\S+")
+
 
 def tokenize(text: str) -> tuple[Token, ...]:
     tokens: list[Token] = []
@@ -25,16 +30,8 @@ def tokenize(text: str) -> tuple[Token, ...]:
     def emit(chunk: str, begin: int) -> None:
         tokens.append(Token(chunk, begin, begin + len(chunk), len(tokens)))
 
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < n and not text[end].isspace():
-            end += 1
-        i, j = pos, end
+    for m in _NON_SPACE_RE.finditer(text):
+        i, j = m.span()
         trailing: list[int] = []
         while j - i > 1 and text[i] in PUNCT_CHARS:
             emit(text[i], i)
@@ -45,7 +42,6 @@ def tokenize(text: str) -> tuple[Token, ...]:
         emit(text[i:j], i)
         for k in reversed(trailing):
             emit(text[k], k)
-        pos = end
     return tuple(tokens)
 
 

@@ -63,8 +63,11 @@ def load_gold_fields(path: str | Path) -> list[Triple]:
 
 def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str, Optional[TypedRecord]]]:
     out = {}
-    for row in tabrec.read_tables_jsonl(path):
-        doc_id, _page, ttype, record = tabrec.parse_table_row(row)
+    for lineno, row in tabrec.read_tables_jsonl(path):
+        try:
+            doc_id, _page, ttype, record = tabrec.parse_table_row(row)
+        except SchemaError as e:
+            raise SchemaError(f"{path}:{lineno}: {e}") from None
         out[(doc_id, ttype)] = (row["status"], record)
     return out
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
@@ -64,6 +66,7 @@ class DocContext:
         self.doc = doc
         self.texts = [t.text for t in doc.tokens]
         self._index: dict[str, dict[int, list[str]]] = {}
+        self._starts: dict[CompiledPattern, list[int]] = {}
         for ann in doc.annotations:
             self._add_to_index(ann)
 
@@ -80,6 +83,21 @@ class DocContext:
 
     def __len__(self) -> int:
         return len(self.texts)
+
+    def candidate_starts(self, pattern: CompiledPattern) -> list[int]:
+        """Ascending offsets whose token text may pass ``pattern``'s prefilter.
+
+        Built once per pattern: texts never change, and annotations are left
+        to the exact prefilter test at each candidate.
+        """
+        starts = self._starts.get(pattern)
+        if starts is None:
+            flags = list(map(pattern.first_text_memo.get, self.texts))
+            if None in flags:
+                may_start = pattern.may_start
+                flags = [may_start(t) if f is None else f for t, f in zip(self.texts, flags)]
+            starts = self._starts[pattern] = list(compress(range(len(flags)), flags))
+        return starts
 
 
 def _attempt(pattern: CompiledPattern, ctx: DocContext, start: int,
@@ -139,10 +157,14 @@ def find_matches(pattern: CompiledPattern, doc: Document | DocContext,
     ctx = doc if isinstance(doc, DocContext) else DocContext(doc)
     n = len(ctx)
     first = pattern.first_preds
-    for s in range(start, n + 1):
-        if first is not None:
-            if s >= n or not any(p.test(ctx, s) for p in first):
-                continue
+    if first is None:
+        offsets = range(start, n + 1)
+    else:
+        starts = ctx.candidate_starts(pattern)
+        offsets = islice(starts, bisect_left(starts, start), None)
+    for s in offsets:
+        if first is not None and not any(p.test(ctx, s) for p in first):
+            continue
         hit = _attempt(pattern, ctx, s, rule_id)
         if hit is not None:
             end, caps = hit

@@ -19,15 +19,20 @@ class SchemaError(ValueError):
     """An input file violates its documented schema; the message names the field."""
 
 
+def json_object(value, where: str) -> dict:
+    """``value`` if it is a JSON object; otherwise a SchemaError led by ``where``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
+    return value
+
+
 def parse_json_object(text: str, source: str | Path) -> dict:
     """Parse ``text``, read from ``source``, as one JSON object."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{source}: not valid JSON ({e.msg} at line {e.lineno})") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"{source}: expected a JSON object")
-    return data
+    return json_object(data, str(source))
 
 
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
@@ -40,9 +45,7 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
             row = json.loads(line)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}:{lineno}: not valid JSON ({e.msg})") from None
-        if not isinstance(row, dict):
-            raise SchemaError(f"{path}:{lineno}: expected a JSON object")
-        rows.append((lineno, row))
+        rows.append((lineno, json_object(row, f"{path}:{lineno}")))
     return rows
 
 
@@ -450,10 +453,11 @@ class PerformanceScenariosRecord:
     @classmethod
     def from_dict(cls, d: Mapping) -> "PerformanceScenariosRecord":
         entries = {}
-        for s_name, periods in d.get("entries", {}).items():
-            for p_name, cell in periods.items():
+        for s_name, periods in json_object(d.get("entries", {}), "record: 'entries'").items():
+            for p_name, cell in json_object(periods, f"record: 'entries.{s_name}'").items():
                 key = (enum_member(Scenario, s_name, "record: unknown scenario"),
                        enum_member(Period, p_name, "record: unknown period"))
+                cell = json_object(cell, f"record: 'entries.{s_name}.{p_name}'")
                 entries[key] = ScenarioCell.from_dict(cell)
         return cls(entries)
 
@@ -485,8 +489,9 @@ class CostsEvolutionRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CostsEvolutionRecord":
-        return cls({enum_member(Period, k, "record: unknown period"): PeriodCosts.from_dict(v)
-                    for k, v in d.get("entries", {}).items()})
+        return cls({enum_member(Period, k, "record: unknown period"):
+                    PeriodCosts.from_dict(json_object(v, f"record: 'entries.{k}'"))
+                    for k, v in json_object(d.get("entries", {}), "record: 'entries'").items()})
 
     def __eq__(self, other):
         return isinstance(other, CostsEvolutionRecord) and dict(self.entries) == dict(other.entries)
@@ -503,7 +508,7 @@ class CostsCompositionRecord:
     @classmethod
     def from_dict(cls, d: Mapping) -> "CostsCompositionRecord":
         return cls({enum_member(CostCategory, k, "record: unknown category"): _dec_or_none(v)
-                    for k, v in d.get("entries", {}).items()})
+                    for k, v in json_object(d.get("entries", {}), "record: 'entries'").items()})
 
     def __eq__(self, other):
         return isinstance(other, CostsCompositionRecord) and dict(self.entries) == dict(other.entries)

@@ -634,8 +634,15 @@ def print_rules(rule_file: RuleFile) -> str:
 # Predicates and compiled form
 # ---------------------------------------------------------------------------
 
+# Every predicate has ``test(ctx, i)`` and ``may_pass(text)``: the latter is
+# False only if no token with this text can pass ``test``, whatever its
+# annotations, so the matcher can memoise it per distinct token text.
+
 class AnyPred:
     def test(self, ctx, i: int) -> bool:
+        return True
+
+    def may_pass(self, text: str) -> bool:
         return True
 
 
@@ -648,6 +655,9 @@ class TextRegexPred:
     def test(self, ctx, i: int) -> bool:
         return self.rx.fullmatch(ctx.texts[i]) is not None
 
+    def may_pass(self, text: str) -> bool:
+        return self.rx.fullmatch(text) is not None
+
 
 class TextEqPred:
     __slots__ = ("value",)
@@ -657,6 +667,9 @@ class TextEqPred:
 
     def test(self, ctx, i: int) -> bool:
         return ctx.texts[i] == self.value
+
+    def may_pass(self, text: str) -> bool:
+        return text == self.value
 
 
 class AnnEqPred:
@@ -669,6 +682,9 @@ class AnnEqPred:
     def test(self, ctx, i: int) -> bool:
         return self.value in ctx.ann_values(self.key, i)
 
+    def may_pass(self, text: str) -> bool:
+        return True
+
 
 class AnnRegexPred:
     __slots__ = ("key", "rx")
@@ -680,6 +696,9 @@ class AnnRegexPred:
     def test(self, ctx, i: int) -> bool:
         return any(self.rx.fullmatch(v) for v in ctx.ann_values(self.key, i))
 
+    def may_pass(self, text: str) -> bool:
+        return True
+
 
 class AndPred:
     __slots__ = ("preds",)
@@ -690,23 +709,43 @@ class AndPred:
     def test(self, ctx, i: int) -> bool:
         return all(p.test(ctx, i) for p in self.preds)
 
+    def may_pass(self, text: str) -> bool:
+        return all(p.may_pass(text) for p in self.preds)
+
 
 # instruction opcodes; programs are tuples of (op, a, b)
 OP_PRED, OP_SPLIT, OP_JMP, OP_GSTART, OP_GEND, OP_SETPOS, OP_PROGRESS, OP_MATCH = range(8)
 
 
-@dataclass(frozen=True)
+# entries a pattern's first-token memo may hold before it is cleared
+FIRST_TEXT_MEMO_CAP = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledPattern:
     """Backtracking program over token predicates with capture slots.
 
     ``first_preds`` is a prefilter: the set of predicates one of which must
     accept the first token of any non-empty match. ``None`` means the
     pattern may match the empty token sequence, so every start offset must
-    be attempted.
+    be attempted. ``may_start`` memoises the prefilter's text part per
+    distinct token text, across every document the pattern runs on. A
+    pattern is compared and hashed by identity, so it can key per-document
+    caches.
     """
     instrs: tuple
-    n_regs: int
     first_preds: Optional[tuple]
+    first_text_memo: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
+
+    def may_start(self, text: str) -> bool:
+        """False only if no token with this text can pass ``first_preds``."""
+        memo = self.first_text_memo
+        ok = memo.get(text)
+        if ok is None:
+            if len(memo) >= FIRST_TEXT_MEMO_CAP:
+                memo.clear()
+            ok = memo[text] = any(p.may_pass(text) for p in self.first_preds)
+        return ok
 
 
 @dataclass(frozen=True)
@@ -740,7 +779,7 @@ class _PatternCompiler:
         self._node(node)
         self.emit(OP_MATCH)
         instrs = tuple(tuple(ins) for ins in self.instrs)
-        return CompiledPattern(instrs, self.n_regs, _first_preds(instrs))
+        return CompiledPattern(instrs, _first_preds(instrs))
 
     def _regex(self, body: str, pos) -> re.Pattern:
         try:

@@ -25,7 +25,8 @@ from .annotate import PUNCT_CHARS
 from .model import (BBox, Cell, CostCategory, CostsCompositionRecord, CostsEvolutionRecord,
                     Detection, OcrEntry, PageDetections, PerformanceScenariosRecord, Period,
                     PeriodCosts, RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
-                    contains_center, enum_member, iou, parse_json_object, read_jsonl)
+                    contains_center, enum_member, iou, json_object, parse_json_object,
+                    read_jsonl)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -107,8 +108,9 @@ class TabConfig:
                                       f"got {d[name]!r}") from None
         if "anchors" in d:
             anchors = dict(DEFAULT_ANCHORS)
-            for key, spec in d["anchors"].items():
+            for key, spec in json_object(d["anchors"], "tab config: 'anchors'").items():
                 ttype = enum_member(TableType, key, "tab config: 'anchors': unknown table type")
+                spec = json_object(spec, f"tab config: 'anchors.{key}'")
                 page, table = (_strings(spec.get(name), f"tab config: 'anchors.{key}.{name}'")
                                for name in ("page_strings", "table_strings"))
                 anchors[ttype] = AnchorSet(page, table)
@@ -381,23 +383,28 @@ class LabelsConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LabelsConfig":
-        def pools(group: Mapping, where: str, keys: Optional[type[Enum]] = None) -> dict:
+        def group(where: str) -> Mapping:
+            node = d
+            keys = where.split(".")
+            for i, key in enumerate(keys):
+                node = json_object(node[key], f"labels config: '{'.'.join(keys[:i + 1])}'")
+            return node
+
+        def pools(where: str, keys: Optional[type[Enum]] = None) -> dict:
             out = {}
-            for k, v in group.items():
+            for k, v in group(where).items():
                 key = enum_member(keys, k, f"labels config: '{where}': unknown key") if keys else k
                 out[key] = _strings(v, f"labels config: '{where}.{k}'")
             return out
 
         try:
-            perf = d["performance_scenarios"]
             return cls(
-                initial_period=_strings(d["periods"]["initial"],
+                initial_period=_strings(group("periods")["initial"],
                                         "labels config: 'periods.initial'"),
-                scenarios=pools(perf["scenarios"], "performance_scenarios.scenarios", Scenario),
-                perf_metrics=pools(perf["metrics"], "performance_scenarios.metrics"),
-                evolution_metrics=pools(d["costs_evolution"]["metrics"], "costs_evolution.metrics"),
-                categories=pools(d["costs_composition"]["categories"],
-                                 "costs_composition.categories", CostCategory),
+                scenarios=pools("performance_scenarios.scenarios", Scenario),
+                perf_metrics=pools("performance_scenarios.metrics"),
+                evolution_metrics=pools("costs_evolution.metrics"),
+                categories=pools("costs_composition.categories", CostCategory),
             )
         except KeyError as e:
             raise SchemaError(f"labels config: missing field {e.args[0]!r}") from None
@@ -615,7 +622,7 @@ def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional
     if d["status"] == "extracted":
         if d.get("record") is None:
             raise SchemaError("tables row: status 'extracted' requires a record")
-        record = RECORD_TYPES[ttype].from_dict(d["record"])
+        record = RECORD_TYPES[ttype].from_dict(json_object(d["record"], "tables row: 'record'"))
     return d["doc_id"], d.get("page"), ttype, record
 
 
@@ -624,5 +631,6 @@ def write_tables_jsonl(rows: Iterable[dict], path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_tables_jsonl(path: str | Path) -> list[dict]:
-    return [row for _lineno, row in read_jsonl(path)]
+def read_tables_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """(line number, row) for every row of a tables JSONL file."""
+    return read_jsonl(path)

@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths: the matcher oracle
 walks the pattern AST enumerating whole derivations, the row oracle
 implements the clustering definition set-wise, the number oracle is a
-direct decision table for single-separator numerals, and the OCR
-association oracle scores every OCR entry on the page.
+direct decision table for single-separator numerals, the OCR
+association oracle scores every OCR entry on the page, and the tokenizer
+oracle scans the text one character at a time.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from decimal import Decimal
 from typing import Optional
 
 from kidex import ruledsl
-from kidex.model import iou
+from kidex.model import Token, iou
 from kidex.tabrec import enlarge_bbox
 
 
@@ -210,3 +211,40 @@ def ocr_association_oracle(cell, ocr, cfg, page_w=None, page_h=None) -> Optional
     if best_iou >= cfg.ocr_iou_threshold:
         return best_text
     return None
+
+
+# ---------------------------------------------------------------------------
+# Tokenization
+# ---------------------------------------------------------------------------
+
+def tokenize_oracle(text: str, punct: set) -> tuple:
+    """Whitespace runs by ``str.isspace``, one character at a time; edge
+    characters from ``punct`` are peeled off a chunk as one-character tokens
+    while at least one character is left."""
+    tokens: list = []
+
+    def emit(chunk: str, begin: int) -> None:
+        tokens.append(Token(chunk, begin, begin + len(chunk), len(tokens)))
+
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        end = pos
+        while end < n and not text[end].isspace():
+            end += 1
+        i, j = pos, end
+        trailing: list = []
+        while j - i > 1 and text[i] in punct:
+            emit(text[i], i)
+            i += 1
+        while j - i > 1 and text[j - 1] in punct:
+            trailing.append(j - 1)
+            j -= 1
+        emit(text[i:j], i)
+        for k in reversed(trailing):
+            emit(text[k], k)
+        pos = end
+    return tuple(tokens)

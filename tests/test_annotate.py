@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from kidex.annotate import (SECTION_KEY, SectionConfig, SectionSpec, annotate_sections,
-                            default_section_config, load_section_config, tokenize,
-                            tokenize_document)
+from kidex.annotate import (PUNCT_CHARS, SECTION_KEY, SectionConfig, SectionSpec,
+                            annotate_sections, default_section_config, load_section_config,
+                            tokenize, tokenize_document)
 from kidex.model import Document
+from oracles import tokenize_oracle
 
 
 def texts(tokens):
@@ -34,6 +36,25 @@ def test_all_punct_chunk():
 
 def test_empty_text():
     assert tokenize("") == ()
+
+
+_token_chars = st.one_of(
+    st.sampled_from("aZ09"),
+    st.sampled_from(sorted(PUNCT_CHARS)),
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2009\u2028\u202f\u3000"),  # whitespace
+    st.sampled_from("-/+*\u200b\ufeff"),  # neither whitespace nor punctuation
+    st.characters(),
+)
+
+
+@seed(20220603)
+@settings(max_examples=500, deadline=None, database=None)
+@given(text=st.text(_token_chars, max_size=60))
+def test_tokenize_agrees_with_char_scan_reference(text):
+    tokens = tokenize(text)
+    assert tokens == tokenize_oracle(text, PUNCT_CHARS)
+    for t in tokens:
+        assert text[t.begin:t.end] == t.text
 
 
 def test_offsets_faithful_and_partition():

@@ -127,10 +127,15 @@ def _labels_without_performance_scenarios(labels):
     del labels["performance_scenarios"]
 
 
+def _labels_group_a_list(labels):
+    labels["costs_evolution"]["metrics"] = [["Costi totali"]]
+
+
 @pytest.mark.parametrize("edit, named", [
     (_labels_pool_a_string, "'costs_composition.categories.entry'"),
     (_labels_without_performance_scenarios, "'performance_scenarios'"),
-], ids=["pool-a-string", "no-performance-scenarios"])
+    (_labels_group_a_list, "'costs_evolution.metrics': expected a JSON object"),
+], ids=["pool-a-string", "no-performance-scenarios", "group-a-list"])
 def test_tables_bad_labels_config_is_input_error(corpus, tmp_path, capsys, edit, named):
     labels = _packaged_labels()
     edit(labels)
@@ -161,7 +166,11 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
                                       "table_strings": ["Costi totali"]}}},
      "'anchors.costs_evolution.page_strings'"),
     ({"anchors": {"bogus": {"page_strings": ["a"], "table_strings": ["b"]}}}, "'bogus'"),
-], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type"])
+    ({"anchors": []}, "'anchors': expected a JSON object"),
+    ({"anchors": {"costs_evolution": "Costi"}},
+     "'anchors.costs_evolution': expected a JSON object"),
+], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type",
+        "anchors-a-list", "anchor-spec-a-string"])
 def test_tables_bad_tab_config_is_input_error(corpus, tmp_path, capsys, tab, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tab": tab}), encoding="utf-8")
@@ -266,13 +275,11 @@ def _bogus_period(row):
     row["record"]["entries"]["stress"]["bogus"] = row["record"]["entries"]["stress"].pop("initial")
 
 
-@pytest.mark.parametrize("side", ["gold", "pred"])
-@pytest.mark.parametrize("edit, message", [
-    (_bogus_type, "tables row: unknown type 'bogus'"),
-    (_bogus_scenario, "record: unknown scenario 'bogus'"),
-    (_bogus_period, "record: unknown period 'bogus'"),
-], ids=["type", "scenario", "period"])
-def test_eval_unknown_table_enum_value_exit_1(corpus, tmp_path, capsys, side, edit, message):
+def _eval_with_edited_table_row(corpus, tmp_path, side, ttype, edit):
+    """Run eval on gold vs gold with one extracted ``ttype`` row edited on ``side``.
+
+    Returns the exit code, the edited file and the edited row's line number.
+    """
     dirs = {name: tmp_path / name for name in ("gold", "pred")}
     for d in dirs.values():
         d.mkdir()
@@ -280,12 +287,54 @@ def test_eval_unknown_table_enum_value_exit_1(corpus, tmp_path, capsys, side, ed
             (d / name).write_bytes((corpus / "gold" / name).read_bytes())
     tables = dirs[side] / "tables.jsonl"
     rows = [json.loads(l) for l in tables.read_text(encoding="utf-8").splitlines()]
-    edit(next(r for r in rows
-              if r["type"] == "performance_scenarios" and r["status"] == "extracted"))
+    lineno, row = next((i, r) for i, r in enumerate(rows, 1)
+                       if r["type"] == ttype and r["status"] == "extracted")
+    edit(row)
     tables.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    assert main(["eval", "--gold", str(dirs["gold"]), "--pred", str(dirs["pred"])]) == 1
+    code = main(["eval", "--gold", str(dirs["gold"]), "--pred", str(dirs["pred"])])
+    return code, tables, lineno
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize("edit, message", [
+    (_bogus_type, "tables row: unknown type 'bogus'"),
+    (_bogus_scenario, "record: unknown scenario 'bogus'"),
+    (_bogus_period, "record: unknown period 'bogus'"),
+], ids=["type", "scenario", "period"])
+def test_eval_unknown_table_enum_value_exit_1(corpus, tmp_path, capsys, side, edit, message):
+    code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side,
+                                                       "performance_scenarios", edit)
+    assert code == 1
+    assert capsys.readouterr().err == f"input error: {tables}:{lineno}: {message}\n"
+
+
+def _set(*path, value):
+    def edit(row):
+        node = row
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize("ttype, edit, message", [
+    ("performance_scenarios", _set("record", value="x"), "tables row: 'record'"),
+    ("performance_scenarios", _set("record", "entries", value=[]), "record: 'entries'"),
+    ("performance_scenarios", _set("record", "entries", "stress", value=[]),
+     "record: 'entries.stress'"),
+    ("performance_scenarios", _set("record", "entries", "stress", "initial", value="5"),
+     "record: 'entries.stress.initial'"),
+    ("costs_evolution", _set("record", "entries", "initial", value=None),
+     "record: 'entries.initial'"),
+    ("costs_composition", _set("record", "entries", value="0.5"), "record: 'entries'"),
+], ids=["record", "entries", "periods", "scenario-cell", "period-costs", "categories"])
+def test_eval_table_row_part_not_an_object_exit_1(corpus, tmp_path, capsys, side, ttype, edit,
+                                                  message):
+    code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side, ttype, edit)
+    assert code == 1
     err = capsys.readouterr().err
-    assert err == f"input error: {message}\n"
+    assert err == f"input error: {tables}:{lineno}: {message}: expected a JSON object\n"
 
 
 def test_workers_flag_rejected(tmp_path):

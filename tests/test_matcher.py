@@ -1,9 +1,10 @@
 import random
+from importlib import resources
 
 import pytest
 
-from helpers import STD_BINDINGS, make_doc, rand_pattern, rand_tokens
-from kidex import annotate, ruledsl, textprep
+from helpers import ALPHABET, STD_BINDINGS, make_doc, rand_pattern, rand_tokens
+from kidex import annotate, corpusgen, matcher, ruledsl, textprep
 from kidex.matcher import (DocContext, ExtractionResult, RuleComplexityError, export_results,
                            find_matches, read_results_file, render_results_csv, run_rules)
 from kidex.model import Annotation, Document
@@ -91,6 +92,136 @@ def test_oracle_equivalence_with_annotations():
         m = find_matches(ruledsl.compile_pattern(pattern, STD_BINDINGS), doc)
         got = None if m is None else (m.start, m.end, dict(m.captures))
         assert got == expected
+
+
+def _first_atom(rng):
+    """A first atom mixing a word constraint with an annotation constraint."""
+    word = rng.choice([ruledsl.Constraint("word", "lit", rng.choice(ALPHABET)),
+                       ruledsl.Constraint("word", "regex", rng.choice(ALPHABET) + "|c"),
+                       ruledsl.Constraint("word", "ref", "w")])
+    ann = rng.choice([ruledsl.Constraint("S", "lit", rng.choice(("v1", "v2"))),
+                      ruledsl.Constraint("S", "regex", "v[12]")])
+    both = ruledsl.AttrSet((word, ann) if rng.random() < 0.5 else (ann, word))
+    return rng.choice([both,
+                       ruledsl.AttrSet((ann,)),
+                       ruledsl.Alt((both, ruledsl.AttrSet((word,)))),
+                       ruledsl.Alt((ruledsl.AttrSet((ann,)), ruledsl.TokenRegex("d"))),
+                       ruledsl.Repeat(both, 1, None, rng.random() < 0.5)])
+
+
+def _rand_s_annotations(rng, n):
+    """Random S spans over n tokens: {token: [values]} plus the Annotation list."""
+    index, anns = {}, []
+    for _ in range(rng.randrange(0, 3) if n else 0):
+        first = rng.randrange(n)
+        last = rng.randrange(first, min(n, first + 4))
+        value = rng.choice(("v1", "v2"))
+        anns.append(Annotation("S", value, first, last))
+        for i in range(first, last + 1):
+            index.setdefault(i, []).append(value)
+    return index, anns
+
+
+def test_pattern_compiled_once_agrees_with_oracle_across_documents(monkeypatch):
+    # one compiled pattern (and so one first-token memo) serves many documents
+    # that share token texts but not annotations; the backtracking program
+    # runs exactly at the offsets whose token passes the full prefilter
+    attempted = []
+    attempt = matcher._attempt
+
+    def recording(pattern, ctx, s, rule_id):
+        attempted.append(s)
+        return attempt(pattern, ctx, s, rule_id)
+
+    monkeypatch.setattr(matcher, "_attempt", recording)
+    rng = random.Random(5150)
+    for _ in range(150):
+        pattern = ruledsl.Seq((_first_atom(rng), rand_pattern(rng, 2)))
+        compiled = ruledsl.compile_pattern(pattern, STD_BINDINGS)
+        for _ in range(25):
+            texts = rand_tokens(rng, 10)
+            index, anns = _rand_s_annotations(rng, len(texts))
+            ctx = DocContext(make_doc(texts).with_annotations(anns))
+            oracle_ctx = TokenListCtx(texts, {"S": index})
+            passing = [s for s in range(len(texts))
+                       if any(p.test(ctx, s) for p in compiled.first_preds)]
+            for start in range(len(texts) + 1):
+                expected = brute_find(pattern, oracle_ctx, start, bindings=STD_BINDINGS)
+                attempted.clear()
+                m = find_matches(compiled, ctx, start)
+                got = None if m is None else (m.start, m.end, dict(m.captures))
+                assert got == expected, (ruledsl.print_pattern(pattern), texts, anns, start)
+                last = len(texts) if m is None else m.start
+                assert attempted == [s for s in passing if start <= s <= last]
+
+
+def test_later_stage_first_token_needs_earlier_stage_annotation():
+    # stage 0 tags "a" tokens inside section S1; the stage-1 rule must start
+    # on a tagged "a". Both documents have the same text, so only their
+    # sections, read fresh per document, tell the starts apart.
+    src = ('{ ruleType: "tokens", pattern: ( (?$G [{word:"a"} & {SECTION:"S1"}]) ), '
+           'action: ( Annotate($G, TAG, "t") ) }\n'
+           '{ ruleType: "tokens", pattern: ( (?$H [{word:/a|b/} & {TAG:"t"}]) /b/ ), '
+           'action: ( Annotate($H, SECOND, "s") ), stage: 1 }')
+    compiled = ruledsl.compile_rules(ruledsl.parse_rules(src))
+    texts = ["a", "b", "x", "a", "b"]
+    docs = [make_doc(texts, "d1").with_annotations([Annotation("SECTION", "S1", 0, 1),
+                                                    Annotation("SECTION", "S2", 2, 4)]),
+            make_doc(texts, "d2").with_annotations([Annotation("SECTION", "S2", 0, 2),
+                                                    Annotation("SECTION", "S1", 3, 4)])]
+
+    def fields(doc):
+        _, results = run_rules(compiled, doc)
+        return sorted((r.field, r.first_token) for r in results)
+
+    expected = {"d1": [("SECOND", 0), ("TAG", 0)], "d2": [("SECOND", 3), ("TAG", 3)]}
+    for doc in docs + docs:
+        assert fields(doc) == expected[doc.doc_id]
+
+
+def _regex_preds(pred):
+    if isinstance(pred, ruledsl.AndPred):
+        return sum(_regex_preds(p) for p in pred.preds)
+    return isinstance(pred, ruledsl.TextRegexPred)
+
+
+def test_prefilter_tests_each_text_once_per_rule_across_documents(tmp_path, monkeypatch):
+    source = resources.files("kidex.data").joinpath("default_rules.tre").read_text(encoding="utf-8")
+    compiled = ruledsl.compile_rules(ruledsl.parse_rules(source))
+    rules = compiled.all_rules()
+    corpusgen.gen_corpus(30, 11, 0.1, tmp_path)
+    sections = annotate.default_section_config()
+    docs = [annotate.annotate_sections(
+                annotate.tokenize_document(textprep.load_document(path.stem, path)), sections)
+            for path in sorted((tmp_path / "docs").iterdir())]
+    calls = 0
+    may_pass = ruledsl.TextRegexPred.may_pass
+
+    def counting(self, text):
+        nonlocal calls
+        calls += 1
+        return may_pass(self, text)
+
+    monkeypatch.setattr(ruledsl.TextRegexPred, "may_pass", counting)
+    for doc in docs:
+        run_rules(compiled, doc)
+    vocabulary = len({t.text for doc in docs for t in doc.tokens})
+    tokens = sum(len(doc.tokens) for doc in docs)
+    first_regexes = sum(_regex_preds(p) for rule in rules for p in rule.pattern.first_preds)
+    assert 0 < calls <= vocabulary * first_regexes
+    assert vocabulary * first_regexes * 4 < tokens * len(rules)
+
+
+def test_first_token_memo_never_exceeds_its_cap():
+    cap = ruledsl.FIRST_TEXT_MEMO_CAP
+    compiled = _compiled("/t5|t7/ /t[0-9]+/")
+    texts = [f"t{i}" for i in range(cap + 50)] + ["t5", "t9"]
+    doc = make_doc(texts)
+    assert find_matches(compiled, doc).start == 5
+    assert len(compiled.first_text_memo) <= cap
+    assert find_matches(compiled, doc, start=8).start == cap + 50
+    assert find_matches(compiled, make_doc(["t9", "t7", "t5"])).start == 1
+    assert len(compiled.first_text_memo) <= cap
 
 
 def test_non_overlap_and_sorted_within_rule():
