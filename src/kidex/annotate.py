@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from .model import Annotation, Document, SchemaError, Token, parse_json_object
+from .model import Annotation, Document, SchemaError, Token, parse_json_object, read_utf8
 
 SECTION_KEY = "SECTION"
 
@@ -67,6 +68,17 @@ class SectionConfig:
             if not s.header_patterns:
                 raise ValueError(f"section {s.name}: needs at least one header pattern")
 
+    @cached_property
+    def _header_index(self) -> dict[str, list[tuple[tuple[str, ...], int, str]]]:
+        """Header keys by first token: ``{first: [(key, rank, name), ...]}``."""
+        index: dict[str, list[tuple[tuple[str, ...], int, str]]] = {}
+        for rank, spec in enumerate(self.sections):
+            for pattern in spec.header_patterns:
+                key = _header_key(pattern)
+                if key:
+                    index.setdefault(key[0], []).append((key, rank, spec.name))
+        return index
+
     @classmethod
     def from_dict(cls, d) -> "SectionConfig":
         if "sections" not in d:
@@ -80,7 +92,7 @@ class SectionConfig:
 
 
 def load_section_config(path: str | Path) -> SectionConfig:
-    return SectionConfig.from_dict(parse_json_object(Path(path).read_text(encoding="utf-8"), path))
+    return SectionConfig.from_dict(parse_json_object(read_utf8(path), path))
 
 
 def default_section_config() -> SectionConfig:
@@ -103,19 +115,17 @@ def annotate_sections(doc: Document, cfg: SectionConfig) -> Document:
 
     Header matching is case-insensitive on token sequences; when matched
     header phrases overlap, the earlier one wins and the later is dropped.
+    The phrases are keyed by their first token once per config, so one
+    pass over the tokens compares only the phrases that start at each one.
     """
-    texts = [t.text.casefold() for t in doc.tokens]
+    texts = tuple(t.text.casefold() for t in doc.tokens)
     n = len(texts)
+    index = cfg._header_index
     candidates: list[tuple[int, int, int, str]] = []  # (start, rank, end, name)
-    for rank, spec in enumerate(cfg.sections):
-        for pattern in spec.header_patterns:
-            key = _header_key(pattern)
-            if not key:
-                continue
-            k = len(key)
-            for i in range(n - k + 1):
-                if tuple(texts[i:i + k]) == key:
-                    candidates.append((i, rank, i + k - 1, spec.name))
+    for i, text in enumerate(texts):
+        for key, rank, name in index.get(text, ()):
+            if texts[i:i + len(key)] == key:
+                candidates.append((i, rank, i + len(key) - 1, name))
     candidates.sort()
 
     kept: list[tuple[int, int, str]] = []  # (start, header_end, name)

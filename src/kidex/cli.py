@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -18,7 +18,7 @@ from typing import Optional
 from . import annotate as annotate_mod
 from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
-from .model import SchemaError, load_page_detections, parse_json_object
+from .model import SchemaError, json_object, load_page_detections, parse_json_object, read_utf8
 from .normalize import ConfusionMap
 
 EXIT_OK = 0
@@ -39,17 +39,22 @@ class Config:
     def load(cls, path: Optional[str]) -> "Config":
         if not path:
             return cls()
-        data = parse_json_object(Path(path).read_text(encoding="utf-8"), path)
+        data = parse_json_object(read_utf8(path), path)
         cfg = cls()
-        for key in ("rules", "sections", "labels", "locale_hint", "confusions"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        tab = data.get("tab", {})
-        if isinstance(tab, str):  # a path to a separate tab-config JSON
-            if not Path(tab).exists():
-                raise FileNotFoundError(tab)
-            tab = parse_json_object(Path(tab).read_text(encoding="utf-8"), tab)
-        cfg.tab = tab
+        known = {f.name for f in fields(cls)}
+        for key, value in data.items():
+            if key not in known:
+                raise SchemaError(f"{path}: unknown key {key!r}")
+            setattr(cfg, key, value)
+        if isinstance(cfg.tab, str):  # a path to a separate tab-config JSON
+            if not Path(cfg.tab).exists():
+                raise FileNotFoundError(cfg.tab)
+            cfg.tab = parse_json_object(read_utf8(cfg.tab), cfg.tab)
+        json_object(cfg.tab, f"{path}: 'tab'")
+        if cfg.confusions is not None:
+            for key in json_object(cfg.confusions, f"{path}: 'confusions'"):
+                if key not in ("pairs", "numeric_context_only"):
+                    raise SchemaError(f"{path}: 'confusions': unknown key {key!r}")
         for name in ("rules", "sections", "labels"):
             value = getattr(cfg, name)
             if value and not Path(value).exists():
@@ -102,8 +107,7 @@ def _doc_id_for(path: Path) -> str:
 def cmd_annotate(args, config: Config) -> int:
     rules_path = args.rules or config.rules
     try:
-        source = (Path(rules_path).read_text(encoding="utf-8") if rules_path
-                  else _default_rules_text())
+        source = read_utf8(rules_path) if rules_path else _default_rules_text()
         source_name = rules_path or "default_rules.tre"
         compiled = ruledsl.compile_rules(ruledsl.parse_rules(source, str(source_name)))
     except ruledsl.RuleError as e:
@@ -111,6 +115,9 @@ def cmd_annotate(args, config: Config) -> int:
         return EXIT_RULES
     except OSError as e:
         print(f"cannot read rules: {e}", file=sys.stderr)
+        return EXIT_IO
+    except SchemaError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return EXIT_IO
 
     try:

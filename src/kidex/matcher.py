@@ -17,7 +17,7 @@ from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .model import Annotation, Document, read_jsonl
+from .model import Annotation, Document, read_jsonl, read_utf8
 from .ruledsl import (OP_GEND, OP_GSTART, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS,
                       OP_SETPOS, OP_SPLIT, CompiledPattern, CompiledRule, CompiledRules)
 
@@ -256,6 +256,5 @@ def read_results_file(path: str | Path) -> list[dict]:
     """Read back an exported results file (either format) as dicts."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        with path.open(encoding="utf-8", newline="") as fh:
-            return [dict(row) for row in csv.DictReader(fh)]
+        return [dict(row) for row in csv.DictReader(io.StringIO(read_utf8(path), newline=""))]
     return [row for _lineno, row in read_jsonl(path)]

@@ -26,6 +26,14 @@ def json_object(value, where: str) -> dict:
     return value
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are a SchemaError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
+
+
 def parse_json_object(text: str, source: str | Path) -> dict:
     """Parse ``text``, read from ``source``, as one JSON object."""
     try:
@@ -38,7 +46,7 @@ def parse_json_object(text: str, source: str | Path) -> dict:
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """(line number, object) for every non-blank line of a JSON-lines file."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -109,6 +117,24 @@ class Annotation:
         return cls(d["key"], d["value"], d["first"], d["last"], d.get("rule_id", "system"))
 
 
+def _check_tokens(text: str, tokens: tuple[Token, ...]) -> None:
+    prev_end = -1
+    for i, tok in enumerate(tokens):
+        if tok.index != i:
+            raise ValueError(f"token {i} carries index {tok.index}")
+        if tok.begin < prev_end:
+            raise ValueError(f"token {i} overlaps its predecessor")
+        if text[tok.begin:tok.end] != tok.text:
+            raise ValueError(f"token {i} text disagrees with source substring")
+        prev_end = tok.end
+
+
+def _check_annotations(annotations: tuple[Annotation, ...], n: int) -> None:
+    for ann in annotations:
+        if ann.last >= n:
+            raise ValueError(f"annotation {ann.key} exceeds token count {n}")
+
+
 @dataclass(frozen=True)
 class Document:
     """Source text plus its token layer and annotation store.
@@ -123,19 +149,8 @@ class Document:
     pages: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        prev_end = -1
-        for i, tok in enumerate(self.tokens):
-            if tok.index != i:
-                raise ValueError(f"token {i} carries index {tok.index}")
-            if tok.begin < prev_end:
-                raise ValueError(f"token {i} overlaps its predecessor")
-            if self.text[tok.begin:tok.end] != tok.text:
-                raise ValueError(f"token {i} text disagrees with source substring")
-            prev_end = tok.end
-        n = len(self.tokens)
-        for ann in self.annotations:
-            if ann.last >= n:
-                raise ValueError(f"annotation {ann.key} exceeds token count {n}")
+        _check_tokens(self.text, self.tokens)
+        _check_annotations(self.annotations, len(self.tokens))
         if self.pages is not None:
             for a, b in zip(self.pages, self.pages[1:]):
                 if b <= a:
@@ -145,8 +160,12 @@ class Document:
         return Document(self.doc_id, self.text, tuple(tokens), self.annotations, self.pages)
 
     def with_annotations(self, extra: Iterable[Annotation]) -> "Document":
-        return Document(self.doc_id, self.text, self.tokens,
-                        self.annotations + tuple(extra), self.pages)
+        """A copy with ``extra`` appended; the checked, immutable tokens are reused as they are."""
+        extra = tuple(extra)
+        _check_annotations(extra, len(self.tokens))
+        doc = object.__new__(Document)
+        doc.__dict__.update(self.__dict__, annotations=self.annotations + extra)
+        return doc
 
     def page_texts(self) -> list[str]:
         """Per-page text; the single-newline page separators are dropped."""
@@ -342,7 +361,7 @@ class PageDetections:
 
 
 def load_page_detections(path: str | Path) -> PageDetections:
-    return PageDetections.from_dict(parse_json_object(Path(path).read_text(encoding="utf-8"), path))
+    return PageDetections.from_dict(parse_json_object(read_utf8(path), path))
 
 
 def dump_page_detections(page: PageDetections, path: str | Path) -> None:

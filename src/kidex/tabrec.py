@@ -26,7 +26,7 @@ from .model import (BBox, Cell, CostCategory, CostsCompositionRecord, CostsEvolu
                     Detection, OcrEntry, PageDetections, PerformanceScenariosRecord, Period,
                     PeriodCosts, RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
                     contains_center, enum_member, iou, json_object, parse_json_object,
-                    read_jsonl)
+                    read_jsonl, read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -77,6 +77,10 @@ def _strings(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+_RATIOS = ("confidence_threshold", "alignment_factor_ratio", "enlargement_ratio",
+           "ocr_iou_threshold")
+
+
 @dataclass(frozen=True)
 class TabConfig:
     confidence_threshold: float = 0.6
@@ -86,8 +90,7 @@ class TabConfig:
     anchors: Mapping[TableType, AnchorSet] = field(default_factory=lambda: dict(DEFAULT_ANCHORS))
 
     def __post_init__(self):
-        for name in ("confidence_threshold", "alignment_factor_ratio",
-                     "enlargement_ratio", "ocr_iou_threshold"):
+        for name in _RATIOS:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0) and not (name == "enlargement_ratio" and v == 0.0):
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
@@ -97,9 +100,11 @@ class TabConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TabConfig":
+        for name in d:
+            if name not in _RATIOS and name != "anchors":
+                raise SchemaError(f"tab config: unknown key {name!r}")
         kwargs: dict = {}
-        for name in ("confidence_threshold", "alignment_factor_ratio",
-                     "enlargement_ratio", "ocr_iou_threshold"):
+        for name in _RATIOS:
             if name in d:
                 try:
                     kwargs[name] = float(d[name])
@@ -411,7 +416,7 @@ class LabelsConfig:
 
 
 def load_labels_config(path: str | Path) -> LabelsConfig:
-    return LabelsConfig.from_dict(parse_json_object(Path(path).read_text(encoding="utf-8"), path))
+    return LabelsConfig.from_dict(parse_json_object(read_utf8(path), path))
 
 
 def default_labels_config() -> LabelsConfig:

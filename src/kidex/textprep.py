@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .model import Document, SchemaError, parse_json_object
+from .model import Document, SchemaError, parse_json_object, read_utf8
 
 
 class IngestError(ValueError):
@@ -37,13 +37,6 @@ def normalize_text(raw: str) -> str:
     return _MANY_NEWLINES_RE.sub("\n\n", text)
 
 
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise IngestError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
-
-
 def _parse_page_file(raw: str, path: Path) -> tuple[Optional[str], list[str]]:
     data = parse_json_object(raw, path)
     if "pages" not in data:
@@ -69,7 +62,10 @@ def load_document(doc_id: str, source: str | Path) -> Document:
     file takes precedence over the argument.
     """
     path = Path(source)
-    raw = _read_utf8(path)
+    try:
+        raw = read_utf8(path)
+    except SchemaError as e:
+        raise IngestError(str(e)) from None
     if path.suffix.lower() == ".json":
         file_doc_id, pages = _parse_page_file(raw, path)
         normed = [normalize_text(p) for p in pages]

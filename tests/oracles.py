@@ -4,8 +4,9 @@ These deliberately avoid the production code paths: the matcher oracle
 walks the pattern AST enumerating whole derivations, the row oracle
 implements the clustering definition set-wise, the number oracle is a
 direct decision table for single-separator numerals, the OCR
-association oracle scores every OCR entry on the page, and the tokenizer
-oracle scans the text one character at a time.
+association oracle scores every OCR entry on the page, the tokenizer
+oracle scans the text one character at a time, and the sections oracle
+compares every header phrase at every token position.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from decimal import Decimal
 from typing import Optional
 
 from kidex import ruledsl
-from kidex.model import Token, iou
+from kidex.annotate import PUNCT_CHARS, SECTION_KEY, tokenize
+from kidex.model import Annotation, Token, iou
 from kidex.tabrec import enlarge_bbox
 
 
@@ -248,3 +250,39 @@ def tokenize_oracle(text: str, punct: set) -> tuple:
             emit(text[k], k)
         pos = end
     return tuple(tokens)
+
+
+def sections_oracle(doc, cfg) -> tuple:
+    """The SECTION annotations ``annotate_sections`` should add to ``doc``.
+
+    Every header phrase is re-tokenized and compared at every token
+    position: candidates sort by (start, section rank, end, name), a
+    candidate overlapping an earlier kept header is dropped, and each kept
+    header's section runs to the token before the next one.
+    """
+    texts = [t.text.casefold() for t in doc.tokens]
+    n = len(texts)
+    candidates = []
+    for rank, spec in enumerate(cfg.sections):
+        for pattern in spec.header_patterns:
+            key = [t.text.casefold() for t in tokenize(pattern)]
+            while key and all(c in PUNCT_CHARS for c in key[0]):
+                key.pop(0)
+            while key and all(c in PUNCT_CHARS for c in key[-1]):
+                key.pop()
+            if not key:
+                continue
+            k = len(key)
+            for i in range(n - k + 1):
+                if texts[i:i + k] == key:
+                    candidates.append((i, rank, i + k - 1, spec.name))
+    candidates.sort()
+    kept = []
+    last_end = -1
+    for start, _rank, end, name in candidates:
+        if start > last_end:
+            kept.append((start, name))
+            last_end = end
+    return tuple(Annotation(SECTION_KEY, name, start,
+                            kept[idx + 1][0] - 1 if idx + 1 < len(kept) else n - 1, "system")
+                 for idx, (start, name) in enumerate(kept))

@@ -3,11 +3,14 @@ import random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from kidex import annotate as annotate_mod
 from kidex.annotate import (PUNCT_CHARS, SECTION_KEY, SectionConfig, SectionSpec,
                             annotate_sections, default_section_config, load_section_config,
                             tokenize, tokenize_document)
+from kidex.cli import main
+from kidex.corpusgen import gen_corpus
 from kidex.model import Document
-from oracles import tokenize_oracle
+from oracles import sections_oracle, tokenize_oracle
 
 
 def texts(tokens):
@@ -138,6 +141,15 @@ def test_overlapping_headers_earlier_wins():
     assert [a.value for a in doc.annotations] == ["LONG"]
 
 
+def test_tied_headers_shortest_phrase_wins_and_next_header_may_follow():
+    # both S0 phrases start at "alpha": the shorter one ends first, so S1's
+    # phrase right after it is kept
+    cfg = SectionConfig((SectionSpec("S0", ("alpha beta", "alpha")),
+                         SectionSpec("S1", ("beta gamma",))))
+    doc = annotate_sections(_doc("alpha beta gamma resto"), cfg)
+    assert [(a.value, a.first, a.last) for a in doc.annotations] == [("S0", 0, 0), ("S1", 1, 3)]
+
+
 def test_default_config_ships_five_sections():
     cfg = default_section_config()
     names = [s.name for s in cfg.sections]
@@ -158,3 +170,54 @@ def test_config_file_round_trip(tmp_path):
                     encoding="utf-8")
     cfg = load_section_config(path)
     assert cfg.sections[0].name == "S1"
+
+
+# header words with case variants (casefold maps "ß" to "ss"), words with
+# edge punctuation, and the punctuation itself, which alone tokenizes away
+_HEADER_WORDS = ("Cos'è", "COS'È", "questo", "prodotto", "Prodotto?", "PRODOTTO", "rischi",
+                 "(Rischi)", "costi", "COSTI:", "Straße", "STRASSE", "x")
+_header_word = st.one_of(st.sampled_from(_HEADER_WORDS), st.sampled_from(sorted(PUNCT_CHARS)))
+
+
+@st.composite
+def _text_and_section_config(draw):
+    """A section config plus a text that strings its phrases among random words.
+
+    Phrases come from one small pool holding every word prefix of each drawn
+    phrase and the empty phrase, so sections repeat phrases and phrases
+    overlap or prefix each other; an empty or punctuation-only phrase has
+    no key.
+    """
+    phrases = draw(st.lists(st.lists(_header_word, min_size=1, max_size=4),
+                            min_size=1, max_size=4))
+    pool = sorted({" ".join(words[:k]) for words in phrases for k in range(len(words) + 1)})
+    phrase = st.sampled_from(pool)
+    specs = tuple(SectionSpec(f"S{r}", tuple(draw(st.lists(phrase, min_size=1, max_size=3))))
+                  for r in range(draw(st.integers(1, 4))))
+    text = " ".join(draw(st.lists(st.one_of(_header_word, phrase), min_size=1, max_size=30)))
+    return text, SectionConfig(specs)
+
+
+@seed(20221018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=_text_and_section_config())
+def test_sections_agree_with_all_phrases_reference(case):
+    text, cfg = case
+    doc = _doc(text)
+    assert annotate_sections(doc, cfg).annotations == sections_oracle(doc, cfg)
+
+
+def test_annotate_tokenizes_each_header_phrase_once_per_run(tmp_path, monkeypatch):
+    gen_corpus(4, 11, 0.0, tmp_path / "corpus")
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(annotate_mod, "tokenize", counting)
+    assert main(["annotate", "--in", str(tmp_path / "corpus" / "docs"),
+                 "--out", str(tmp_path / "fields.csv")]) == 0
+    phrases = [p for spec in default_section_config().sections for p in spec.header_patterns]
+    assert len(texts) == 4 + len(phrases)
+    assert sorted(set(texts) & set(phrases)) == sorted(set(phrases))

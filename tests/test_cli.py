@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -383,3 +384,79 @@ def test_config_missing_referenced_file_exit_1(tmp_path):
     cfg.write_text(json.dumps({"rules": str(tmp_path / "nope.tre")}), encoding="utf-8")
     assert main(["--config", str(cfg), "gen", "--n", "1", "--seed", "1",
                  "--out", str(tmp_path / "x")]) == 1
+
+
+NOT_UTF8 = b'{"x": "\xff\xfe"}\n'  # the first undecodable byte is at offset 7
+
+
+def _eval_argv(corpus, tmp_path):
+    return ["eval", "--gold", str(tmp_path / "gold"), "--pred", str(tmp_path / "pred")]
+
+
+@pytest.mark.parametrize("bad_file, argv, prefix", [
+    ("bad.json", lambda c, t: ["annotate", "--sections", str(t / "bad.json"),
+                               "--in", str(c / "docs"), "--out", str(t / "o.csv")],
+     "input error: "),
+    ("bad.tre", lambda c, t: ["annotate", "--rules", str(t / "bad.tre"),
+                              "--in", str(c / "docs"), "--out", str(t / "o.csv")],
+     "input error: "),
+    ("bad.json", lambda c, t: ["tables", "--labels", str(t / "bad.json"), "--masks",
+                               str(c / "masks"), "--pages", str(c / "docs"),
+                               "--out", str(t / "t.jsonl")],
+     "input error: "),
+    ("bad.json", lambda c, t: ["--config", str(t / "bad.json"), "gen", "--n", "1", "--seed", "1",
+                               "--out", str(t / "x")],
+     "config error: "),
+    ("tab.json", lambda c, t: ["--config", str(t / "cfg.json"), "gen", "--n", "1", "--seed", "1",
+                               "--out", str(t / "x")],
+     "config error: "),
+    ("gold/fields.jsonl", _eval_argv, "input error: "),
+    ("gold/tables.jsonl", _eval_argv, "input error: "),
+    ("pred/fields.jsonl", _eval_argv, "input error: "),
+    ("pred/fields.csv", _eval_argv, "input error: "),
+    ("pred/tables.jsonl", _eval_argv, "input error: "),
+], ids=["sections", "rules", "labels", "config", "tab-file", "gold-fields", "gold-tables",
+        "pred-fields-jsonl", "pred-fields-csv", "pred-tables"])
+def test_input_not_utf8_exit_1(corpus, tmp_path, capsys, bad_file, argv, prefix):
+    shutil.copytree(corpus / "gold", tmp_path / "gold")
+    (tmp_path / "pred").mkdir()
+    (tmp_path / "cfg.json").write_text(json.dumps({"tab": str(tmp_path / "tab.json")}),
+                                       encoding="utf-8")
+    bad = tmp_path / bad_file
+    bad.write_bytes(NOT_UTF8)
+    assert main(argv(corpus, tmp_path)) == 1
+    assert capsys.readouterr().err == f"{prefix}{bad}: invalid UTF-8 at byte offset 7\n"
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+def test_tables_mask_not_utf8_is_malformed(corpus, tmp_path, capsys, strict):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    (masks / "kid00001.p3.json").write_bytes(NOT_UTF8)
+    out = tmp_path / "tables.jsonl"
+    argv = ["tables", "--masks", str(masks), "--pages", str(corpus / "docs"), "--out", str(out)]
+    assert main(["--strict"] * strict + argv) == (1 if strict else 0)
+    err = capsys.readouterr().err
+    assert err.startswith("warning: skipping malformed mask file kid00001.p3.json: "
+                          f"{masks / 'kid00001.p3.json'}: invalid UTF-8 at byte offset 7\n")
+    if not strict:
+        rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        assert sorted({r["doc_id"] for r in rows}) == ["kid00002", "kid00003"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"tab": {"ocr_iou_treshold": 0.9}}, "input error: tab config: unknown key 'ocr_iou_treshold'"),
+    ({"confusions": 5}, "config error: {cfg}: 'confusions': expected a JSON object"),
+    ({"tab": 3}, "config error: {cfg}: 'tab': expected a JSON object"),
+    ({"lables": "labels.json"}, "config error: {cfg}: unknown key 'lables'"),
+    ({"confusions": {"pairs": {"/": "7"}, "numeric_only": False}},
+     "config error: {cfg}: 'confusions': unknown key 'numeric_only'"),
+], ids=["tab-key-typo", "confusions-a-number", "tab-a-number", "unknown-top-level-key",
+        "confusions-key-typo"])
+def test_config_typo_or_wrong_shape_exit_1(corpus, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "t.jsonl"
+    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
+                 "--pages", str(corpus / "docs"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+    assert not out.exists()

@@ -1,9 +1,17 @@
 import json
 import random
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import kidex
+from kidex import model
+from kidex.annotate import annotate_sections, default_section_config, tokenize_document
+from kidex.corpusgen import gen_corpus
+from kidex.matcher import run_rules
+from kidex.ruledsl import compile_rules, parse_rules
+from kidex.textprep import load_document
 from kidex.model import (Annotation, BBox, Cell, CostCategory, CostsCompositionRecord,
                          CostsEvolutionRecord, Detection, DetectionClass, Document, OcrEntry,
                          PageDetections, Period, PerformanceScenariosRecord, PeriodCosts,
@@ -84,6 +92,62 @@ def test_annotation_range_checked():
     doc = Document("d", "ab", (Token("ab", 0, 2, 0),))
     with pytest.raises(ValueError):
         doc.with_annotations([Annotation("K", "v", 0, 3)])
+
+
+@pytest.mark.parametrize("tokens, message", [
+    ((Token("ab", 0, 2, 1),), "token 0 carries index 1"),
+    ((Token("ab", 0, 2, 0), Token("bc", 1, 3, 1)), "token 1 overlaps its predecessor"),
+    ((Token("xx", 0, 2, 0),), "token 0 text disagrees with source substring"),
+], ids=["index", "overlap", "text"])
+def test_every_token_building_path_checks_tokens(tokens, message):
+    with pytest.raises(ValueError, match=message):
+        Document("d", "abc", tokens)
+    with pytest.raises(ValueError, match=message):
+        Document("d", "abc").with_tokens(tokens)
+    as_dict = {"doc_id": "d", "text": "abc", "annotations": [],
+               "tokens": [{"text": t.text, "begin": t.begin, "end": t.end, "index": t.index}
+                          for t in tokens]}
+    with pytest.raises(ValueError, match=message):
+        Document.from_dict(as_dict)
+
+
+def test_with_annotations_checks_new_annotations_and_keeps_the_rest():
+    tokens = (Token("ab", 0, 2, 0), Token("cd", 3, 5, 1))
+    first = Annotation("SECTION", "S1", 0, 1)
+    doc = Document("d", "ab cd", tokens, (first,), pages=(3,))
+    with pytest.raises(ValueError, match="annotation K exceeds token count 2"):
+        doc.with_annotations([Annotation("K", "v", 1, 2)])
+    extra = Annotation("K", "v", 1, 1)
+    out = doc.with_annotations(a for a in [extra])
+    expected = Document("d", "ab cd", tokens, (first, extra), pages=(3,))
+    assert out == expected and hash(out) == hash(expected)
+    assert out.tokens is doc.tokens
+    assert doc.annotations == (first,)
+    with pytest.raises(AttributeError):
+        out.annotations = ()
+
+
+def test_annotate_pass_checks_tokens_once_per_document(tmp_path, monkeypatch):
+    gen_corpus(3, 4, 0.0, tmp_path)
+    compiled = compile_rules(parse_rules(
+        (Path(kidex.__file__).parent / "data" / "default_rules.tre").read_text(encoding="utf-8")))
+    cfg = default_section_config()
+    checked = []
+    real = model._check_tokens
+
+    def counting(text, tokens):
+        checked.append(len(tokens))
+        real(text, tokens)
+
+    monkeypatch.setattr(model, "_check_tokens", counting)
+    counts, found = [], []
+    for path in sorted((tmp_path / "docs").iterdir()):
+        doc = tokenize_document(load_document(path.stem, path))
+        doc, results = run_rules(compiled, annotate_sections(doc, cfg))
+        counts.append(len(doc.tokens))
+        found.extend(results)
+    assert found
+    assert [n for n in checked if n] == counts
 
 
 def test_page_breaks_strictly_increasing():
