@@ -19,7 +19,7 @@ from . import annotate as annotate_mod
 from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
 from .model import SchemaError, json_object, load_page_detections, parse_json_object, read_utf8
-from .normalize import ConfusionMap
+from .normalize import LOCALE_HINTS, ConfusionMap
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -52,11 +52,14 @@ class Config:
             cfg.tab = parse_json_object(read_utf8(cfg.tab), cfg.tab)
         json_object(cfg.tab, f"{path}: 'tab'")
         if cfg.confusions is not None:
-            for key in json_object(cfg.confusions, f"{path}: 'confusions'"):
-                if key not in ("pairs", "numeric_context_only"):
-                    raise SchemaError(f"{path}: 'confusions': unknown key {key!r}")
+            _check_confusions(cfg.confusions, f"{path}: 'confusions'")
+        if cfg.locale_hint not in LOCALE_HINTS:
+            raise SchemaError(f"{path}: 'locale_hint': expected one of "
+                              f"{', '.join(map(repr, LOCALE_HINTS))}, got {cfg.locale_hint!r}")
         for name in ("rules", "sections", "labels"):
             value = getattr(cfg, name)
+            if value is not None and not isinstance(value, str):
+                raise SchemaError(f"{path}: {name!r}: expected a file path, got {value!r}")
             if value and not Path(value).exists():
                 raise FileNotFoundError(value)
         return cfg
@@ -69,6 +72,24 @@ class Config:
             return ConfusionMap()
         return ConfusionMap(pairs=dict(self.confusions.get("pairs", {"/": "7"})),
                             numeric_context_only=self.confusions.get("numeric_context_only", True))
+
+
+def _check_confusions(value, where: str) -> None:
+    """SchemaError unless ``value`` describes a valid ConfusionMap."""
+    for key in json_object(value, where):
+        if key not in ("pairs", "numeric_context_only"):
+            raise SchemaError(f"{where}: unknown key {key!r}")
+    pairs = json_object(value.get("pairs", {}), f"{where}: 'pairs'")
+    for source, target in pairs.items():
+        if len(source) != 1 or not isinstance(target, str) or len(target) != 1:
+            raise SchemaError(f"{where}: 'pairs': expected one character for one character, "
+                              f"got {source!r}: {target!r}")
+    if not isinstance(value.get("numeric_context_only", True), bool):
+        raise SchemaError(f"{where}: 'numeric_context_only': expected true or false")
+    try:
+        ConfusionMap(pairs=pairs)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 def _default_rules_text() -> str:

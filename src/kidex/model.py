@@ -6,9 +6,13 @@ pixel coordinates with a top-left origin.
 from __future__ import annotations
 
 import json
+import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, TypeVar
 
@@ -203,20 +207,27 @@ class Document:
 # Geometry and detections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in pixels, top-left origin, end-exclusive edges not implied."""
-    left: int
-    top: int
-    right: int
-    bottom: int
+class BBox(namedtuple("BBox", "left top right bottom")):
+    """Axis-aligned box in pixels, top-left origin, end-exclusive edges not implied.
 
-    def __post_init__(self):
-        if self.left >= self.right or self.top >= self.bottom:
-            raise ValueError(f"degenerate bbox {self.as_tuple()}")
+    A tuple subclass, so field reads are C getters; like any tuple it
+    compares equal to the plain 4-tuple of its edges. The constructor,
+    ``_make``, ``_replace``, copy and pickle all reject a degenerate box,
+    and a NaN edge counts as degenerate.
+    """
+    __slots__ = ()
+
+    def __new__(cls, left, top, right, bottom):
+        if not (left < right and top < bottom):
+            raise ValueError(f"degenerate bbox {(left, top, right, bottom)}")
+        return tuple.__new__(cls, (left, top, right, bottom))
+
+    @classmethod
+    def _make(cls, iterable) -> "BBox":
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.left, self.top, self.right, self.bottom)
+        return tuple(self)
 
     @property
     def width(self) -> int:
@@ -243,12 +254,14 @@ class BBox:
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection area over union area; 0.0 for disjoint boxes."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+    al, at, ar, ab = a
+    bl, bt, br, bb = b
+    iw = min(ar, br) - max(al, bl)
+    ih = min(ab, bb) - max(at, bt)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / ((ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter)
 
 
 def contains_center(outer: BBox, inner: BBox) -> bool:
@@ -257,10 +270,11 @@ def contains_center(outer: BBox, inner: BBox) -> bool:
     The midpoint comparison is done in doubled integer coordinates, so a
     half-pixel center is handled exactly.
     """
-    cx2 = inner.left + inner.right
-    cy2 = inner.top + inner.bottom
-    return (2 * outer.left <= cx2 <= 2 * outer.right
-            and 2 * outer.top <= cy2 <= 2 * outer.bottom)
+    left, top, right, bottom = outer
+    il, it, ir, ib = inner
+    cx2 = il + ir
+    cy2 = it + ib
+    return 2 * left <= cx2 <= 2 * right and 2 * top <= cy2 <= 2 * bottom
 
 
 class DetectionClass(str, Enum):
@@ -271,6 +285,39 @@ class DetectionClass(str, Enum):
     @property
     def is_table(self) -> bool:
         return self is not DetectionClass.CELL
+
+
+_NUMBERS = frozenset((int, float))  # JSON numbers; bool, a subclass of int, is not one
+_STRINGS = frozenset((str,))
+_BBOX = operator.itemgetter("bbox")
+_TEXT = operator.itemgetter("text")
+_EDGES = operator.itemgetter(*BBox._fields)
+
+
+def _json_box(value, where: str) -> BBox:
+    """The box a JSON bbox object describes: four number edges, non-degenerate."""
+    box = json_object(value, f"{where}: 'bbox'")
+    for name in BBox._fields:
+        if name not in box:
+            raise SchemaError(f"{where}: bbox: missing field {name!r}")
+        if type(box[name]) not in _NUMBERS:
+            raise SchemaError(f"{where}: bbox: {name!r} must be a number, got {box[name]!r}")
+    try:
+        return BBox._make(_EDGES(box))
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from None
+
+
+def _check_bounds(box: BBox, where: str, width, height) -> None:
+    if box.left < 0 or box.top < 0 or box.right > width or box.bottom > height:
+        raise SchemaError(f"{where}: bbox {box.as_tuple()} outside page {width}x{height}")
+
+
+def _json_list(d: Mapping, key: str) -> list:
+    value = d.get(key, [])
+    if type(value) is not list:
+        raise SchemaError(f"{key}: expected a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -288,19 +335,29 @@ class Detection:
                 "bbox": self.bbox.to_dict()}
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "Detection":
+    def from_dict(cls, d: Mapping, where: str = "detection") -> "Detection":
+        """Every schema violation is a SchemaError led by ``where``."""
+        d = json_object(d, where)
         if "class" not in d:
-            raise SchemaError("detection: missing field 'class'")
-        kind = enum_member(DetectionClass, d["class"], "detection: unknown class")
+            raise SchemaError(f"{where}: missing field 'class'")
+        kind = enum_member(DetectionClass, d["class"], f"{where}: unknown class")
         if "confidence" not in d:
-            raise SchemaError("detection: missing field 'confidence'")
-        return cls(kind, float(d["confidence"]), BBox.from_dict(d["bbox"]))
+            raise SchemaError(f"{where}: missing field 'confidence'")
+        try:
+            confidence = float(d["confidence"])
+        except (TypeError, ValueError, OverflowError):
+            confidence = math.nan
+        if not 0.0 <= confidence <= 1.0:
+            raise SchemaError(f"{where}: 'confidence' must be a number in [0, 1], "
+                              f"got {d['confidence']!r}")
+        if "bbox" not in d:
+            raise SchemaError(f"{where}: missing field 'bbox'")
+        return cls(kind, confidence, _json_box(d["bbox"], where))
 
 
-@dataclass(frozen=True)
-class OcrEntry:
-    bbox: BBox
-    text: str
+class OcrEntry(namedtuple("OcrEntry", "bbox text")):
+    """One OCR text box; a tuple subclass like ``BBox``."""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"bbox": self.bbox.to_dict(), "text": self.text}
@@ -310,6 +367,40 @@ class OcrEntry:
         if "text" not in d:
             raise SchemaError("ocr entry: missing field 'text'")
         return cls(BBox.from_dict(d["bbox"]), d["text"])
+
+
+def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
+    """A page's OcrEntry tuples, checked and built with no Python call per entry.
+
+    Each entry needs a string ``text`` and a ``bbox`` whose edges are JSON
+    numbers, non-degenerate and inside the page: ``lt`` is false for NaN, so
+    NaN edges fail, and the page bounds stop infinite ones. When a check
+    fails, one pass over the entries names the first bad one.
+    """
+    try:
+        edges = list(map(_EDGES, map(_BBOX, raw)))
+        texts = list(map(_TEXT, raw))
+        lefts, tops, rights, bottoms = zip(*edges) if edges else ((),) * 4
+        ok = (_STRINGS.issuperset(map(type, texts))
+              and _NUMBERS.issuperset(map(type, chain(lefts, tops, rights, bottoms)))
+              and all(map(operator.lt, lefts, rights)) and all(map(operator.lt, tops, bottoms))
+              and min(lefts, default=0) >= 0 and min(tops, default=0) >= 0
+              and max(rights, default=0) <= width and max(bottoms, default=0) <= height)
+    except (KeyError, TypeError):  # an entry or bbox that is not an object, or lacks a key
+        ok = False
+    if not ok:
+        for i, entry in enumerate(raw):
+            where = f"ocr[{i}]"
+            entry = json_object(entry, where)
+            for key in ("bbox", "text"):
+                if key not in entry:
+                    raise SchemaError(f"{where}: missing field {key!r}")
+            if type(entry["text"]) is not str:
+                raise SchemaError(f"{where}: 'text' must be a string, got {entry['text']!r}")
+            _check_bounds(_json_box(entry["bbox"], where), where, width, height)
+        raise AssertionError("the bulk OCR check failed but every entry passes alone")
+    boxes = map(tuple.__new__, repeat(BBox), edges)
+    return tuple(map(tuple.__new__, repeat(OcrEntry), zip(boxes, texts)))
 
 
 @dataclass(frozen=True)
@@ -326,14 +417,9 @@ class PageDetections:
         if self.page < 1:
             raise SchemaError("page: must be a 1-based page number")
         for det in self.detections:
-            self._check_bounds(det.bbox, "detections")
+            _check_bounds(det.bbox, "detections", self.page_width, self.page_height)
         for entry in self.ocr:
-            self._check_bounds(entry.bbox, "ocr")
-
-    def _check_bounds(self, box: BBox, which: str) -> None:
-        if box.left < 0 or box.top < 0 or box.right > self.page_width or box.bottom > self.page_height:
-            raise SchemaError(f"{which}: bbox {box.as_tuple()} outside page "
-                              f"{self.page_width}x{self.page_height}")
+            _check_bounds(entry.bbox, "ocr", self.page_width, self.page_height)
 
     def to_dict(self) -> dict:
         return {
@@ -347,17 +433,30 @@ class PageDetections:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PageDetections":
+        """The page a JSON object describes; any schema violation is a SchemaError
+        naming the field and, inside ``detections`` or ``ocr``, the entry index."""
         for key in ("doc_id", "page", "page_width", "page_height"):
             if key not in d:
                 raise SchemaError(f"page detections: missing field {key!r}")
-        return cls(
-            doc_id=d["doc_id"],
-            page=d["page"],
-            page_width=d["page_width"],
-            page_height=d["page_height"],
-            detections=tuple(Detection.from_dict(x) for x in d.get("detections", [])),
-            ocr=tuple(OcrEntry.from_dict(x) for x in d.get("ocr", [])),
-        )
+        doc_id, page, width, height = d["doc_id"], d["page"], d["page_width"], d["page_height"]
+        if type(doc_id) is not str:
+            raise SchemaError(f"doc_id: must be a string, got {doc_id!r}")
+        if type(page) is not int or page < 1:
+            raise SchemaError("page: must be a 1-based page number")
+        for name, size in (("page_width", width), ("page_height", height)):
+            if not (type(size) is int or type(size) is float and math.isfinite(size)):
+                raise SchemaError(f"{name}: must be a finite number, got {size!r}")
+        detections = []
+        for i, raw in enumerate(_json_list(d, "detections")):
+            det = Detection.from_dict(raw, f"detections[{i}]")
+            _check_bounds(det.bbox, f"detections[{i}]", width, height)
+            detections.append(det)
+        ocr = _ocr_entries(_json_list(d, "ocr"), width, height)
+        # every check of __post_init__ ran above, once per entry
+        out = object.__new__(cls)
+        out.__dict__.update(doc_id=doc_id, page=page, page_width=width, page_height=height,
+                            detections=tuple(detections), ocr=ocr)
+        return out
 
 
 def load_page_detections(path: str | Path) -> PageDetections:

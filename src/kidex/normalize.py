@@ -57,6 +57,9 @@ def _grouped_ok(parts: list[str]) -> bool:
     return len(parts) >= 2 and all(len(p) == 3 for p in parts[1:])
 
 
+LOCALE_HINTS = ("it", "en")
+
+
 def normalize_number(text: str, locale_hint: str = "it") -> Optional[Decimal]:
     """Parse a localized numeric string to an exact decimal; None when unparseable.
 

@@ -217,10 +217,13 @@ class OcrIndex(NamedTuple):
     entries: list[tuple[int, OcrEntry]]
 
 
-def index_ocr(ocr: Iterable) -> OcrIndex:
-    """Sort OcrEntry-like objects (with ``bbox`` and ``text``) by top edge."""
-    entries = sorted(enumerate(ocr), key=lambda pair: pair[1].bbox.top)
-    return OcrIndex([entry.bbox.top for _, entry in entries], entries)
+def index_ocr(ocr: Iterable[OcrEntry]) -> OcrIndex:
+    """Sort OcrEntry tuples by top edge."""
+    ocr = tuple(ocr)
+    tops = [entry.bbox.top for entry in ocr]
+    order = sorted(range(len(ocr)), key=tops.__getitem__)
+    return OcrIndex(list(map(tops.__getitem__, order)),
+                    list(zip(order, map(ocr.__getitem__, order))))
 
 
 def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig,
@@ -228,22 +231,25 @@ def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig,
     """Text of the OCR entry overlapping the enlarged cell best, if well enough.
 
     Ties go to the entry first in page order. Only entries whose top lies in
-    a vertical band around the enlarged cell are scored: an entry reaching
+    a vertical band around the enlarged cell are considered: an entry reaching
     IoU t is at most h/t tall (h the enlarged height), so one whose top is
     more than ceil(h/t) above the enlarged top, or at or below its bottom,
-    scores under t. One more pixel of reach absorbs float rounding. When
-    page dimensions are omitted, clamping cannot apply and the raw
-    enlargement is used.
+    scores under t. One more pixel of reach absorbs float rounding. Of those,
+    an entry with no horizontal overlap scores 0, under any threshold, and is
+    not scored. When page dimensions are omitted, clamping cannot apply and
+    the raw enlargement is used.
     """
     if page_w is None or page_h is None:
         page_w = page_h = 10 ** 9
     enlarged = enlarge_bbox(cell, cfg, page_w, page_h)
+    left, top, right, bottom = enlarged
     threshold = cfg.ocr_iou_threshold
-    reach = math.ceil(enlarged.height / threshold) + 1
-    lo = bisect.bisect_left(ocr.tops, enlarged.top - reach)
-    hi = bisect.bisect_left(ocr.tops, enlarged.bottom, lo)
-    best = max(((iou(enlarged, entry.bbox), -index, entry.text)
-                for index, entry in ocr.entries[lo:hi]), default=None)
+    reach = math.ceil((bottom - top) / threshold) + 1
+    lo = bisect.bisect_left(ocr.tops, top - reach)
+    hi = bisect.bisect_left(ocr.tops, bottom, lo)
+    best = max(((iou(enlarged, box), -index, text)
+                for index, (box, text) in ocr.entries[lo:hi]
+                if box.left < right and box.right > left), default=None)
     if best is not None and best[0] >= threshold:
         return best[2]
     return None

@@ -5,18 +5,21 @@ walks the pattern AST enumerating whole derivations, the row oracle
 implements the clustering definition set-wise, the number oracle is a
 direct decision table for single-separator numerals, the OCR
 association oracle scores every OCR entry on the page, the tokenizer
-oracle scans the text one character at a time, and the sections oracle
-compares every header phrase at every token position.
+oracle scans the text one character at a time, the sections oracle
+compares every header phrase at every token position, and the page
+detections oracle builds every box and entry one at a time.
 """
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from typing import Optional
 
 from kidex import ruledsl
 from kidex.annotate import PUNCT_CHARS, SECTION_KEY, tokenize
-from kidex.model import Annotation, Token, iou
+from kidex.model import (Annotation, BBox, Detection, DetectionClass, OcrEntry,
+                         PageDetections, Token, iou)
 from kidex.tabrec import enlarge_bbox
 
 
@@ -286,3 +289,50 @@ def sections_oracle(doc, cfg) -> tuple:
     return tuple(Annotation(SECTION_KEY, name, start,
                             kept[idx + 1][0] - 1 if idx + 1 < len(kept) else n - 1, "system")
                  for idx, (start, name) in enumerate(kept))
+
+
+# ---------------------------------------------------------------------------
+# Page detections
+# ---------------------------------------------------------------------------
+
+def _finite_number(x) -> bool:
+    return type(x) is int or (type(x) is float and math.isfinite(x))
+
+
+def _oracle_box(d) -> BBox:
+    if not isinstance(d, dict):
+        raise TypeError("bbox is not an object")
+    edges = [d["left"], d["top"], d["right"], d["bottom"]]
+    if not all(map(_finite_number, edges)):
+        raise TypeError("bbox edge is not a finite number")
+    return BBox(*edges)
+
+
+def _oracle_list(d, key) -> list:
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"{key} is not a list")
+    return value
+
+
+def page_detections_oracle(d) -> PageDetections:
+    """The per-entry loader chain: each detection, OCR entry and box is built
+    on its own and the PageDetections constructor checks every box against
+    the page. It adds the JSON types the chain itself never checked (string
+    ``doc_id`` and ``text``, integer ``page``, finite numbers for the page
+    size and the box edges). Any schema violation raises some exception."""
+    if not isinstance(d["doc_id"], str) or type(d["page"]) is not int:
+        raise TypeError("doc_id or page of the wrong type")
+    if not (_finite_number(d["page_width"]) and _finite_number(d["page_height"])):
+        raise TypeError("page size is not a finite number")
+    detections = []
+    for x in _oracle_list(d, "detections"):
+        confidence = float(x["confidence"])
+        detections.append(Detection(DetectionClass(x["class"]), confidence, _oracle_box(x["bbox"])))
+    ocr = []
+    for x in _oracle_list(d, "ocr"):
+        if not isinstance(x["text"], str):
+            raise TypeError("text is not a string")
+        ocr.append(OcrEntry(_oracle_box(x["bbox"]), x["text"]))
+    return PageDetections(d["doc_id"], d["page"], d["page_width"], d["page_height"],
+                          tuple(detections), tuple(ocr))

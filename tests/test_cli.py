@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -459,4 +460,81 @@ def test_config_typo_or_wrong_shape_exit_1(corpus, tmp_path, capsys, config, mes
     assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
                  "--pages", str(corpus / "docs"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+    assert not out.exists()
+
+
+def _set(path, value):
+    """A mask edit that sets the value at a key path, e.g. ("ocr", 2, "text")."""
+    def edit(mask):
+        node = mask
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(mask):
+        node = mask
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop(("ocr", 2, "bbox")), "ocr[2]: missing field 'bbox'"),
+    (_drop(("detections", 3, "bbox")), "detections[3]: missing field 'bbox'"),
+    (_set(("ocr", 2, "bbox"), [1, 2, 3, 4]), "ocr[2]: 'bbox': expected a JSON object"),
+    (_set(("ocr", 2), "Costi"), "ocr[2]: expected a JSON object"),
+    (_set(("ocr", 2, "bbox", "right"), 10), "ocr[2]: degenerate bbox ("),
+    (_set(("ocr", 2, "bbox", "left"), "10"), "ocr[2]: bbox: 'left' must be a number, got '10'"),
+    (_set(("detections", 3, "confidence"), "abc"),
+     "detections[3]: 'confidence' must be a number in [0, 1], got 'abc'"),
+    (_set(("detections", 3, "confidence"), math.nan),
+     "detections[3]: 'confidence' must be a number in [0, 1], got nan"),
+    (_set(("ocr",), 5), "ocr: expected a list, got 5"),
+    (_set(("page",), "3"), "page: must be a 1-based page number"),
+    (_set(("ocr", 2, "text"), 7), "ocr[2]: 'text' must be a string, got 7"),
+], ids=["ocr-no-bbox", "detection-no-bbox", "bbox-a-list", "entry-a-string", "degenerate-box",
+        "coordinate-a-string", "confidence-abc", "confidence-nan", "ocr-a-number",
+        "page-a-string", "text-a-number"])
+def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, message):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    bad = masks / "kid00002.p4.json"
+    mask = json.loads(bad.read_text(encoding="utf-8"))
+    edit(mask)
+    bad.write_text(json.dumps(mask), encoding="utf-8")
+    out = tmp_path / "tables.jsonl"
+    argv = ["tables", "--masks", str(masks), "--pages", str(corpus / "docs"), "--out", str(out)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: skipping malformed mask file kid00002.p4.json: {message}")
+    assert err.count("\n") == 1
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    assert sorted({r["doc_id"] for r in rows}) == ["kid00001", "kid00003"]
+    assert main(["--strict"] + argv) == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rules": 5}, "'rules': expected a file path, got 5"),
+    ({"sections": ["x"]}, "'sections': expected a file path, got ['x']"),
+    ({"labels": 5}, "'labels': expected a file path, got 5"),
+    ({"confusions": {"pairs": 5}}, "'confusions': 'pairs': expected a JSON object"),
+    ({"confusions": {"pairs": {"/": 7}}},
+     "'confusions': 'pairs': expected one character for one character, got '/': 7"),
+    ({"confusions": {"pairs": {"/": "7", "7": "/"}}},
+     "'confusions': confusion map must be acyclic: a target char cannot also be a source"),
+    ({"confusions": {"numeric_context_only": "no"}},
+     "'confusions': 'numeric_context_only': expected true or false"),
+    ({"locale_hint": 5}, "'locale_hint': expected one of 'it', 'en', got 5"),
+], ids=["rules-a-number", "sections-a-list", "labels-a-number", "pairs-a-number",
+        "pair-target-a-number", "pairs-cyclic", "numeric-only-a-string", "locale-a-number"])
+def test_config_value_of_the_wrong_type_exit_1(corpus, tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "t.jsonl"
+    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
+                 "--pages", str(corpus / "docs"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     assert not out.exists()

@@ -1,9 +1,16 @@
+import copy
+import functools
 import json
+import math
+import operator
+import pickle
 import random
+import re
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import kidex
 from kidex import model
@@ -17,6 +24,7 @@ from kidex.model import (Annotation, BBox, Cell, CostCategory, CostsCompositionR
                          PageDetections, Period, PerformanceScenariosRecord, PeriodCosts,
                          RawTable, Scenario, ScenarioCell, SchemaError, Token,
                          contains_center, dec_str, iou)
+from oracles import page_detections_oracle
 
 
 def test_iou_identity():
@@ -224,3 +232,221 @@ def test_missing_marker_serializes_as_null_not_zero():
 def test_dec_str_never_scientific():
     assert dec_str(Decimal("1E+2")) == "100"
     assert dec_str(Decimal("9915.45")) == "9915.45"
+
+
+# --- tuple-backed geometry ----------------------------------------------------
+
+def test_bbox_and_ocr_entry_are_immutable():
+    box = BBox(1, 2, 3, 4)
+    entry = OcrEntry(box, "x")
+    for obj, name in ((box, "left"), (box, "area"), (box, "extra"), (entry, "text")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+
+
+def test_bbox_make_and_replace_reject_degenerate_boxes():
+    box = BBox._make([1, 2, 3, 4])
+    assert type(box) is BBox and box == BBox(1, 2, 3, 4)
+    assert box._replace(right=9) == BBox(1, 2, 9, 4)
+    with pytest.raises(ValueError, match=r"degenerate bbox \(3, 2, 3, 4\)"):
+        BBox._make([3, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"degenerate bbox \(1, 2, 3, 1\)"):
+        box._replace(bottom=1)
+    with pytest.raises(TypeError):
+        BBox._make([1, 2, 3])
+
+
+@pytest.mark.parametrize("edges", [(math.nan, 0, 1, 1), (0, 0, math.nan, 1),
+                                   (0, math.nan, 1, 1), (0, 0, 1, math.nan)])
+def test_bbox_nan_edge_is_degenerate(edges):
+    with pytest.raises(ValueError, match="degenerate bbox"):
+        BBox(*edges)
+
+
+def test_geometry_repr_and_hash_match_the_frozen_dataclass_values():
+    # a frozen dataclass hashes the tuple of its fields and reprs them by name
+    box = BBox(1, 2, 3, 4)
+    entry = OcrEntry(box, "x")
+    assert repr(box) == "BBox(left=1, top=2, right=3, bottom=4)"
+    assert repr(entry) == "OcrEntry(bbox=BBox(left=1, top=2, right=3, bottom=4), text='x')"
+    assert hash(box) == hash((1, 2, 3, 4))
+    assert hash(entry) == hash(((1, 2, 3, 4), "x"))
+    assert (box.width, box.height, box.area, box.as_tuple()) == (2, 2, 4, (1, 2, 3, 4))
+    assert BBox.from_dict(box.to_dict()) == box
+    assert OcrEntry.from_dict(entry.to_dict()) == entry
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_geometry_copy_and_pickle_round_trip(round_trip):
+    entry = OcrEntry(BBox(1, 2, 3, 4), "x")
+    out = round_trip(entry)
+    assert out == entry and type(out) is OcrEntry and type(out.bbox) is BBox
+
+
+def test_bbox_equals_the_plain_tuple_of_its_edges():
+    # accepted: boxes are values, no code keys a mapping by both boxes and
+    # plain tuples, and a Python __eq__ would slow every comparison
+    assert BBox(1, 2, 3, 4) == (1, 2, 3, 4)
+    assert OcrEntry(BBox(1, 2, 3, 4), "x") == ((1, 2, 3, 4), "x")
+    assert BBox(1, 2, 3, 4) != OcrEntry(BBox(1, 2, 3, 4), "x")
+
+
+# --- page detections loader ---------------------------------------------------
+
+_JUNK = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 1, 2.5, 10 ** 400, math.nan, math.inf, -math.inf,
+                     "", "3", "0.5", "abc", "cell", [], [1, 2, 3, 4], {}, {"left": 1}]),
+    st.integers(-5, 130))
+_EDGE_JUNK = st.one_of(
+    st.sampled_from([-1, -0.5, 0.5, 121, 10 ** 30, math.nan, math.inf, -math.inf, "1", True, None]),
+    st.integers(-2, 122))
+
+
+def _paths(node, prefix=()):
+    """Every key path below ``node`` in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_page(draw):
+    width, height = draw(st.integers(1, 120)), draw(st.integers(1, 120))
+
+    def box():
+        left, top = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        return {"left": left, "top": top, "right": draw(st.integers(left + 1, width)),
+                "bottom": draw(st.integers(top + 1, height))}
+
+    page = {"doc_id": "d", "page": draw(st.integers(1, 3)),
+            "page_width": width, "page_height": height,
+            "detections": [{"class": draw(st.sampled_from(list(DetectionClass))).value,
+                            "confidence": draw(st.floats(0.0, 1.0)), "bbox": box()}
+                           for _ in range(draw(st.integers(0, 3)))],
+            "ocr": [{"bbox": box(), "text": draw(st.text(max_size=3))}
+                    for _ in range(draw(st.integers(0, 6)))]}
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(page))
+        # a box edge (off the page, degenerate or no number), a text, or any value
+        kind = draw(st.sampled_from(BBox._fields + ("text", "any")))
+        targets = [path for path in paths if path[-1] == kind] or paths
+        path = draw(st.sampled_from(targets))
+        value = draw(_EDGE_JUNK if path[-1] in BBox._fields else _JUNK)
+        parent = functools.reduce(operator.getitem, path[:-1], page)
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return page
+
+
+@seed(20220608)
+@settings(max_examples=500, deadline=None, database=None)
+@given(page=_mutated_page())
+def test_loader_agrees_with_per_entry_reference_on_mutated_pages(page):
+    try:
+        expected = page_detections_oracle(copy.deepcopy(page))
+    except Exception:
+        expected = None
+    if expected is None:
+        with pytest.raises(SchemaError):
+            PageDetections.from_dict(page)
+        return
+    loaded = PageDetections.from_dict(page)
+    assert loaded == expected
+    assert all(type(e) is OcrEntry and type(e.bbox) is BBox for e in loaded.ocr)
+
+
+def _valid_page():
+    box = {"left": 0, "top": 0, "right": 5, "bottom": 5}
+    return {"doc_id": "d", "page": 1, "page_width": 100, "page_height": 100,
+            "detections": [{"class": "cell", "confidence": 0.5, "bbox": dict(box)}],
+            "ocr": [{"bbox": dict(box), "text": str(i)} for i in range(4)]}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("left", -1, "bbox (-1, 0, 5, 5) outside page 100x100"),
+    ("top", -0.5, "bbox (0, -0.5, 5, 5) outside page 100x100"),
+    ("right", 101, "bbox (0, 0, 101, 5) outside page 100x100"),
+    ("bottom", 100.5, "bbox (0, 0, 5, 100.5) outside page 100x100"),
+    ("left", -math.inf, "bbox (-inf, 0, 5, 5) outside page 100x100"),
+    ("bottom", math.inf, "bbox (0, 0, 5, inf) outside page 100x100"),
+    ("left", math.nan, "degenerate bbox (nan, 0, 5, 5)"),
+    ("top", math.nan, "degenerate bbox (0, nan, 5, 5)"),
+    ("right", math.nan, "degenerate bbox (0, 0, nan, 5)"),
+    ("bottom", math.nan, "degenerate bbox (0, 0, 5, nan)"),
+    ("right", 0, "degenerate bbox (0, 0, 0, 5)"),
+    ("top", 5, "degenerate bbox (0, 5, 5, 5)"),
+    ("right", True, "bbox: 'right' must be a number, got True"),
+    ("bottom", "5", "bbox: 'bottom' must be a number, got '5'"),
+    ("top", None, "bbox: 'top' must be a number, got None"),
+    ("text", 7, "'text' must be a string, got 7"),
+    ("text", None, "'text' must be a string, got None"),
+], ids=["left-negative", "top-negative", "right-past-page", "bottom-past-page", "left-minus-inf",
+        "bottom-inf", "left-nan", "top-nan", "right-nan", "bottom-nan", "zero-width",
+        "zero-height", "edge-a-bool", "edge-a-string", "edge-null", "text-a-number", "text-null"])
+def test_one_bad_ocr_value_is_named_with_its_entry_index(key, value, message):
+    page = _valid_page()
+    entry = page["ocr"][2]
+    (entry if key == "text" else entry["bbox"])[key] = value
+    with pytest.raises(SchemaError, match=f"^{re.escape('ocr[2]: ' + message)}$"):
+        PageDetections.from_dict(page)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.update(page_width=math.nan), "page_width: must be a finite number, got nan"),
+    (lambda p: p.update(page_height=math.inf), "page_height: must be a finite number, got inf"),
+    (lambda p: p.update(page_width="100"), "page_width: must be a finite number, got '100'"),
+    (lambda p: p.update(page=True), "page: must be a 1-based page number"),
+    (lambda p: p.update(page=0), "page: must be a 1-based page number"),
+    (lambda p: p.update(doc_id=["d"]), "doc_id: must be a string, got ['d']"),
+    (lambda p: p.update(detections={}), "detections: expected a list, got {}"),
+    (lambda p: p["detections"][0].update(confidence=10 ** 400),
+     "detections[0]: 'confidence' must be a number in [0, 1], got 1" + "0" * 400),
+    (lambda p: p["detections"][0].update(confidence=math.inf),
+     "detections[0]: 'confidence' must be a number in [0, 1], got inf"),
+    (lambda p: p["detections"][0].update({"class": "table"}), "detections[0]: unknown class 'table'"),
+    (lambda p: p["detections"][0]["bbox"].update(bottom=101),
+     "detections[0]: bbox (0, 0, 5, 101) outside page 100x100"),
+], ids=["width-nan", "height-inf", "width-a-string", "page-a-bool", "page-zero", "doc-id-a-list",
+        "detections-an-object", "confidence-huge", "confidence-inf", "class-unknown",
+        "detection-off-page"])
+def test_bad_page_or_detection_value_is_named(edit, message):
+    page = _valid_page()
+    edit(page)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        PageDetections.from_dict(page)
+
+
+def test_loading_a_dense_page_makes_no_python_call_per_ocr_entry(monkeypatch):
+    rng = random.Random(8)
+    ocr = []
+    for i in range(400):
+        left, top = rng.randrange(0, 2000), rng.randrange(0, 3000)
+        ocr.append({"bbox": {"left": left, "top": top, "right": left + rng.randrange(1, 400),
+                             "bottom": top + rng.randrange(1, 400)}, "text": f"w{i}"})
+    raw = {"doc_id": "d", "page": 2, "page_width": 2480, "page_height": 3508,
+           "detections": [{"class": "cell", "confidence": 0.9,
+                           "bbox": {"left": 10, "top": 20, "right": 110, "bottom": 60}}],
+           "ocr": ocr}
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls in (BBox, OcrEntry):
+        monkeypatch.setattr(cls, "from_dict", classmethod(counting(
+            f"{cls.__name__}.from_dict", cls.from_dict.__func__)))
+        monkeypatch.setattr(cls, "__new__", counting(f"{cls.__name__}.__new__", cls.__new__))
+    page = PageDetections.from_dict(raw)
+    assert len(page.ocr) == 400 and page.ocr[7].text == "w7"
+    assert calls == ["BBox.__new__"]  # the one detection box
+    monkeypatch.undo()
+    assert page == page_detections_oracle(raw)

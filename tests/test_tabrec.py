@@ -503,6 +503,31 @@ def test_extract_table_scores_only_nearby_ocr(monkeypatch):
     assert len(calls) < n_cells * len(ocr) / 10
 
 
+def test_cell_text_skips_entries_in_the_row_band_without_horizontal_overlap(monkeypatch):
+    # 400 words share the cells' row band but lie left or right of the whole row
+    rng = random.Random(11)
+    cells = [BBox(1000 + 150 * i, 500, 1100 + 150 * i, 540) for i in range(4)]
+    words = [OcrEntry(box, f"cell {k}") for k, box in enumerate(cells)]
+    for _ in range(400):
+        left = rng.choice([rng.randrange(0, 900), rng.randrange(1600, 2300)])
+        top = rng.randrange(480, 740)
+        words.append(OcrEntry(BBox(left, top, left + rng.randrange(20, 80),
+                                   top + rng.randrange(20, 60)), "parola"))
+    rng.shuffle(words)
+    ocr = index_ocr(words)
+    calls = []
+
+    def counting_iou(a, b):
+        calls.append(1)
+        return iou(a, b)
+
+    monkeypatch.setattr(tabrec, "iou", counting_iou)
+    texts = [cell_text(box, ocr, CFG, 2480, 3508) for box in cells]
+    assert texts == [f"cell {k}" for k in range(len(cells))]
+    assert texts == [ocr_association_oracle(box, words, CFG, 2480, 3508) for box in cells]
+    assert len(calls) <= len(cells)
+
+
 def test_extract_table_regroups_after_split():
     # one merged cell stacks a label over a second label; splitting must
     # push the lower part into the second row
