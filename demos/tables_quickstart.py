@@ -33,7 +33,7 @@ for row in table.rows:
     print("  row:", [c.text for c in row])
 
 record, warnings = map_to_record(ttype, table, labels)
-for category, value in record.entries.items():
+for (category,), value in record.values.items():  # composition paths: one category each
     print(f"  {category.value}: {value}")  # the 1,/5% cell was repaired to 1.75
 for w in warnings:
     print("  warning:", w)

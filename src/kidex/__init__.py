@@ -8,10 +8,9 @@ Includes an evaluation harness and a seeded synthetic-corpus generator.
 from .annotate import SectionConfig, annotate_sections, tokenize, tokenize_document
 from .evalkit import EvalReport, GoldSet, evaluate, f_measure
 from .matcher import ExtractionResult, Match, export_results, find_matches, run_rules
-from .model import (Annotation, BBox, Cell, CostCategory, CostsCompositionRecord,
-                    CostsEvolutionRecord, Detection, DetectionClass, Document, OcrEntry,
-                    PageDetections, Period, PerformanceScenariosRecord, RawTable, Scenario,
-                    Token, contains_center, iou)
+from .model import (Annotation, BBox, Cell, CostCategory, Detection, DetectionClass, Document,
+                    OcrEntry, PageDetections, Period, RawTable, Record, Scenario, Token,
+                    contains_center, iou)
 from .normalize import ConfusionMap, fix_confusions, normalize_number, strip_currency
 from .ruledsl import CompiledRules, RuleFile, compile_rules, parse_rules, print_rules
 from .tabrec import (LabelsConfig, TabConfig, TableType, extract_table, group_rows,
@@ -22,10 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Annotation", "BBox", "Cell", "CompiledRules", "ConfusionMap", "CostCategory",
-    "CostsCompositionRecord", "CostsEvolutionRecord", "Detection", "DetectionClass",
-    "Document", "EvalReport", "ExtractionResult", "GoldSet", "LabelsConfig", "Match",
-    "OcrEntry", "PageDetections", "Period", "PerformanceScenariosRecord",
-    "RawTable", "RuleFile", "Scenario", "SectionConfig", "TabConfig", "TableType", "Token",
+    "Detection", "DetectionClass", "Document", "EvalReport", "ExtractionResult", "GoldSet",
+    "LabelsConfig", "Match", "OcrEntry", "PageDetections", "Period", "RawTable", "Record",
+    "RuleFile", "Scenario", "SectionConfig", "TabConfig", "TableType", "Token",
     "annotate_sections", "compile_rules", "contains_center", "evaluate", "export_results",
     "extract_table", "f_measure", "find_matches", "fix_confusions", "group_rows",
     "identify_pages", "iou", "load_document", "map_to_record", "normalize_number",

@@ -17,11 +17,9 @@ import random
 from decimal import Decimal
 from pathlib import Path
 
-from .model import (BBox, CostCategory, CostsCompositionRecord, CostsEvolutionRecord,
-                    Detection, DetectionClass, OcrEntry, PageDetections,
-                    PerformanceScenariosRecord, Period, PeriodCosts, Scenario, ScenarioCell,
-                    dump_page_detections)
-from .tabrec import DEFAULT_ANCHORS, TableType, _norm_ws
+from .model import (BBox, CostCategory, Detection, DetectionClass, OcrEntry, PageDetections,
+                    Period, Record, Scenario, TableType, dump_page_detections)
+from .tabrec import DEFAULT_ANCHORS, _norm_ws, table_row_dict
 
 PAGE_W, PAGE_H = 2480, 3508
 PERF_PAGE, EVOLUTION_PAGE, COMPOSITION_PAGE = 3, 4, 5
@@ -203,8 +201,12 @@ class _GridBuilder:
             box = BBox(left, top + jitter, right, top + jitter + height)
             self.cells.append((box, text, col >= numeric_from))
 
-    def build(self, table_box: BBox, drop_anchor_texts: list[str]) -> tuple[list[Detection], list[OcrEntry]]:
-        drop_keys = [_norm_ws(s) for s in drop_anchor_texts]
+    def build(self, ttype: TableType, pageno: int, table_box: BBox, drops: dict,
+              values: dict) -> tuple[PageDetections, Record]:
+        """The ``ttype`` table's page and gold record; when ``drops[ttype]`` is set,
+        the cells holding a table anchor of the type lose their masks."""
+        drop_keys = ([_norm_ws(s) for s in DEFAULT_ANCHORS[ttype].table_strings]
+                     if drops[ttype] else [])
         detections = [Detection(self.rng.choice((DetectionClass.BORDERED_TABLE,
                                                  DetectionClass.BORDERLESS_TABLE)),
                                 round(self.rng.uniform(0.7, 0.99), 4), table_box)]
@@ -221,7 +223,8 @@ class _GridBuilder:
                            box.right + wobble[2], box.bottom + wobble[3])
             ocr_text = self.noise.maybe_confuse(text) if numeric else text
             ocr.append(OcrEntry(ocr_box, ocr_text))
-        return detections, ocr
+        page = PageDetections("", pageno, PAGE_W, PAGE_H, tuple(detections), tuple(ocr))
+        return page, Record(ttype, values)
 
 
 def _period_header(rhp: int) -> list[str]:
@@ -230,7 +233,7 @@ def _period_header(rhp: int) -> list[str]:
 
 
 def _perf_table(rng: random.Random, noise: _NoiseBox, rhp: int,
-                drop: bool) -> tuple[PageDetections, PerformanceScenariosRecord]:
+                drops: dict) -> tuple[PageDetections, Record]:
     label_col = (220, 700)
     metric_col = (720, 1300)
     period_cols = [(1340, 1620), (1660, 1940), (1980, 2260)]
@@ -239,7 +242,7 @@ def _perf_table(rng: random.Random, noise: _NoiseBox, rhp: int,
     top = 620
     grid.add_row(top, columns, ["Scenari", None, *_period_header(rhp)], numeric_from=5)
 
-    entries: dict = {}
+    values: dict = {}
     for scenario in Scenario:
         refunds = [_draw_scaled(rng, 300000, 2500000) for _ in range(3)]
         lo, hi = _YIELD_RANGES[scenario]
@@ -252,17 +255,15 @@ def _perf_table(rng: random.Random, noise: _NoiseBox, rhp: int,
         grid.add_row(top, columns,
                      [None, _YIELD_LABEL, *[_fmt_pct(y) for y in yields]], numeric_from=2)
         for period, refund, ypct in zip(Period, refunds, yields):
-            entries[(scenario, period)] = ScenarioCell(refund=refund, yield_pct=ypct)
+            values[(scenario, period, "refund")] = refund
+            values[(scenario, period, "yield_pct")] = ypct
 
     table_box = BBox(200, 580, 2300, top + _ROW_PITCH + 40)
-    anchors = DEFAULT_ANCHORS[TableType.PERFORMANCE_SCENARIOS].table_strings if drop else []
-    detections, ocr = grid.build(table_box, list(anchors))
-    page = PageDetections("", PERF_PAGE, PAGE_W, PAGE_H, tuple(detections), tuple(ocr))
-    return page, PerformanceScenariosRecord(entries)
+    return grid.build(TableType.PERFORMANCE_SCENARIOS, PERF_PAGE, table_box, drops, values)
 
 
 def _evolution_table(rng: random.Random, noise: _NoiseBox, rhp: int,
-                     drop: bool) -> tuple[PageDetections, CostsEvolutionRecord]:
+                     drops: dict) -> tuple[PageDetections, Record]:
     label_col = (220, 1200)
     period_cols = [(1340, 1620), (1660, 1940), (1980, 2260)]
     columns = [label_col, *period_cols]
@@ -278,33 +279,29 @@ def _evolution_table(rng: random.Random, noise: _NoiseBox, rhp: int,
     top += _ROW_PITCH
     grid.add_row(top, columns, [_RIY_LABEL, *[_fmt_pct(r) for r in riys]], numeric_from=1)
 
-    entries = {period: PeriodCosts(total_cost=t, riy_pct=r)
-               for period, t, r in zip(Period, totals, riys)}
+    values = {}
+    for period, total, riy in zip(Period, totals, riys):
+        values[(period, "total_cost")] = total
+        values[(period, "riy_pct")] = riy
     table_box = BBox(200, 660, 2300, top + _ROW_PITCH + 40)
-    anchors = DEFAULT_ANCHORS[TableType.COSTS_EVOLUTION].table_strings if drop else []
-    detections, ocr = grid.build(table_box, list(anchors))
-    page = PageDetections("", EVOLUTION_PAGE, PAGE_W, PAGE_H, tuple(detections), tuple(ocr))
-    return page, CostsEvolutionRecord(entries)
+    return grid.build(TableType.COSTS_EVOLUTION, EVOLUTION_PAGE, table_box, drops, values)
 
 
 def _composition_table(rng: random.Random, noise: _NoiseBox,
-                       drop: bool) -> tuple[PageDetections, CostsCompositionRecord]:
+                       drops: dict) -> tuple[PageDetections, Record]:
     label_col = (220, 1200)
     value_col = (1300, 1700)
     grid = _GridBuilder(rng, noise)
     top = 700
-    entries = {}
+    values = {}
     for category in CostCategory:
         value = _draw_scaled(rng, 0, 350)
-        entries[category] = value
+        values[(category,)] = value
         grid.add_row(top, [label_col, value_col],
                      [_CATEGORY_LABELS[category], _fmt_pct(value)], numeric_from=1)
         top += _ROW_PITCH
     table_box = BBox(200, 660, 1800, top + 40)
-    anchors = DEFAULT_ANCHORS[TableType.COSTS_COMPOSITION].table_strings if drop else []
-    detections, ocr = grid.build(table_box, list(anchors))
-    page = PageDetections("", COMPOSITION_PAGE, PAGE_W, PAGE_H, tuple(detections), tuple(ocr))
-    return page, CostsCompositionRecord(entries)
+    return grid.build(TableType.COSTS_COMPOSITION, COMPOSITION_PAGE, table_box, drops, values)
 
 
 def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
@@ -348,25 +345,19 @@ def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
             json.dumps({"doc_id": doc_id, "pages": pages}, ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8")
 
-        perf_page, perf_record = _perf_table(rng, noise_box, fields["rhp"],
-                                             drops[TableType.PERFORMANCE_SCENARIOS])
-        evo_page, evo_record = _evolution_table(rng, noise_box, fields["rhp"],
-                                                drops[TableType.COSTS_EVOLUTION])
-        comp_page, comp_record = _composition_table(rng, noise_box,
-                                                    drops[TableType.COSTS_COMPOSITION])
-        for page in (perf_page, evo_page, comp_page):
+        tables = (_perf_table(rng, noise_box, fields["rhp"], drops),
+                  _evolution_table(rng, noise_box, fields["rhp"], drops),
+                  _composition_table(rng, noise_box, drops))
+        for page, _record in tables:
             page = PageDetections(doc_id, page.page, page.page_width, page.page_height,
                                   page.detections, page.ocr)
             dump_page_detections(page, masks_dir / f"{doc_id}.p{page.page}.json")
 
         for row in _gold_fields(fields):
             gold_field_lines.append(json.dumps(row, ensure_ascii=False))
-        for ttype, pageno, record in ((TableType.PERFORMANCE_SCENARIOS, PERF_PAGE, perf_record),
-                                      (TableType.COSTS_EVOLUTION, EVOLUTION_PAGE, evo_record),
-                                      (TableType.COSTS_COMPOSITION, COMPOSITION_PAGE, comp_record)):
+        for page, record in tables:
             gold_table_lines.append(json.dumps(
-                {"doc_id": doc_id, "page": pageno, "type": ttype.value,
-                 "status": "extracted", "record": record.to_dict()}, ensure_ascii=False))
+                table_row_dict(doc_id, page.page, record.ttype, record), ensure_ascii=False))
         confused_total += noise_box.confused
 
     (gold_dir / "fields.jsonl").write_text("\n".join(gold_field_lines) + "\n", encoding="utf-8")

@@ -13,8 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from . import tabrec
-from .model import SchemaError, TypedRecord, read_jsonl
-from .tabrec import TableType
+from .model import Record, SchemaError, TableType, read_jsonl
 
 _WS_RE = re.compile(r"\s+")
 
@@ -30,7 +29,7 @@ Triple = tuple[str, str, str]  # (doc_id, field, value)
 class GoldSet:
     """Gold field triples plus per-(doc, type) table truth."""
     fields: frozenset[Triple]
-    tables: Mapping[tuple[str, TableType], tuple[str, Optional[TypedRecord]]]
+    tables: Mapping[tuple[str, TableType], tuple[str, Optional[Record]]]
 
     @classmethod
     def from_parts(cls, fields: Iterable[Triple],
@@ -61,7 +60,7 @@ def load_gold_fields(path: str | Path) -> list[Triple]:
     return triples
 
 
-def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str, Optional[TypedRecord]]]:
+def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str, Optional[Record]]]:
     out = {}
     for lineno, row in tabrec.read_tables_jsonl(path):
         try:
@@ -152,7 +151,7 @@ class EvalReport:
 
 def evaluate(gold: GoldSet, field_predictions: Iterable[Triple],
              table_predictions: Mapping[tuple[str, TableType],
-                                        tuple[str, Optional[TypedRecord]]] | None = None) -> EvalReport:
+                                        tuple[str, Optional[Record]]] | None = None) -> EvalReport:
     """Score predictions: sets of normalized (doc_id, field, value) triples.
 
     A prediction is a true positive iff gold holds the identical triple

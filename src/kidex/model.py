@@ -12,7 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, TypeVar
 
@@ -38,13 +38,22 @@ def read_utf8(path: str | Path) -> str:
         raise SchemaError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
+def _json_loads(text: str, where: str, at_line: bool):
+    """``json.loads(text)``; text it rejects is a SchemaError led by ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        why = f"{e.msg} at line {e.lineno}" if at_line else e.msg
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        why = "a number with too many digits"
+    except RecursionError:
+        why = "nested too deeply"
+    raise SchemaError(f"{where}: not valid JSON ({why})")
+
+
 def parse_json_object(text: str, source: str | Path) -> dict:
     """Parse ``text``, read from ``source``, as one JSON object."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{source}: not valid JSON ({e.msg} at line {e.lineno})") from None
-    return json_object(data, str(source))
+    return json_object(_json_loads(text, str(source), at_line=True), str(source))
 
 
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
@@ -53,11 +62,8 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{path}:{lineno}: not valid JSON ({e.msg})") from None
-        rows.append((lineno, json_object(row, f"{path}:{lineno}")))
+        where = f"{path}:{lineno}"
+        rows.append((lineno, json_object(_json_loads(line, where, at_line=False), where)))
     return rows
 
 
@@ -531,105 +537,105 @@ class CostCategory(str, Enum):
     OVERPERFORMANCE_FEES = "overperformance_fees"
 
 
+class TableType(str, Enum):
+    PERFORMANCE_SCENARIOS = "performance_scenarios"
+    COSTS_EVOLUTION = "costs_evolution"
+    COSTS_COMPOSITION = "costs_composition"
+
+
+# Per table type: the enum levels of a record's key paths, then the names of
+# the values one cell holds; with no names, the value sits on the last level.
+RECORD_SCHEMAS: dict[TableType, tuple[tuple[type[Enum], ...], tuple[str, ...]]] = {
+    TableType.PERFORMANCE_SCENARIOS: ((Scenario, Period), ("refund", "yield_pct")),
+    TableType.COSTS_EVOLUTION: ((Period,), ("total_cost", "riy_pct")),
+    TableType.COSTS_COMPOSITION: ((CostCategory,), ()),
+}
+_LEVEL_NAMES = {Scenario: "scenario", Period: "period", CostCategory: "category"}
+_MEMBERS = {level: {m.value: m for m in level} for level in _LEVEL_NAMES}
+# per table type, in output order (enum declaration order, then value names):
+# the parent JSON keys, the JSON key and the value paths of every cell
+_CELLS = {ttype: tuple((tuple(m.value for m in key[:-1]), key[-1].value,
+                        tuple(key + (name,) for name in names) or (key,))
+                       for key in product(*levels))
+          for ttype, (levels, names) in RECORD_SCHEMAS.items()}
+# per table type: every value path, mapped to the paths of its cell
+_CELL_OF = {ttype: {path: paths for *_keys, paths in cells for path in paths}
+            for ttype, cells in _CELLS.items()}
+
+
 def _dec_or_none(x) -> Optional[Decimal]:
-    if x is None:
-        return None
+    """``None``, or the finite decimal ``x`` spells; anything else is a SchemaError."""
     try:
-        return Decimal(str(x))
+        value = None if x is None else Decimal(str(x))
     except InvalidOperation:
-        raise SchemaError(f"record: not a number {x!r}") from None
+        value = Decimal("NaN")
+    if value is None or value.is_finite():
+        return value
+    raise SchemaError(f"record: not a number {x!r}")
+
+
+def _parse_level(node, levels: tuple, names: tuple, prefix: tuple, where: str,
+                 values: dict) -> None:
+    """Store into ``values`` every cell under ``node``, the JSON object at ``prefix``."""
+    level = levels[len(prefix)]
+    for key, child in json_object(node, f"record: '{where}'").items():
+        member = _MEMBERS[level].get(key)
+        if member is None:
+            raise SchemaError(f"record: unknown {_LEVEL_NAMES[level]} {key!r}")
+        path = prefix + (member,)
+        if len(path) < len(levels):
+            _parse_level(child, levels, names, path, f"{where}.{key}", values)
+        elif names:
+            cell = json_object(child, f"record: '{where}.{key}'")
+            for name in cell:
+                if name not in names:
+                    raise SchemaError(f"record: '{where}.{key}': unknown field {name!r}")
+            for name in names:
+                values[path + (name,)] = _dec_or_none(cell.get(name))
+        else:
+            values[path] = _dec_or_none(child)
 
 
 @dataclass(frozen=True)
-class ScenarioCell:
-    """One (scenario, period) entry; ``None`` is the explicit missing marker."""
-    refund: Optional[Decimal] = None
-    yield_pct: Optional[Decimal] = None
+class Record:
+    """One typed table: a flat map from key path to value, ``None`` the missing marker.
+
+    ``RECORD_SCHEMAS[ttype]`` fixes the paths, for example
+    ``(Scenario.STRESS, Period.INITIAL, "refund")`` or ``(CostCategory.ENTRY,)``;
+    building a record with any other path raises. A cell is all or nothing:
+    once one of its values is given, the others are stored too, as ``None``.
+    """
+    ttype: TableType
+    values: Mapping[tuple, Optional[Decimal]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        cell_of = _CELL_OF[self.ttype]
+        for path in self.values:
+            if path not in cell_of:
+                raise ValueError(f"record: {path!r} is no {self.ttype.value} path")
+        object.__setattr__(self, "values", {p: self.values.get(p)
+                                            for path in self.values for p in cell_of[path]})
 
     def to_dict(self) -> dict:
-        return {"refund": None if self.refund is None else dec_str(self.refund),
-                "yield_pct": None if self.yield_pct is None else dec_str(self.yield_pct)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ScenarioCell":
-        return cls(_dec_or_none(d.get("refund")), _dec_or_none(d.get("yield_pct")))
-
-
-@dataclass(frozen=True, eq=False)
-class PerformanceScenariosRecord:
-    entries: Mapping[tuple[Scenario, Period], ScenarioCell] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
+        text = {path: None if v is None else format(v, "f")  # dec_str without the call
+                for path, v in self.values.items()}
+        names = RECORD_SCHEMAS[self.ttype][1]
         out: dict = {}
-        for scenario in Scenario:
-            periods = {p.value: self.entries[(scenario, p)].to_dict()
-                       for p in Period if (scenario, p) in self.entries}
-            if periods:
-                out[scenario.value] = periods
+        for parents, key, paths in _CELLS[self.ttype]:
+            if paths[0] in text:
+                node = out
+                for parent in parents:
+                    node = node.setdefault(parent, {})
+                node[key] = (dict(zip(names, map(text.__getitem__, paths))) if names
+                             else text[paths[0]])
         return {"entries": out}
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "PerformanceScenariosRecord":
-        entries = {}
-        for s_name, periods in json_object(d.get("entries", {}), "record: 'entries'").items():
-            for p_name, cell in json_object(periods, f"record: 'entries.{s_name}'").items():
-                key = (enum_member(Scenario, s_name, "record: unknown scenario"),
-                       enum_member(Period, p_name, "record: unknown period"))
-                cell = json_object(cell, f"record: 'entries.{s_name}.{p_name}'")
-                entries[key] = ScenarioCell.from_dict(cell)
-        return cls(entries)
-
-    def __eq__(self, other):
-        return isinstance(other, PerformanceScenariosRecord) and dict(self.entries) == dict(other.entries)
-
-
-@dataclass(frozen=True)
-class PeriodCosts:
-    total_cost: Optional[Decimal] = None
-    riy_pct: Optional[Decimal] = None
-
-    def to_dict(self) -> dict:
-        return {"total_cost": None if self.total_cost is None else dec_str(self.total_cost),
-                "riy_pct": None if self.riy_pct is None else dec_str(self.riy_pct)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PeriodCosts":
-        return cls(_dec_or_none(d.get("total_cost")), _dec_or_none(d.get("riy_pct")))
-
-
-@dataclass(frozen=True, eq=False)
-class CostsEvolutionRecord:
-    entries: Mapping[Period, PeriodCosts] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"entries": {p.value: self.entries[p].to_dict()
-                            for p in Period if p in self.entries}}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "CostsEvolutionRecord":
-        return cls({enum_member(Period, k, "record: unknown period"):
-                    PeriodCosts.from_dict(json_object(v, f"record: 'entries.{k}'"))
-                    for k, v in json_object(d.get("entries", {}), "record: 'entries'").items()})
-
-    def __eq__(self, other):
-        return isinstance(other, CostsEvolutionRecord) and dict(self.entries) == dict(other.entries)
-
-
-@dataclass(frozen=True, eq=False)
-class CostsCompositionRecord:
-    entries: Mapping[CostCategory, Optional[Decimal]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"entries": {c.value: (None if self.entries[c] is None else dec_str(self.entries[c]))
-                            for c in CostCategory if c in self.entries}}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "CostsCompositionRecord":
-        return cls({enum_member(CostCategory, k, "record: unknown category"): _dec_or_none(v)
-                    for k, v in json_object(d.get("entries", {}), "record: 'entries'").items()})
-
-    def __eq__(self, other):
-        return isinstance(other, CostsCompositionRecord) and dict(self.entries) == dict(other.entries)
-
-
-TypedRecord = PerformanceScenariosRecord | CostsEvolutionRecord | CostsCompositionRecord
+    def from_dict(cls, ttype: TableType, d: Mapping) -> "Record":
+        """The ``ttype`` record a JSON object describes; any schema violation is a
+        SchemaError led by ``record:``."""
+        values: dict = {}
+        _parse_level(d.get("entries", {}), *RECORD_SCHEMAS[ttype], (), "entries", values)
+        record = object.__new__(cls)  # the walk stores whole cells on schema paths only
+        record.__dict__.update(ttype=ttype, values=values)
+        return record

@@ -16,24 +16,16 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .annotate import PUNCT_CHARS
-from .model import (BBox, Cell, CostCategory, CostsCompositionRecord, CostsEvolutionRecord,
-                    Detection, OcrEntry, PageDetections, PerformanceScenariosRecord, Period,
-                    PeriodCosts, RawTable, Scenario, ScenarioCell, SchemaError, TypedRecord,
+from .model import (RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, OcrEntry,
+                    PageDetections, Period, RawTable, Record, Scenario, SchemaError, TableType,
                     contains_center, enum_member, iou, json_object, parse_json_object,
                     read_jsonl, read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
-
-
-class TableType(str, Enum):
-    PERFORMANCE_SCENARIOS = "performance_scenarios"
-    COSTS_EVOLUTION = "costs_evolution"
-    COSTS_COMPOSITION = "costs_composition"
 
 
 class AmbiguousTableError(ValueError):
@@ -401,11 +393,14 @@ class LabelsConfig:
                 node = json_object(node[key], f"labels config: '{'.'.join(keys[:i + 1])}'")
             return node
 
-        def pools(where: str, keys: Optional[type[Enum]] = None) -> dict:
+        def pools(where: str, keys: Iterable) -> dict:
+            """The pools of group ``where``, keyed by ``keys`` (enum members or value names)."""
+            by_name = {getattr(key, "value", key): key for key in keys}
             out = {}
             for k, v in group(where).items():
-                key = enum_member(keys, k, f"labels config: '{where}': unknown key") if keys else k
-                out[key] = _strings(v, f"labels config: '{where}.{k}'")
+                if k not in by_name:
+                    raise SchemaError(f"labels config: '{where}': unknown key {k!r}")
+                out[by_name[k]] = _strings(v, f"labels config: '{where}.{k}'")
             return out
 
         try:
@@ -413,8 +408,10 @@ class LabelsConfig:
                 initial_period=_strings(group("periods")["initial"],
                                         "labels config: 'periods.initial'"),
                 scenarios=pools("performance_scenarios.scenarios", Scenario),
-                perf_metrics=pools("performance_scenarios.metrics"),
-                evolution_metrics=pools("costs_evolution.metrics"),
+                perf_metrics=pools("performance_scenarios.metrics",
+                                   RECORD_SCHEMAS[TableType.PERFORMANCE_SCENARIOS][1]),
+                evolution_metrics=pools("costs_evolution.metrics",
+                                        RECORD_SCHEMAS[TableType.COSTS_EVOLUTION][1]),
                 categories=pools("costs_composition.categories", CostCategory),
             )
         except KeyError as e:
@@ -475,10 +472,6 @@ def _period_columns(table: RawTable, norm_rows: list[list[str]],
     return out
 
 
-def _nearest_period(center_x: int, columns: list[tuple[int, Period]]) -> Period:
-    return min(columns, key=lambda cp: abs(cp[0] - center_x))[1]
-
-
 def _numeric_cells(row: Iterable[Cell], cmap: ConfusionMap,
                    locale_hint: str) -> list[tuple[Cell, Decimal, bool]]:
     out = []
@@ -494,7 +487,7 @@ def _numeric_cells(row: Iterable[Cell], cmap: ConfusionMap,
 
 def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
                   cmap: Optional[ConfusionMap] = None,
-                  locale_hint: str = "it") -> tuple[TypedRecord, list[str]]:
+                  locale_hint: str = "it") -> tuple[Record, list[str]]:
     """Map a reconstructed grid onto its typed record; returns (record, warnings).
 
     Rows are matched by label cells; numeric cells go to periods by column
@@ -505,9 +498,9 @@ def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
     cmap = cmap or ConfusionMap()
     warnings: list[str] = []
     norm_rows = [[_norm_label(cell.text) for cell in row] for row in table.rows]
+    values: dict[tuple, Optional[Decimal]] = {}
 
     if ttype is TableType.COSTS_COMPOSITION:
-        entries: dict[CostCategory, Optional[Decimal]] = {}
         for row, norms in zip(table.rows, norm_rows):
             category = _row_label(norms, labels.categories)
             numerics = _numeric_cells(row, cmap, locale_hint)
@@ -515,86 +508,53 @@ def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
                 if numerics:
                     warnings.append(f"composition row unmatched: {[c.text for c in row]!r}")
                 continue
-            entries[category] = numerics[0][1] if numerics else None
+            values[(category,)] = numerics[0][1] if numerics else None
             if len(numerics) > 1:
                 warnings.append(f"composition row {category.value}: extra numeric cells ignored")
-        if not entries:
-            warnings.append("costs composition: nothing matched, all-missing record")
-        return CostsCompositionRecord(entries), warnings
-
-    initial = _pool_re(tuple(labels.initial_period))
-    columns = _period_columns(table, norm_rows, initial)
-    if not columns:
-        warnings.append("no period header readable; assigning by column order")
-    period_order = [Period.INITIAL, Period.INTERMEDIATE, Period.RECOMMENDED]
-
-    def assign(row_numerics, kind_of):
-        """(period, value, kind) per numeric cell; without a period header the
-        ordinal fallback counts per metric kind, so a refund and a yield in
-        the same row both land on the same (first) period."""
-        out = []
-        counters: dict[str, int] = {}
-        for cell, value, is_pct in row_numerics:
-            kind = kind_of(is_pct)
-            if columns:
-                period = _nearest_period((cell.bbox.left + cell.bbox.right) // 2, columns)
-            else:
-                idx = counters.get(kind, 0)
-                counters[kind] = idx + 1
-                if idx >= len(period_order):
-                    warnings.append(f"more numeric cells than periods: {cell.text!r} ignored")
-                    continue
-                period = period_order[idx]
-            out.append((period, value, kind))
-        return out
-
-    if ttype is TableType.COSTS_EVOLUTION:
-        ev_entries: dict[Period, PeriodCosts] = {}
+    else:
+        initial = _pool_re(tuple(labels.initial_period))
+        columns = _period_columns(table, norm_rows, initial)
+        if not columns:
+            warnings.append("no period header readable; assigning by column order")
+        # a performance scenario label may sit on the first of a pair of metric
+        # rows, so it carries forward until the next label; an evolution row
+        # needs a metric label of its own, and its values sit under the empty key
+        period_order = list(Period)
+        perf = ttype is TableType.PERFORMANCE_SCENARIOS
+        metrics = labels.perf_metrics if perf else labels.evolution_metrics
+        scenario_key = None
         for row, norms in zip(table.rows, norm_rows):
-            metric = _row_label(norms, labels.evolution_metrics)
+            scenario = _row_label(norms, labels.scenarios) if perf else None
+            if scenario is not None:
+                scenario_key = (scenario,)
+            metric = _row_label(norms, metrics)
             numerics = _numeric_cells(row, cmap, locale_hint)
-            if metric is None or not numerics:
-                if metric is None and numerics and not _row_is_header(norms, initial):
-                    warnings.append(f"evolution row unmatched: {[c.text for c in row]!r}")
+            if not numerics:
                 continue
-            for period, value, kind in assign(numerics, lambda _pct: metric):
-                prev = ev_entries.get(period, PeriodCosts())
-                ev_entries[period] = PeriodCosts(
-                    total_cost=value if kind == "total_cost" else prev.total_cost,
-                    riy_pct=value if kind == "riy_pct" else prev.riy_pct,
-                )
-        if not ev_entries:
-            warnings.append("costs evolution: nothing matched, all-missing record")
-        return CostsEvolutionRecord(ev_entries), warnings
-
-    # performance scenarios: the scenario label may sit on the first of a
-    # pair of metric rows, so it carries forward until the next label
-    perf_entries: dict[tuple[Scenario, Period], ScenarioCell] = {}
-    current_scenario: Optional[Scenario] = None
-    for row, norms in zip(table.rows, norm_rows):
-        scenario = _row_label(norms, labels.scenarios)
-        if scenario is not None:
-            current_scenario = scenario
-        metric = _row_label(norms, labels.perf_metrics)
-        numerics = _numeric_cells(row, cmap, locale_hint)
-        if not numerics:
-            continue
-        if current_scenario is None:
-            if not _row_is_header(norms, initial):
-                warnings.append(f"performance row unmatched: {[c.text for c in row]!r}")
-            continue
-        kind_of = (lambda _pct: metric) if metric else (
-            lambda is_pct: "yield_pct" if is_pct else "refund")
-        for period, value, kind in assign(numerics, kind_of):
-            key = (current_scenario, period)
-            prev = perf_entries.get(key, ScenarioCell())
-            perf_entries[key] = ScenarioCell(
-                refund=value if kind == "refund" else prev.refund,
-                yield_pct=value if kind == "yield_pct" else prev.yield_pct,
-            )
-    if not perf_entries:
-        warnings.append("performance scenarios: nothing matched, all-missing record")
-    return PerformanceScenariosRecord(perf_entries), warnings
+            key = scenario_key if perf else (() if metric is not None else None)
+            if key is None:
+                if not _row_is_header(norms, initial):
+                    kind = "performance" if perf else "evolution"
+                    warnings.append(f"{kind} row unmatched: {[c.text for c in row]!r}")
+                continue
+            # without a period header the ordinal fallback counts per value name,
+            # so a refund and a yield in the same row both land on the first period
+            counters: dict[str, int] = {}
+            for cell, value, is_pct in numerics:
+                name = metric or ("yield_pct" if is_pct else "refund")
+                if columns:  # the period of the nearest header column
+                    center = (cell.bbox.left + cell.bbox.right) // 2
+                    period = min(columns, key=lambda cp: abs(cp[0] - center))[1]
+                else:
+                    idx = counters[name] = counters.get(name, -1) + 1
+                    if idx >= len(period_order):
+                        warnings.append(f"more numeric cells than periods: {cell.text!r} ignored")
+                        continue
+                    period = period_order[idx]
+                values[key + (period, name)] = value
+    if not values:
+        warnings.append(f"{ttype.value.replace('_', ' ')}: nothing matched, all-missing record")
+    return Record(ttype, values), warnings
 
 
 def _row_is_header(norms: list[str], initial: re.Pattern) -> bool:
@@ -606,15 +566,8 @@ def _row_is_header(norms: list[str], initial: re.Pattern) -> bool:
 # Tables JSONL output
 # ---------------------------------------------------------------------------
 
-RECORD_TYPES = {
-    TableType.PERFORMANCE_SCENARIOS: PerformanceScenariosRecord,
-    TableType.COSTS_EVOLUTION: CostsEvolutionRecord,
-    TableType.COSTS_COMPOSITION: CostsCompositionRecord,
-}
-
-
 def table_row_dict(doc_id: str, page: Optional[int], ttype: TableType,
-                   record: Optional[TypedRecord]) -> dict:
+                   record: Optional[Record]) -> dict:
     return {
         "doc_id": doc_id,
         "page": page,
@@ -624,7 +577,7 @@ def table_row_dict(doc_id: str, page: Optional[int], ttype: TableType,
     }
 
 
-def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional[TypedRecord]]:
+def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional[Record]]:
     for key in ("doc_id", "type", "status"):
         if key not in d:
             raise SchemaError(f"tables row: missing field {key!r}")
@@ -633,7 +586,7 @@ def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional
     if d["status"] == "extracted":
         if d.get("record") is None:
             raise SchemaError("tables row: status 'extracted' requires a record")
-        record = RECORD_TYPES[ttype].from_dict(json_object(d["record"], "tables row: 'record'"))
+        record = Record.from_dict(ttype, json_object(d["record"], "tables row: 'record'"))
     return d["doc_id"], d.get("page"), ttype, record
 
 

@@ -7,19 +7,22 @@ direct decision table for single-separator numerals, the OCR
 association oracle scores every OCR entry on the page, the tokenizer
 oracle scans the text one character at a time, the sections oracle
 compares every header phrase at every token position, and the page
-detections oracle builds every box and entry one at a time.
+detections oracle builds every box and entry one at a time, and the
+record oracle parses tables rows with one hand-written class per table.
 """
 from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
-from typing import Optional
+from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
+from typing import Mapping, Optional
 
 from kidex import ruledsl
 from kidex.annotate import PUNCT_CHARS, SECTION_KEY, tokenize
-from kidex.model import (Annotation, BBox, Detection, DetectionClass, OcrEntry,
-                         PageDetections, Token, iou)
+from kidex.model import (Annotation, BBox, CostCategory, Detection, DetectionClass, OcrEntry,
+                         PageDetections, Period, Scenario, SchemaError, TableType, Token,
+                         dec_str, enum_member, iou, json_object)
 from kidex.tabrec import enlarge_bbox
 
 
@@ -336,3 +339,123 @@ def page_detections_oracle(d) -> PageDetections:
         ocr.append(OcrEntry(_oracle_box(x["bbox"]), x["text"]))
     return PageDetections(d["doc_id"], d["page"], d["page_width"], d["page_height"],
                           tuple(detections), tuple(ocr))
+
+
+# ---------------------------------------------------------------------------
+# Typed records
+# ---------------------------------------------------------------------------
+# One class per table type, each with its own to_dict, from_dict and __eq__.
+# A value is ``Decimal(str(x))``, so non-finite values parse, and unknown
+# cell keys are ignored.
+
+def _dec_or_none(x) -> Optional[Decimal]:
+    if x is None:
+        return None
+    try:
+        return Decimal(str(x))
+    except InvalidOperation:
+        raise SchemaError(f"record: not a number {x!r}") from None
+
+
+@dataclass(frozen=True)
+class ScenarioCell:
+    refund: Optional[Decimal] = None
+    yield_pct: Optional[Decimal] = None
+
+    def to_dict(self) -> dict:
+        return {"refund": None if self.refund is None else dec_str(self.refund),
+                "yield_pct": None if self.yield_pct is None else dec_str(self.yield_pct)}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "ScenarioCell":
+        return cls(_dec_or_none(d.get("refund")), _dec_or_none(d.get("yield_pct")))
+
+
+@dataclass(frozen=True, eq=False)
+class PerformanceScenariosRecord:
+    entries: Mapping[tuple[Scenario, Period], ScenarioCell] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        out: dict = {}
+        for scenario in Scenario:
+            periods = {p.value: self.entries[(scenario, p)].to_dict()
+                       for p in Period if (scenario, p) in self.entries}
+            if periods:
+                out[scenario.value] = periods
+        return {"entries": out}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "PerformanceScenariosRecord":
+        entries = {}
+        for s_name, periods in json_object(d.get("entries", {}), "record: 'entries'").items():
+            for p_name, cell in json_object(periods, f"record: 'entries.{s_name}'").items():
+                key = (enum_member(Scenario, s_name, "record: unknown scenario"),
+                       enum_member(Period, p_name, "record: unknown period"))
+                cell = json_object(cell, f"record: 'entries.{s_name}.{p_name}'")
+                entries[key] = ScenarioCell.from_dict(cell)
+        return cls(entries)
+
+    def __eq__(self, other):
+        return isinstance(other, PerformanceScenariosRecord) and dict(self.entries) == dict(other.entries)
+
+
+@dataclass(frozen=True)
+class PeriodCosts:
+    total_cost: Optional[Decimal] = None
+    riy_pct: Optional[Decimal] = None
+
+    def to_dict(self) -> dict:
+        return {"total_cost": None if self.total_cost is None else dec_str(self.total_cost),
+                "riy_pct": None if self.riy_pct is None else dec_str(self.riy_pct)}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "PeriodCosts":
+        return cls(_dec_or_none(d.get("total_cost")), _dec_or_none(d.get("riy_pct")))
+
+
+@dataclass(frozen=True, eq=False)
+class CostsEvolutionRecord:
+    entries: Mapping[Period, PeriodCosts] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {"entries": {p.value: self.entries[p].to_dict()
+                            for p in Period if p in self.entries}}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "CostsEvolutionRecord":
+        return cls({enum_member(Period, k, "record: unknown period"):
+                    PeriodCosts.from_dict(json_object(v, f"record: 'entries.{k}'"))
+                    for k, v in json_object(d.get("entries", {}), "record: 'entries'").items()})
+
+    def __eq__(self, other):
+        return isinstance(other, CostsEvolutionRecord) and dict(self.entries) == dict(other.entries)
+
+
+@dataclass(frozen=True, eq=False)
+class CostsCompositionRecord:
+    entries: Mapping[CostCategory, Optional[Decimal]] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {"entries": {c.value: (None if self.entries[c] is None else dec_str(self.entries[c]))
+                            for c in CostCategory if c in self.entries}}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "CostsCompositionRecord":
+        return cls({enum_member(CostCategory, k, "record: unknown category"): _dec_or_none(v)
+                    for k, v in json_object(d.get("entries", {}), "record: 'entries'").items()})
+
+    def __eq__(self, other):
+        return isinstance(other, CostsCompositionRecord) and dict(self.entries) == dict(other.entries)
+
+
+_ORACLE_RECORDS = {
+    TableType.PERFORMANCE_SCENARIOS: PerformanceScenariosRecord,
+    TableType.COSTS_EVOLUTION: CostsEvolutionRecord,
+    TableType.COSTS_COMPOSITION: CostsCompositionRecord,
+}
+
+
+def record_oracle(ttype: TableType, d: Mapping):
+    """The ``ttype`` record a tables-row ``record`` object describes, parsed by
+    the reference class; a schema violation raises SchemaError."""
+    return _ORACLE_RECORDS[ttype].from_dict(d)

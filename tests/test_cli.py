@@ -152,6 +152,24 @@ def test_tables_bad_labels_config_is_input_error(corpus, tmp_path, capsys, edit,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("group, key", [
+    ("performance_scenarios", "refund"),
+    ("costs_evolution", "riy_pct"),
+], ids=["performance", "evolution"])
+def test_tables_unknown_metric_key_is_input_error(corpus, tmp_path, capsys, group, key):
+    labels = _packaged_labels()
+    metrics = labels[group]["metrics"]
+    metrics[key[:3] + "nd"] = metrics.pop(key)
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(labels), encoding="utf-8")
+    out = tmp_path / "tables.jsonl"
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                 "--labels", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"input error: labels config: '{group}.metrics': "
+                                       f"unknown key {key[:3] + 'nd'!r}\n")
+    assert not out.exists()
+
+
 def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
     missing = tmp_path / "nonexistent.json"
     assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
@@ -337,6 +355,39 @@ def test_eval_table_row_part_not_an_object_exit_1(corpus, tmp_path, capsys, side
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"input error: {tables}:{lineno}: {message}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize("ttype, edit, value", [
+    (ttype, _set("record", "entries", *path, value=value), value)
+    for ttype, path, value in [
+        ("performance_scenarios", ("stress", "initial", "refund"), "NaN"),
+        ("performance_scenarios", ("stress", "initial", "yield_pct"), "sNaN"),
+        ("performance_scenarios", ("moderate", "recommended", "refund"), "Infinity"),
+        ("costs_evolution", ("intermediate", "riy_pct"), "-Infinity"),
+        ("costs_composition", ("exit",), "NaN"),
+    ]
+], ids=["nan", "snan", "infinity", "evolution-minus-infinity", "composition-nan"])
+def test_eval_non_finite_record_value_exit_1(corpus, tmp_path, capsys, side, ttype, edit, value):
+    code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side, ttype, edit)
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"input error: {tables}:{lineno}: record: not a number {value!r}\n"
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize("ttype, edit, message", [
+    ("performance_scenarios", _set("record", "entries", "stress", "initial", "refnd", value="1"),
+     "record: 'entries.stress.initial': unknown field 'refnd'"),
+    ("costs_evolution", _set("record", "entries", "initial", "riy", value=None),
+     "record: 'entries.initial': unknown field 'riy'"),
+    ("performance_scenarios", _set("record", "entries", "bogus", value={}),
+     "record: unknown scenario 'bogus'"),
+], ids=["cell-key", "evolution-cell-key", "scenario-without-periods"])
+def test_eval_unknown_record_key_exit_1(corpus, tmp_path, capsys, side, ttype, edit, message):
+    code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side, ttype, edit)
+    assert code == 1
+    assert capsys.readouterr().err == f"input error: {tables}:{lineno}: {message}\n"
 
 
 def test_workers_flag_rejected(tmp_path):
@@ -538,3 +589,52 @@ def test_config_value_of_the_wrong_type_exit_1(corpus, tmp_path, capsys, config,
                  "--pages", str(corpus / "docs"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     assert not out.exists()
+
+
+# JSON that the parser gives up on: an integer literal past the interpreter's
+# 4,300-digit limit, and arrays nested past the recursion limit
+_PAST_PARSER_LIMITS = {
+    "long-number": ('{"page_width": ' + "9" * 5000 + "}", "a number with too many digits"),
+    "deep-nesting": ("[" * 100_000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("text, why", _PAST_PARSER_LIMITS.values(), ids=_PAST_PARSER_LIMITS)
+def test_tables_mask_past_json_parser_limits_is_malformed(corpus, tmp_path, capsys, text, why):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    bad = masks / "kid00002.p4.json"
+    if text.startswith("{"):  # the number goes into a real mask
+        text = bad.read_text(encoding="utf-8").replace('"page_width": 2480',
+                                                       '"page_width": ' + "9" * 5000)
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "tables.jsonl"
+    argv = ["tables", "--masks", str(masks), "--pages", str(corpus / "docs"), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ("warning: skipping malformed mask file kid00002.p4.json: "
+                                       f"{bad}: not valid JSON ({why})\n")
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    assert sorted({r["doc_id"] for r in rows}) == ["kid00001", "kid00003"]
+    assert main(["--strict"] + argv) == 1
+
+
+@pytest.mark.parametrize("text, why", _PAST_PARSER_LIMITS.values(), ids=_PAST_PARSER_LIMITS)
+@pytest.mark.parametrize("bad_file, argv, prefix, where", [
+    ("gold/tables.jsonl", _eval_argv, "input error: ", ":1"),
+    ("pred/tables.jsonl", _eval_argv, "input error: ", ":1"),
+    ("bad.json", lambda c, t: ["tables", "--labels", str(t / "bad.json"), "--masks",
+                               str(c / "masks"), "--pages", str(c / "docs"),
+                               "--out", str(t / "t.jsonl")],
+     "input error: ", ""),
+    ("bad.json", lambda c, t: ["--config", str(t / "bad.json"), "gen", "--n", "1", "--seed", "1",
+                               "--out", str(t / "x")],
+     "config error: ", ""),
+], ids=["gold-tables", "pred-tables", "labels", "config"])
+def test_json_past_parser_limits_exit_1(corpus, tmp_path, capsys, bad_file, argv, prefix, where,
+                                        text, why):
+    shutil.copytree(corpus / "gold", tmp_path / "gold")
+    (tmp_path / "pred").mkdir()
+    bad = tmp_path / bad_file
+    bad.write_text(text + "\n", encoding="utf-8")
+    assert main(argv(corpus, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"{prefix}{bad}{where}: not valid JSON ({why})\n"

@@ -6,7 +6,7 @@ import pytest
 
 from kidex.evalkit import (FieldScore, GoldSet, evaluate, f_measure, format_report,
                            load_gold_fields, load_gold_set, precision_of, recall_of)
-from kidex.model import CostCategory, CostsCompositionRecord, SchemaError
+from kidex.model import CostCategory, Record, SchemaError
 from kidex.tabrec import TableType
 
 
@@ -83,8 +83,8 @@ def test_unknown_doc_is_false_positive():
 
 
 def test_table_scoring_extracted_incorrect_missing():
-    good = CostsCompositionRecord({CostCategory.ENTRY: Decimal("0.5")})
-    bad = CostsCompositionRecord({CostCategory.ENTRY: Decimal("0.6")})
+    good = Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("0.5")})
+    bad = Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("0.6")})
     gold_tables = {
         ("d1", TableType.COSTS_COMPOSITION): ("extracted", good),
         ("d2", TableType.COSTS_COMPOSITION): ("extracted", good),

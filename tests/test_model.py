@@ -6,7 +6,8 @@ import operator
 import pickle
 import random
 import re
-from decimal import Decimal
+import tempfile
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,10 @@ from kidex.corpusgen import gen_corpus
 from kidex.matcher import run_rules
 from kidex.ruledsl import compile_rules, parse_rules
 from kidex.textprep import load_document
-from kidex.model import (Annotation, BBox, Cell, CostCategory, CostsCompositionRecord,
-                         CostsEvolutionRecord, Detection, DetectionClass, Document, OcrEntry,
-                         PageDetections, Period, PerformanceScenariosRecord, PeriodCosts,
-                         RawTable, Scenario, ScenarioCell, SchemaError, Token,
-                         contains_center, dec_str, iou)
-from oracles import page_detections_oracle
+from kidex.model import (Annotation, BBox, Cell, CostCategory, Detection, DetectionClass,
+                         Document, OcrEntry, PageDetections, Period, RawTable, Record, Scenario,
+                         SchemaError, TableType, Token, contains_center, dec_str, iou)
+from oracles import page_detections_oracle, record_oracle
 
 
 def test_iou_identity():
@@ -210,21 +209,26 @@ def test_raw_table_round_trip_and_sorting():
 
 
 def test_records_round_trip():
-    perf = PerformanceScenariosRecord({
-        (Scenario.STRESS, Period.INITIAL): ScenarioCell(Decimal("9915.45"), Decimal("-0.85")),
-        (Scenario.MODERATE, Period.RECOMMENDED): ScenarioCell(Decimal("12000.00"), None),
+    perf = Record(TableType.PERFORMANCE_SCENARIOS, {
+        (Scenario.STRESS, Period.INITIAL, "refund"): Decimal("9915.45"),
+        (Scenario.STRESS, Period.INITIAL, "yield_pct"): Decimal("-0.85"),
+        (Scenario.MODERATE, Period.RECOMMENDED, "refund"): Decimal("12000.00"),
+        (Scenario.MODERATE, Period.RECOMMENDED, "yield_pct"): None,
     })
-    assert PerformanceScenariosRecord.from_dict(perf.to_dict()) == perf
-    evo = CostsEvolutionRecord({Period.INITIAL: PeriodCosts(Decimal("150.00"), Decimal("0.50"))})
-    assert CostsEvolutionRecord.from_dict(evo.to_dict()) == evo
-    comp = CostsCompositionRecord({CostCategory.ENTRY: Decimal("0.50"),
-                                   CostCategory.EXIT: None})
-    assert CostsCompositionRecord.from_dict(comp.to_dict()) == comp
+    assert Record.from_dict(perf.ttype, perf.to_dict()) == perf
+    evo = Record(TableType.COSTS_EVOLUTION, {(Period.INITIAL, "total_cost"): Decimal("150.00"),
+                                             (Period.INITIAL, "riy_pct"): Decimal("0.50")})
+    assert Record.from_dict(evo.ttype, evo.to_dict()) == evo
+    comp = Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("0.50"),
+                                                (CostCategory.EXIT,): None})
+    assert Record.from_dict(comp.ttype, comp.to_dict()) == comp
 
 
 def test_missing_marker_serializes_as_null_not_zero():
-    cell = ScenarioCell(refund=None, yield_pct=Decimal("0"))
-    d = cell.to_dict()
+    record = Record(TableType.PERFORMANCE_SCENARIOS,
+                    {(Scenario.STRESS, Period.INITIAL, "refund"): None,
+                     (Scenario.STRESS, Period.INITIAL, "yield_pct"): Decimal("0")})
+    d = record.to_dict()["entries"]["stress"]["initial"]
     assert d["refund"] is None
     assert d["yield_pct"] == "0"
 
@@ -232,6 +236,123 @@ def test_missing_marker_serializes_as_null_not_zero():
 def test_dec_str_never_scientific():
     assert dec_str(Decimal("1E+2")) == "100"
     assert dec_str(Decimal("9915.45")) == "9915.45"
+
+
+@pytest.mark.parametrize("ttype, path", [
+    (TableType.PERFORMANCE_SCENARIOS, (Period.INITIAL, "total_cost")),
+    (TableType.PERFORMANCE_SCENARIOS, (Scenario.STRESS, Period.INITIAL, "refnd")),
+    (TableType.PERFORMANCE_SCENARIOS, (Scenario.STRESS, Period.INITIAL)),
+    (TableType.COSTS_EVOLUTION, (Scenario.STRESS, Period.INITIAL, "refund")),
+    (TableType.COSTS_COMPOSITION, (CostCategory.ENTRY, "value")),
+    (TableType.COSTS_COMPOSITION, (Period.INITIAL,)),
+], ids=["other-type", "unknown-name", "no-name", "evolution-other-type",
+        "composition-name", "composition-wrong-enum"])
+def test_record_path_outside_its_schema_raises(ttype, path):
+    with pytest.raises(ValueError, match="is no .* path"):
+        Record(ttype, {path: Decimal("1")})
+
+
+def test_record_cell_is_all_or_nothing():
+    refund = (Scenario.STRESS, Period.INITIAL, "refund")
+    yield_pct = (Scenario.STRESS, Period.INITIAL, "yield_pct")
+    record = Record(TableType.PERFORMANCE_SCENARIOS, {refund: Decimal("1.5")})
+    assert record.values == {refund: Decimal("1.5"), yield_pct: None}
+    assert record == Record(TableType.PERFORMANCE_SCENARIOS, {refund: Decimal("1.50"),
+                                                              yield_pct: None})
+    assert record != Record(TableType.COSTS_EVOLUTION)
+    assert record.to_dict() == {"entries": {"stress": {"initial": {"refund": "1.5",
+                                                                   "yield_pct": None}}}}
+    # a str enum member equals its value, so a path of plain strings is the same
+    # path; the record keeps the enum members
+    spelled = Record(TableType.PERFORMANCE_SCENARIOS, {("stress", "initial", "refund"): None})
+    assert [type(key) for path in spelled.values for key in path[:2]] == [Scenario, Period] * 2
+
+
+# --- records against the class-per-table reference ---------------------------
+
+@functools.cache
+def _gold_table_rows() -> tuple[str, ...]:
+    with tempfile.TemporaryDirectory() as tmp:
+        gen_corpus(3, 42, 0.0, tmp)
+        return tuple(Path(tmp, "gold", "tables.jsonl").read_text(encoding="utf-8").splitlines())
+
+
+_RECORD_JUNK = st.sampled_from([
+    None, "NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "inf", "1.50", "1.5", "-0", "1E+2",
+    " 2.5 ", "1_000", "abc", "", 5, 2.5, math.nan, math.inf, True, [], {}, {"refund": "1"}])
+_RECORD_KEYS = st.sampled_from([
+    "refnd", "bogus", "", "refund", "yield_pct", "total_cost", "riy_pct", "stress", "moderate",
+    "initial", "recommended", "entry", "exit", "entries"])
+
+
+@st.composite
+def _mutated_record(draw):
+    row = json.loads(draw(st.sampled_from(_gold_table_rows())))
+    record = row["record"]
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(record))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], record)
+        action = draw(st.sampled_from(["set", "delete", "add", "rename"]))
+        if action == "set" or not isinstance(parent, dict):
+            parent[path[-1]] = draw(_RECORD_JUNK)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif action == "add":
+            parent[draw(_RECORD_KEYS)] = draw(st.one_of(_RECORD_JUNK, st.just({})))
+        else:
+            parent[draw(_RECORD_KEYS)] = parent.pop(path[-1])
+    return TableType(row["type"]), json.loads(draw(st.sampled_from(_gold_table_rows()))), record
+
+
+def _non_finite(x) -> bool:
+    try:
+        return x is not None and not Decimal(str(x)).is_finite()
+    except InvalidOperation:
+        return False
+
+
+def _breaks_a_new_record_rule(ttype, record) -> bool:
+    """A non-finite value, an unknown cell key or an unknown scenario key: the
+    reference accepts each, the record rejects it."""
+    entries = record.get("entries", {})
+    if not isinstance(entries, dict):
+        return False
+    if ttype is TableType.COSTS_COMPOSITION:
+        return any(map(_non_finite, entries.values()))
+    if ttype is TableType.PERFORMANCE_SCENARIOS:
+        if any(key not in {s.value for s in Scenario} for key in entries):
+            return True
+        cells, names = [cell for periods in entries.values() if isinstance(periods, dict)
+                        for cell in periods.values()], {"refund", "yield_pct"}
+    else:
+        cells, names = list(entries.values()), {"total_cost", "riy_pct"}
+    return any(isinstance(cell, dict) and (set(cell) - names or any(map(_non_finite, cell.values())))
+               for cell in cells)
+
+
+@seed(20221019)
+@settings(max_examples=500, deadline=None, database=None)
+@given(case=_mutated_record())
+def test_record_agrees_with_class_reference_on_mutated_rows(case):
+    ttype, other, record = case
+    try:
+        expected = record_oracle(ttype, copy.deepcopy(record))
+    except SchemaError:
+        expected = None
+    if expected is None or _breaks_a_new_record_rule(ttype, record):
+        with pytest.raises(SchemaError):
+            Record.from_dict(ttype, record)
+        return
+    parsed = Record.from_dict(ttype, record)
+    assert parsed.to_dict() == expected.to_dict()
+    assert json.dumps(parsed.to_dict()) == json.dumps(expected.to_dict())
+    if other["type"] == ttype.value:
+        assert (parsed == Record.from_dict(ttype, other["record"])) == \
+            (expected == record_oracle(ttype, other["record"]))
+    assert parsed == Record.from_dict(ttype, parsed.to_dict())
 
 
 # --- tuple-backed geometry ----------------------------------------------------

@@ -321,9 +321,8 @@ def test_map_performance_row_without_period_header():
                             cell(110, 0, 200, 20, "€ 9.915,45"),
                             cell(210, 0, 300, 20, "-0,85%")])
     record, warnings = map_to_record(TableType.PERFORMANCE_SCENARIOS, table, LABELS)
-    entry = record.entries[(Scenario.STRESS, Period.INITIAL)]
-    assert entry.refund == Decimal("9915.45")
-    assert entry.yield_pct == Decimal("-0.85")
+    assert record.values[(Scenario.STRESS, Period.INITIAL, "refund")] == Decimal("9915.45")
+    assert record.values[(Scenario.STRESS, Period.INITIAL, "yield_pct")] == Decimal("-0.85")
     assert any("period header" in w for w in warnings)
 
 
@@ -331,14 +330,14 @@ def test_map_composition_row():
     table = _one_row_table([cell(0, 0, 100, 20, "Costi di ingresso"),
                             cell(110, 0, 200, 20, "0,50%")])
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, table, LABELS)
-    assert record.entries[CostCategory.ENTRY] == Decimal("0.50")
+    assert record.values[(CostCategory.ENTRY,)] == Decimal("0.50")
 
 
 def test_map_header_only_table_all_missing_with_warning():
     table = _one_row_table([cell(0, 0, 100, 20, "Investimento di € 10.000"),
                             cell(110, 0, 200, 20, "1 anno")])
     record, warnings = map_to_record(TableType.COSTS_EVOLUTION, table, LABELS)
-    assert record.entries == {}
+    assert record.values == {}
     assert any("all-missing" in w for w in warnings)
 
 
@@ -355,16 +354,16 @@ def test_map_evolution_with_period_columns():
     table = group_rows([c for row in rows for c in row], CFG)
     record, warnings = map_to_record(TableType.COSTS_EVOLUTION, table, LABELS)
     assert warnings == []
-    assert record.entries[Period.INITIAL].total_cost == Decimal("120.00")
-    assert record.entries[Period.INTERMEDIATE].riy_pct == Decimal("1.26")
-    assert record.entries[Period.RECOMMENDED].total_cost == Decimal("650.00")
+    assert record.values[(Period.INITIAL, "total_cost")] == Decimal("120.00")
+    assert record.values[(Period.INTERMEDIATE, "riy_pct")] == Decimal("1.26")
+    assert record.values[(Period.RECOMMENDED, "total_cost")] == Decimal("650.00")
 
 
 def test_map_applies_confusion_repair():
     table = _one_row_table([cell(0, 0, 100, 20, "Costi di ingresso"),
                             cell(110, 0, 200, 20, "0,/5%")])
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, table, LABELS)
-    assert record.entries[CostCategory.ENTRY] == Decimal("0.75")
+    assert record.values[(CostCategory.ENTRY,)] == Decimal("0.75")
 
 
 def _composition_keys(texts, labels=LABELS):
@@ -372,7 +371,7 @@ def _composition_keys(texts, labels=LABELS):
     cells = [cell(100 * i, 0, 100 * i + 90, 20, t) for i, t in enumerate(texts)]
     cells.append(cell(100 * len(texts), 0, 100 * len(texts) + 90, 20, "0,50%"))
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, _one_row_table(cells), labels)
-    return list(record.entries)
+    return [category for category, in record.values]
 
 
 def _categories(pools):
@@ -403,7 +402,8 @@ def test_label_matches_at_word_boundaries_only():
              cell(210, 40, 300, 60, "€ 650,00")]]
     table = group_rows([c for row in rows for c in row], CFG)
     record, _ = map_to_record(TableType.COSTS_EVOLUTION, table, LABELS)
-    assert set(record.entries) == {Period.INTERMEDIATE, Period.RECOMMENDED}
+    assert {period for period, _name in record.values} == {Period.INTERMEDIATE,
+                                                           Period.RECOMMENDED}
     assert _composition_keys(["Costi di ingressox"]) == []
 
 
@@ -543,8 +543,8 @@ def test_extract_table_regroups_after_split():
     hit = extract_table(page, TableType.COSTS_COMPOSITION, CFG, LABELS)
     assert hit is not None
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, hit[1], LABELS)
-    assert record.entries[CostCategory.ENTRY] == Decimal("0.50")
-    assert record.entries[CostCategory.EXIT] == Decimal("0.25")
+    assert record.values[(CostCategory.ENTRY,)] == Decimal("0.50")
+    assert record.values[(CostCategory.EXIT,)] == Decimal("0.25")
 
 
 def _labels_dict() -> dict:
