@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class RuleError(ValueError):
@@ -49,111 +49,61 @@ class RuleCompileError(RuleError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT_CONT = re.compile(r"[A-Za-z0-9_]")
-_OP_CHARS = set("()[]{}|&=:,?*+")
-
-
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # pname | ident | int | string | regex | op | eof
     value: str
     line: int
     col: int
 
 
+# one alternative per token kind; each holds exactly one group, named after
+# its kind, so ``lastgroup`` is the kind and the group is the token's value
+_TOKEN_RE = re.compile(r"""
+      (?P<skip> [ \t\r\n]+ | //[^\n]* )
+    | / (?P<regex> (?: \\[\s\S] | [^/\\\n] )* ) /
+    | " (?P<string> (?: \\[\s\S] | [^"\\\n] )* ) "
+    | \$ (?P<pname> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<int> [0-9]+ )
+    | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<op> [*+]\?? | [()\[\]{}|&=:,?] )
+""", re.VERBOSE)
+
+# what a character that starts no token means
+_LEX_ERRORS = {"/": "unterminated token regex", '"': "unterminated string",
+               "$": "expected a name after '$'"}
+
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(body: str, chars: str) -> str:
+    """Drop the backslash before each of ``chars``; every other escape is kept."""
+    return _ESCAPE_RE.sub(lambda m: m[1] if m[1] in chars else m[0], body)
+
+
+_UNESCAPE = {"regex": "/", "string": '"\\'}
+
+
 def _lex(source: str) -> list[Tok]:
     toks: list[Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch == "/":
-            advance()
-            body: list[str] = []
-            while i < n and source[i] != "/":
-                if source[i] == "\n":
-                    raise RuleParseError("unterminated token regex", start_line, start_col)
-                if source[i] == "\\" and i + 1 < n:
-                    nxt = source[i + 1]
-                    body.append("/" if nxt == "/" else "\\" + nxt)
-                    advance(2)
-                else:
-                    body.append(source[i])
-                    advance()
-            if i >= n:
-                raise RuleParseError("unterminated token regex", start_line, start_col)
-            advance()
-            toks.append(Tok("regex", "".join(body), start_line, start_col))
-            continue
-        if ch == '"':
-            advance()
-            body = []
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    raise RuleParseError("unterminated string", start_line, start_col)
-                if source[i] == "\\" and i + 1 < n:
-                    nxt = source[i + 1]
-                    body.append(nxt if nxt in '"\\' else "\\" + nxt)
-                    advance(2)
-                else:
-                    body.append(source[i])
-                    advance()
-            if i >= n:
-                raise RuleParseError("unterminated string", start_line, start_col)
-            advance()
-            toks.append(Tok("string", "".join(body), start_line, start_col))
-            continue
-        if ch == "$":
-            advance()
-            if i >= n or not _IDENT_START.match(source[i]):
-                raise RuleParseError("expected a name after '$'", start_line, start_col)
-            s = i
-            while i < n and _IDENT_CONT.match(source[i]):
-                advance()
-            toks.append(Tok("pname", source[s:i], start_line, start_col))
-            continue
-        if ch.isdigit():
-            s = i
-            while i < n and source[i].isdigit():
-                advance()
-            toks.append(Tok("int", source[s:i], start_line, start_col))
-            continue
-        if _IDENT_START.match(ch):
-            s = i
-            while i < n and _IDENT_CONT.match(source[i]):
-                advance()
-            toks.append(Tok("ident", source[s:i], start_line, start_col))
-            continue
-        if ch in _OP_CHARS:
-            if ch in "*+" and i + 1 < n and source[i + 1] == "?":
-                toks.append(Tok("op", ch + "?", start_line, start_col))
-                advance(2)
-            else:
-                toks.append(Tok("op", ch, start_line, start_col))
-                advance()
-            continue
-        raise RuleParseError(f"unexpected character {ch!r}", start_line, start_col)
-    toks.append(Tok("eof", "", line, col))
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            ch = source[pos]
+            raise RuleParseError(_LEX_ERRORS.get(ch, f"unexpected character {ch!r}"),
+                                 line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind != "skip":
+            value = m[kind]
+            if kind in _UNESCAPE:
+                value = _unescape(value, _UNESCAPE[kind])
+            toks.append(Tok(kind, value, line, pos - line_start + 1))
+        newlines = source.count("\n", pos, m.end())
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", pos, m.end()) + 1
+        pos = m.end()
+    toks.append(Tok("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -268,7 +218,9 @@ class _Parser:
         self.i = 0
         self.source_name = source_name
         self.env: dict[str, Binding] = {}
-        self._group_cache: dict[str, frozenset[str]] = {}
+        # capture names: of each pattern binding, and of the pattern being parsed
+        self.binding_groups: dict[str, frozenset[str]] = {}
+        self.groups: set[str] = set()
 
     def peek(self, ahead: int = 0) -> Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -283,6 +235,10 @@ class _Parser:
         tok = tok or self.peek()
         return RuleParseError(message, tok.line, tok.col)
 
+    def at_op(self, *values: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.value in values
+
     def expect_op(self, value: str) -> Tok:
         tok = self.peek()
         if tok.kind != "op" or tok.value != value:
@@ -295,6 +251,12 @@ class _Parser:
             raise self.error(f"expected {what}, found {tok.value or tok.kind!r}")
         return self.next()
 
+    def expect_int(self, what: str) -> tuple[Tok, int]:
+        tok = self.expect_kind("int", what)
+        if len(tok.value) > 9:
+            raise self.error(f"{what} has more than 9 digits", tok)
+        return tok, int(tok.value)
+
     # --- file level ------------------------------------------------------
 
     def parse_file(self) -> RuleFile:
@@ -306,7 +268,7 @@ class _Parser:
                 break
             if tok.kind == "pname":
                 bindings.append(self.parse_binding())
-            elif tok.kind == "op" and tok.value == "{":
+            elif self.at_op("{"):
                 rules.append(self.parse_rule())
             else:
                 raise self.error("expected a '$name =' binding or a '{...}' rule")
@@ -318,7 +280,8 @@ class _Parser:
             raise self.error(f"duplicate binding ${name_tok.value}", name_tok)
         self.expect_op("=")
         tok = self.peek()
-        if tok.kind == "op" and tok.value == "(":
+        self.groups = set()
+        if self.at_op("("):
             self.next()
             pattern = self.parse_alt()
             self.expect_op(")")
@@ -329,11 +292,12 @@ class _Parser:
             body = tok.value
             if len(body) < 2 or not (body.startswith("/") and body.endswith("/")):
                 raise self.error("a string binding must hold a \"/char-regex/\"", tok)
-            binding = Binding(name_tok.value, regex=body[1:-1].replace("\\/", "/"),
+            binding = Binding(name_tok.value, regex=_unescape(body[1:-1], "/"),
                               pos=(name_tok.line, name_tok.col))
         else:
             raise self.error("binding must be '( pattern )' or a \"/char-regex/\" string")
         self.env[binding.name] = binding
+        self.binding_groups[binding.name] = frozenset(self.groups)
         return binding
 
     def parse_rule(self) -> Rule:
@@ -345,22 +309,22 @@ class _Parser:
         self.expect_op(",")
         self._expect_key("pattern")
         self.expect_op("(")
+        self.groups = set()
         pattern = self.parse_alt()
         self.expect_op(")")
         self.expect_op(",")
         self._expect_key("action")
         self.expect_op("(")
-        actions = [self.parse_action(pattern)]
-        while self.peek().kind == "op" and self.peek().value == ",":
+        actions = [self.parse_action()]
+        while self.at_op(","):
             self.next()
-            actions.append(self.parse_action(pattern))
+            actions.append(self.parse_action())
         self.expect_op(")")
         stage = 0
-        if self.peek().kind == "op" and self.peek().value == ",":
+        if self.at_op(","):
             self.next()
             self._expect_key("stage")
-            stage_tok = self.expect_kind("int", "a stage number")
-            stage = int(stage_tok.value)
+            _, stage = self.expect_int("a stage number")
         self.expect_op("}")
         rule_id = f"{self.source_name}:{brace.line}"
         return Rule(pattern, tuple(actions), stage, rule_id, pos=(brace.line, brace.col))
@@ -372,7 +336,7 @@ class _Parser:
         self.next()
         self.expect_op(":")
 
-    def parse_action(self, pattern: PatternExpr) -> AnnotateAction:
+    def parse_action(self) -> AnnotateAction:
         head = self.expect_kind("ident", "'Annotate'")
         if head.value != "Annotate":
             raise self.error(f"unknown action {head.value!r}, expected 'Annotate'", head)
@@ -381,7 +345,7 @@ class _Parser:
         if self.peek().kind == "pname":
             group_tok = self.next()
             group = group_tok.value
-            if group not in self._pattern_groups(pattern):
+            if group not in self.groups:
                 raise self.error(f"action references group ${group} not bound in the pattern",
                                  group_tok)
             self.expect_op(",")
@@ -399,68 +363,35 @@ class _Parser:
         self.expect_op(")")
         return AnnotateAction(group, key, value)
 
-    def _pattern_groups(self, node: PatternExpr) -> frozenset[str]:
-        if isinstance(node, NamedGroup):
-            return frozenset({node.name}) | self._pattern_groups(node.body)
-        if isinstance(node, Seq):
-            out: frozenset[str] = frozenset()
-            for item in node.items:
-                out |= self._pattern_groups(item)
-            return out
-        if isinstance(node, Alt):
-            out = frozenset()
-            for option in node.options:
-                out |= self._pattern_groups(option)
-            return out
-        if isinstance(node, Repeat):
-            return self._pattern_groups(node.body)
-        if isinstance(node, VarRef):
-            if node.name not in self._group_cache:
-                binding = self.env[node.name]
-                self._group_cache[node.name] = (
-                    self._pattern_groups(binding.pattern) if binding.pattern is not None
-                    else frozenset())
-            return self._group_cache[node.name]
-        return frozenset()
-
     # --- pattern level ----------------------------------------------------
 
     def parse_alt(self) -> PatternExpr:
         options = [self.parse_seq()]
-        while self.peek().kind == "op" and self.peek().value == "|":
+        while self.at_op("|"):
             self.next()
             options.append(self.parse_seq())
         return options[0] if len(options) == 1 else Alt(tuple(options))
 
     def parse_seq(self) -> PatternExpr:
         items: list[PatternExpr] = []
-        while True:
-            tok = self.peek()
-            if tok.kind in ("regex", "pname"):
-                items.append(self.parse_quant())
-            elif tok.kind == "op" and tok.value in ("(", "["):
-                items.append(self.parse_quant())
-            else:
-                break
-        if len(items) == 1:
-            return items[0]
-        return Seq(tuple(items))
+        while self.peek().kind in ("regex", "pname") or self.at_op("(", "["):
+            items.append(self.parse_quant())
+        return items[0] if len(items) == 1 else Seq(tuple(items))
 
     def parse_quant(self) -> PatternExpr:
         atom = self.parse_atom()
         tok = self.peek()
-        if tok.kind == "op" and tok.value in ("?", "*", "+", "*?", "+?"):
+        if self.at_op("?", "*", "+", "*?", "+?"):
             self.next()
             lo, hi = {"?": (0, 1), "*": (0, None), "+": (1, None),
                       "*?": (0, None), "+?": (1, None)}[tok.value]
             return Repeat(atom, lo, hi, lazy=tok.value in ("*?", "+?"))
-        if tok.kind == "op" and tok.value == "{" and self.peek(1).kind == "int":
+        if self.at_op("{") and self.peek(1).kind == "int":
             self.next()
-            lo_tok = self.expect_kind("int", "a repeat bound")
+            lo_tok, lo = self.expect_int("a repeat bound")
             self.expect_op(",")
-            hi_tok = self.expect_kind("int", "a repeat bound")
+            _, hi = self.expect_int("a repeat bound")
             self.expect_op("}")
-            lo, hi = int(lo_tok.value), int(hi_tok.value)
             if lo > hi:
                 raise self.error(f"repeat bounds {{{lo},{hi}}} are inverted", lo_tok)
             return Repeat(atom, lo, hi)
@@ -475,15 +406,16 @@ class _Parser:
             self.next()
             if tok.value not in self.env:
                 raise self.error(f"undefined binding ${tok.value}", tok)
+            self.groups |= self.binding_groups.get(tok.value, frozenset())
             return VarRef(tok.value, pos=(tok.line, tok.col))
-        if tok.kind == "op" and tok.value == "[":
+        if self.at_op("["):
             return self.parse_attrset()
-        if tok.kind == "op" and tok.value == "(":
+        if self.at_op("("):
             self.next()
-            if (self.peek().kind == "op" and self.peek().value == "?"
-                    and self.peek(1).kind == "pname"):
+            if self.at_op("?") and self.peek(1).kind == "pname":
                 self.next()
                 name_tok = self.next()
+                self.groups.add(name_tok.value)
                 body = self.parse_alt()
                 self.expect_op(")")
                 return NamedGroup(name_tok.value, body, pos=(name_tok.line, name_tok.col))
@@ -495,7 +427,7 @@ class _Parser:
     def parse_attrset(self) -> AttrSet:
         open_tok = self.expect_op("[")
         constraints = [self.parse_constraint()]
-        while self.peek().kind == "op" and self.peek().value == "&":
+        while self.at_op("&"):
             self.next()
             constraints.append(self.parse_constraint())
         self.expect_op("]")
@@ -506,38 +438,35 @@ class _Parser:
         key_tok = self.expect_kind("ident", "a constraint key")
         self.expect_op(":")
         tok = self.next()
-        if tok.kind == "string":
-            made = Constraint(key_tok.value, "lit", tok.value, pos=(tok.line, tok.col))
-        elif tok.kind == "regex":
-            made = Constraint(key_tok.value, "regex", tok.value, pos=(tok.line, tok.col))
-        elif tok.kind == "pname":
+        kind = {"string": "lit", "regex": "regex", "pname": "ref"}.get(tok.kind)
+        if kind is None:
+            raise self.error("expected a \"literal\", /regex/ or $name constraint value")
+        if kind == "ref":
             binding = self.env.get(tok.value)
             if binding is None:
                 raise self.error(f"undefined binding ${tok.value}", tok)
             if binding.regex is None:
                 raise self.error(f"${tok.value} is a pattern binding; a constraint "
                                  "needs a \"/char-regex/\" binding", tok)
-            made = Constraint(key_tok.value, "ref", tok.value, pos=(tok.line, tok.col))
-        else:
-            raise self.error("expected a \"literal\", /regex/ or $name constraint value")
         self.expect_op("}")
-        return made
+        return Constraint(key_tok.value, kind, tok.value, pos=(tok.line, tok.col))
 
 
 def parse_rules(source: str, source_name: str = "rules") -> RuleFile:
     """Parse a rule file; raises RuleParseError with line/column on bad input."""
-    return _Parser(source, source_name).parse_file()
+    parser = _Parser(source, source_name)
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        raise parser.error("pattern nested too deeply") from None
 
 
 def parse_pattern(source: str, bindings: Iterable[Binding] = ()) -> PatternExpr:
     """Parse a bare pattern expression (test helper for pattern-level tooling)."""
-    parser = _Parser("", "pattern")
+    parser = _Parser(source, "pattern")
     parser.env = {b.name: b for b in bindings}
-    parser.toks = _lex(source)
-    parser.i = 0
     expr = parser.parse_alt()
-    tok = parser.peek()
-    if tok.kind != "eof":
+    if parser.peek().kind != "eof":
         raise parser.error("trailing input after pattern")
     return expr
 
@@ -550,20 +479,8 @@ _ALT, _SEQ, _QUANT, _ATOM = range(4)
 
 
 def _escape_regex_body(body: str) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(body[i:i + 2])
-            i += 2
-        elif ch == "/":
-            out.append("\\/")
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Escape each bare ``/``; existing escapes pass through whole."""
+    return re.sub(r"(\\.)|/", lambda m: m[1] or "\\/", body, flags=re.DOTALL)
 
 
 def _escape_string(body: str) -> str:
@@ -765,18 +682,30 @@ class CompiledRules:
         return [rule for _, rules in self.stages for rule in rules]
 
 
+# instructions one compiled pattern may hold: bounded repeats and binding references copy
+# their bodies, so a short file could compile to millions (the largest packaged has 21)
+MAX_PROGRAM_SIZE = 10_000
+
+
 class _PatternCompiler:
-    def __init__(self, env: dict[str, Binding]):
+    def __init__(self, env: dict[str, Binding], pos: Optional[tuple[int, int]] = None):
         self.env = env
+        self.pos = pos or (None, None)
         self.instrs: list = []
         self.n_regs = 0
 
     def emit(self, op: int, a=None, b=None) -> int:
+        if len(self.instrs) >= MAX_PROGRAM_SIZE:
+            raise RuleCompileError(
+                f"pattern compiles to more than {MAX_PROGRAM_SIZE} instructions", *self.pos)
         self.instrs.append([op, a, b])
         return len(self.instrs) - 1
 
     def compile(self, node: PatternExpr) -> CompiledPattern:
-        self._node(node)
+        try:
+            self._node(node)
+        except RecursionError:
+            raise RuleCompileError("pattern nested too deeply", *self.pos) from None
         self.emit(OP_MATCH)
         instrs = tuple(tuple(ins) for ins in self.instrs)
         return CompiledPattern(instrs, _first_preds(instrs))
@@ -784,19 +713,15 @@ class _PatternCompiler:
     def _regex(self, body: str, pos) -> re.Pattern:
         try:
             return re.compile(body)
-        except re.error as e:
+        except (re.error, OverflowError, RecursionError) as e:
             line, col = pos or (None, None)
             raise RuleCompileError(f"invalid character regex /{body}/: {e}", line, col) from None
 
     def _constraint_pred(self, c: Constraint):
-        if c.kind == "ref":
-            body = self.env[c.value].regex
-            rx = self._regex(body, c.pos)
-            return TextRegexPred(rx) if c.key == "word" else AnnRegexPred(c.key, rx)
-        if c.kind == "regex":
-            rx = self._regex(c.value, c.pos)
-            return TextRegexPred(rx) if c.key == "word" else AnnRegexPred(c.key, rx)
-        return TextEqPred(c.value) if c.key == "word" else AnnEqPred(c.key, c.value)
+        if c.kind == "lit":
+            return TextEqPred(c.value) if c.key == "word" else AnnEqPred(c.key, c.value)
+        rx = self._regex(self.env[c.value].regex if c.kind == "ref" else c.value, c.pos)
+        return TextRegexPred(rx) if c.key == "word" else AnnRegexPred(c.key, rx)
 
     def _node(self, node: PatternExpr) -> None:
         if isinstance(node, TokenRegex):
@@ -837,7 +762,10 @@ class _PatternCompiler:
             self.emit(OP_GEND, node.name, reg)
         elif isinstance(node, Repeat):
             for _ in range(node.lo):
+                size = len(self.instrs)
                 self._node(node.body)
+                if len(self.instrs) == size:  # an empty body: more copies add nothing
+                    break
             if node.hi is None:
                 self._star_tail(node.body, node.lazy)
             else:
@@ -899,11 +827,12 @@ def compile_pattern(node: PatternExpr, bindings: Iterable[Binding] = ()) -> Comp
 
 
 def compile_rules(rules: RuleFile) -> CompiledRules:
-    """Compile every rule; total on valid rule files except malformed char regexes."""
+    """Compile every rule; total on valid rule files except malformed char regexes,
+    patterns nested too deeply and programs past MAX_PROGRAM_SIZE."""
     env = rules.binding_map()
     by_stage: dict[int, list[CompiledRule]] = {}
     for rule in rules.rules:
-        pattern = _PatternCompiler(env).compile(rule.pattern)
+        pattern = _PatternCompiler(env, rule.pos).compile(rule.pattern)
         by_stage.setdefault(rule.stage, []).append(
             CompiledRule(rule.rule_id, rule.stage, pattern, rule.actions))
     stages = tuple((stage, tuple(by_stage[stage])) for stage in sorted(by_stage))

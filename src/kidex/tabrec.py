@@ -581,7 +581,11 @@ def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional
     for key in ("doc_id", "type", "status"):
         if key not in d:
             raise SchemaError(f"tables row: missing field {key!r}")
+    if not isinstance(d["doc_id"], str):
+        raise SchemaError(f"tables row: 'doc_id' must be a string, got {d['doc_id']!r}")
     ttype = enum_member(TableType, d["type"], "tables row: unknown type")
+    if d["status"] not in ("extracted", "missing"):
+        raise SchemaError(f"tables row: unknown status {d['status']!r}")
     record = None
     if d["status"] == "extracted":
         if d.get("record") is None:

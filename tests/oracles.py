@@ -7,8 +7,9 @@ direct decision table for single-separator numerals, the OCR
 association oracle scores every OCR entry on the page, the tokenizer
 oracle scans the text one character at a time, the sections oracle
 compares every header phrase at every token position, and the page
-detections oracle builds every box and entry one at a time, and the
-record oracle parses tables rows with one hand-written class per table.
+detections oracle builds every box and entry one at a time, the
+record oracle parses tables rows with one hand-written class per table,
+and the rule lexer oracle reads a rule file one character at a time.
 """
 from __future__ import annotations
 
@@ -459,3 +460,113 @@ def record_oracle(ttype: TableType, d: Mapping):
     """The ``ttype`` record a tables-row ``record`` object describes, parsed by
     the reference class; a schema violation raises SchemaError."""
     return _ORACLE_RECORDS[ttype].from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# Rule lexer
+# ---------------------------------------------------------------------------
+# The character-at-a-time lexer the regex scanner replaced, kept verbatim but
+# for its tokens, which are plain (kind, value, line, col) tuples. It reads
+# any Unicode digit as part of an int token, where the scanner reads ASCII
+# digits only.
+
+_IDENT_START = re.compile(r"[A-Za-z_]")
+_IDENT_CONT = re.compile(r"[A-Za-z0-9_]")
+_OP_CHARS = set("()[]{}|&=:,?*+")
+
+
+def lex_oracle(source: str) -> list[tuple[str, str, int, int]]:
+    """Rule-file tokens; raises RuleParseError as the rule lexer does."""
+    RuleParseError = ruledsl.RuleParseError
+    toks: list[tuple[str, str, int, int]] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+
+    def advance(k: int = 1) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            while i < n and source[i] != "\n":
+                advance()
+            continue
+        start_line, start_col = line, col
+        if ch == "/":
+            advance()
+            body: list[str] = []
+            while i < n and source[i] != "/":
+                if source[i] == "\n":
+                    raise RuleParseError("unterminated token regex", start_line, start_col)
+                if source[i] == "\\" and i + 1 < n:
+                    nxt = source[i + 1]
+                    body.append("/" if nxt == "/" else "\\" + nxt)
+                    advance(2)
+                else:
+                    body.append(source[i])
+                    advance()
+            if i >= n:
+                raise RuleParseError("unterminated token regex", start_line, start_col)
+            advance()
+            toks.append(("regex", "".join(body), start_line, start_col))
+            continue
+        if ch == '"':
+            advance()
+            body = []
+            while i < n and source[i] != '"':
+                if source[i] == "\n":
+                    raise RuleParseError("unterminated string", start_line, start_col)
+                if source[i] == "\\" and i + 1 < n:
+                    nxt = source[i + 1]
+                    body.append(nxt if nxt in '"\\' else "\\" + nxt)
+                    advance(2)
+                else:
+                    body.append(source[i])
+                    advance()
+            if i >= n:
+                raise RuleParseError("unterminated string", start_line, start_col)
+            advance()
+            toks.append(("string", "".join(body), start_line, start_col))
+            continue
+        if ch == "$":
+            advance()
+            if i >= n or not _IDENT_START.match(source[i]):
+                raise RuleParseError("expected a name after '$'", start_line, start_col)
+            s = i
+            while i < n and _IDENT_CONT.match(source[i]):
+                advance()
+            toks.append(("pname", source[s:i], start_line, start_col))
+            continue
+        if ch.isdigit():
+            s = i
+            while i < n and source[i].isdigit():
+                advance()
+            toks.append(("int", source[s:i], start_line, start_col))
+            continue
+        if _IDENT_START.match(ch):
+            s = i
+            while i < n and _IDENT_CONT.match(source[i]):
+                advance()
+            toks.append(("ident", source[s:i], start_line, start_col))
+            continue
+        if ch in _OP_CHARS:
+            if ch in "*+" and i + 1 < n and source[i + 1] == "?":
+                toks.append(("op", ch + "?", start_line, start_col))
+                advance(2)
+            else:
+                toks.append(("op", ch, start_line, start_col))
+                advance()
+            continue
+        raise RuleParseError(f"unexpected character {ch!r}", start_line, start_col)
+    toks.append(("eof", "", line, col))
+    return toks

@@ -43,6 +43,40 @@ def test_annotate_bad_rules_exit_2(corpus, tmp_path):
     assert code == 2
 
 
+_RULE = '{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(K, "v") )%s }\n'
+
+
+def _chain(n, body):
+    """``$b0 = ( /a/ )``, then ``$bN = ( body )`` for N = 1 .. n-1, and a rule on the last."""
+    bindings = "".join(f"$b{i} = ( {body.format(i - 1)} )\n" for i in range(1, n))
+    return "$b0 = ( /a/ )\n" + bindings + _RULE % (f"$b{n - 1}", "")
+
+
+@pytest.mark.parametrize("source, message", [
+    (_RULE % ("/a/", ", stage: ²"), "line 1, column 78: unexpected character '²'"),
+    (_RULE % ("/a/{0,²}", ""), "line 1, column 40: unexpected character '²'"),
+    (_RULE % ("/a/", ", stage: " + "9" * 5000), "a stage number has more than 9 digits"),
+    (_RULE % ("/a/{0," + "9" * 5000 + "}", ""), "a repeat bound has more than 9 digits"),
+    (_RULE % ("(" * 300 + "/a/" + ")" * 300, ""), "pattern nested too deeply"),
+    (_chain(3000, "$b{}"), "line 3001, column 1: pattern nested too deeply"),
+    (_RULE % ("/a{99999999999}/", ""),
+     "invalid character regex /a{99999999999}/: the repetition number is too large"),
+    (_RULE % ("/a/{0,200000}", ""),
+     "line 1, column 1: pattern compiles to more than 10000 instructions"),
+    (_chain(19, "$b{0} $b{0}"),
+     "line 20, column 1: pattern compiles to more than 10000 instructions"),
+], ids=["non-ascii-stage", "non-ascii-bound", "long-stage", "long-bound", "deep-parens",
+        "binding-chain", "regex-overflow", "repeat-size", "doubling-bindings"])
+def test_annotate_malformed_rules_is_rule_error(corpus, tmp_path, capsys, source, message):
+    rules = tmp_path / "bad.tre"
+    rules.write_text(source, encoding="utf-8")
+    code = main(["annotate", "--rules", str(rules), "--in", str(corpus / "docs"),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rule error: line ") and err.endswith(message + "\n"), err
+
+
 def test_annotate_empty_dir_header_only(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -386,6 +420,19 @@ def test_eval_non_finite_record_value_exit_1(corpus, tmp_path, capsys, side, tty
 ], ids=["cell-key", "evolution-cell-key", "scenario-without-periods"])
 def test_eval_unknown_record_key_exit_1(corpus, tmp_path, capsys, side, ttype, edit, message):
     code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side, ttype, edit)
+    assert code == 1
+    assert capsys.readouterr().err == f"input error: {tables}:{lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("side", ["gold", "pred"])
+@pytest.mark.parametrize("edit, message", [
+    (_set("doc_id", value=["kid00001"]), "tables row: 'doc_id' must be a string, got ['kid00001']"),
+    (_set("status", value="extractd"), "tables row: unknown status 'extractd'"),
+    (_set("status", value=None), "tables row: unknown status None"),
+], ids=["doc-id-list", "status-typo", "status-null"])
+def test_eval_table_row_bad_doc_id_or_status_exit_1(corpus, tmp_path, capsys, side, edit, message):
+    code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side,
+                                                       "costs_evolution", edit)
     assert code == 1
     assert capsys.readouterr().err == f"input error: {tables}:{lineno}: {message}\n"
 

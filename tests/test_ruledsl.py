@@ -1,6 +1,9 @@
 import random
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from helpers import STD_BINDINGS, rand_pattern
 from kidex import ruledsl
@@ -8,6 +11,7 @@ from kidex.ruledsl import (Alt, AnnotateAction, AttrSet, Constraint, NamedGroup,
                            RuleCompileError, RuleParseError, Seq, TokenRegex, VarRef,
                            compile_pattern, compile_rules, parse_pattern, parse_rules,
                            print_pattern, print_rules)
+from oracles import lex_oracle
 
 ISIN_RULE = '''
 $StartISIN = (
@@ -185,4 +189,170 @@ def test_default_ruleset_parses_and_prints():
     src = resources.files("kidex.data").joinpath("default_rules.tre").read_text("utf-8")
     rf = parse_rules(src, "default")
     assert len(rf.rules) == 8
+    assert parse_rules(print_rules(rf)) == rf
+
+
+def test_string_binding_keeps_escaped_backslash_before_slash():
+    # the string "/\\\\//" holds /\\//, whose body \\/ is an escaped backslash, then a slash
+    rf = parse_rules('$b = "/\\\\\\\\//"')
+    assert rf.bindings[0].regex == "\\\\/"
+    assert parse_rules(print_rules(rf)) == rf
+
+
+def test_int_tokens_are_ascii_digits():
+    with pytest.raises(RuleParseError, match="unexpected character '²'"):
+        parse_pattern("/a/{0,²}")
+
+
+def test_numbers_past_nine_digits_rejected():
+    assert parse_pattern("/a/{0,999999999}") == Repeat(TokenRegex("a"), 0, 999999999)
+    with pytest.raises(RuleParseError, match="a repeat bound has more than 9 digits"):
+        parse_pattern("/a/{0,1000000000}")
+
+
+def test_deep_nesting_is_a_parse_error():
+    src = '{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(K, "v") ) }'
+    with pytest.raises(RuleParseError, match="pattern nested too deeply"):
+        parse_rules(src % ("(" * 300 + "/a/" + ")" * 300))
+
+
+def test_program_size_is_capped_at_the_rule():
+    src = '\n{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(K, "v") ) }'
+    limit = ruledsl.MAX_PROGRAM_SIZE
+    # /a/{0,n} compiles to n SPLIT + n PRED instructions and a MATCH
+    n = (limit - 1) // 2
+    fits = compile_rules(parse_rules(src % "/a/{0,%d}" % n))
+    assert len(fits.all_rules()[0].pattern.instrs) == 2 * n + 1 <= limit
+    with pytest.raises(RuleCompileError, match=f"more than {limit} instructions") as exc:
+        compile_rules(parse_rules(src % "/a/{0,%d}" % (n + 1)))
+    assert (exc.value.line, exc.value.col) == (2, 1)
+
+
+def test_empty_body_repeated_compiles_at_once():
+    compiled = compile_pattern(parse_pattern("(/a/{0,0}){999999999,999999999} /b/"))
+    assert len(compiled.instrs) == 2
+
+
+def test_regex_overflow_is_a_compile_error():
+    with pytest.raises(RuleCompileError, match="repetition number is too large"):
+        compile_pattern(parse_pattern("/a{99999999999}/"))
+
+
+# --- properties over rule sources -------------------------------------------
+
+_PACKAGED = resources.files("kidex.data").joinpath("default_rules.tre").read_text("utf-8")
+_SOURCES = (_PACKAGED, ISIN_RULE,
+            '$G1 = ( (?$Inner /a/) )\n'
+            '{ ruleType: "tokens", pattern: ( $G1 /b/{1,3} ), action: ( Annotate($Inner, K, "v") ),'
+            ' stage: 2 }',
+            r'$d = ( /[0-9]\/[0-9]/ ) $s = "/a\\/b\\\\/" // c' '\n'
+            '{ ruleType: "tokens", pattern: ( $d [{word:$s} & {K:/x|y/}]*? ), '
+            'action: ( Annotate(K, "q\\"\\\\") ) }')
+_EDIT_CHARS = list('()[]{}|&=:,?*+/"\\$ \n\tab_09é') + ["//", "\\\n"]
+# past the parser's limits: deep nesting (the test runner may raise the recursion
+# limit), numbers past int()'s digit limit, oversized programs and char regexes
+_EDIT_PHRASES = ["{0,", "$x", "(?$G ", ", stage: 3", "(" * 5000, "{0,%s}" % ("9" * 5000),
+                 ", stage: %s" % ("9" * 5000), "{0,%s}" % ("9" * 12), "/a{99999999999}/",
+                 "/[/", "/a/{0,200000}"]
+
+
+def _mutate(rng, chars, phrases):
+    """One of _SOURCES after 1-3 edits: a char inserted, deleted or substituted at any
+    offset, or a phrase inserted at a whitespace offset, where it stands as its own tokens."""
+    src = rng.choice(_SOURCES)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice("idswww")
+        offsets = [m.start() for m in re.finditer(r"\s", src)] if op == "w" else []
+        i = rng.choice(offsets) if offsets else rng.randint(0, len(src))
+        text = rng.choice(phrases if op == "w" else chars) if op != "d" else ""
+        src = src[:i] + text + src[i + (op in "ds"):]
+    return src
+
+
+def _mutated(chars, phrases):
+    # edits come from a seeded Random, so they spread over the whole source
+    return st.integers(0, 2 ** 32 - 1).map(lambda n: _mutate(random.Random(n), chars, phrases))
+
+
+@seed(20221018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(src=_mutated(_EDIT_CHARS + ["²", "٣"], _EDIT_PHRASES + ["{0,²}", ", stage: ²"]))
+def test_mutated_rule_sources_raise_only_rule_errors(src):
+    try:
+        compile_rules(parse_rules(src, "mutated"))
+    except ruledsl.RuleError as e:
+        assert e.line is not None and e.col is not None
+
+
+@seed(20221019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(src=_mutated(_EDIT_CHARS, _EDIT_PHRASES))
+def test_lexer_agrees_with_character_loop_reference(src):
+    try:
+        expected = lex_oracle(src)
+    except RuleParseError as e:
+        with pytest.raises(RuleParseError) as exc:
+            ruledsl._lex(src)
+        assert str(exc.value) == str(e)
+    else:
+        assert [tuple(t) for t in ruledsl._lex(src)] == expected
+
+
+_RX = st.lists(st.sampled_from(["a", "b|c", "[0-9]", "\\/", "\\\\", "\\d", ".", '"', "é"]),
+               min_size=1, max_size=4).map("".join)
+_LIT = st.lists(st.sampled_from(["a", '\\"', "\\\\", "\\n", "/", " ", "é"]),
+                max_size=4).map("".join)
+# inside "/.../": \\/ reads as \/, \\\\/ as \\/, \\\\ as \\, \" as "
+_STRING_RX = st.lists(st.sampled_from(["a", "[0-9]", "/", "\\\\/", "\\\\\\\\/", "\\\\\\\\",
+                                       '\\"', "\\\\d"]), min_size=1, max_size=4).map("".join)
+_SPACE = st.sampled_from([" ", "\n", "\t", " // note\n"])
+
+
+@st.composite
+def _pattern_source(draw, names, depth=3):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        kind = draw(st.integers(0, 3 if names else 2))
+        if kind == 0:
+            return "/%s/" % draw(_RX)
+        if kind == 1:
+            return "/*/"
+        if kind == 2:
+            value = draw(st.one_of(_LIT.map('"{}"'.format), _RX.map("/{}/".format),
+                                   st.sampled_from(["$R"] if "R" in names else ['"x"'])))
+            return "[{word:%s} & {KEY:%s}]" % (value, draw(_LIT.map('"{}"'.format)))
+        return "$" + draw(st.sampled_from(names))
+    inner = st.lists(_pattern_source(names, depth - 1), min_size=1, max_size=3)
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(_SPACE).join(draw(inner))
+    if kind == 1:
+        return " | ".join(draw(inner))
+    if kind == 2:
+        return "(?$G%d %s)" % (draw(st.integers(0, 2)), " ".join(draw(inner)))
+    quant = draw(st.sampled_from(["?", "*", "+", "*?", "+?", "{0,2}", "{1,1}", ""]))
+    return "(%s)%s" % (" ".join(draw(inner)), quant)
+
+
+@st.composite
+def _rule_file_source(draw):
+    lines = ['$R = "/%s/"' % draw(_STRING_RX)]
+    names = ["R"]
+    for k in range(draw(st.integers(0, 2))):
+        lines.append("$P%d = ( %s )" % (k, draw(_pattern_source(names))))
+        names.append("P%d" % k)
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = "(?$Cap %s)" % draw(_pattern_source(names))
+        group = draw(st.sampled_from(["", "$Cap, "]))
+        value = draw(st.one_of(st.just("CAPTURED_TEXT"), _LIT.map('"{}"'.format)))
+        stage = draw(st.sampled_from(["", ", stage: 0", ", stage: 12"]))
+        lines.append('{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(%sK, %s) )%s }'
+                     % (pattern, group, value, stage))
+    return draw(_SPACE).join(lines)
+
+
+@seed(20221020)
+@settings(max_examples=200, deadline=None, database=None)
+@given(src=_rule_file_source())
+def test_print_parse_round_trip_on_generated_rule_files(src):
+    rf = parse_rules(src, "generated")
     assert parse_rules(print_rules(rf)) == rf
