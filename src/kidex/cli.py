@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,29 @@ from .normalize import LOCALE_HINTS, ConfusionMap
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_RULES = 2
+
+
+class OutputError(Exception):
+    """Writing an output file failed; the message is the OSError's."""
+
+
+@contextmanager
+def _writing():
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(e) from None
+
+
+# The error policy of annotate, tables and eval: the stderr prefix and exit code per
+# exception class. Config errors, mask skips and gen errors are reported where they occur.
+_ERRORS = {
+    OutputError: ("cannot write output", EXIT_IO),
+    ruledsl.RuleError: ("rule error", EXIT_RULES),
+    matcher.RuleComplexityError: ("rule error", EXIT_RULES),
+    OSError: ("input error", EXIT_IO),
+    SchemaError: ("input error", EXIT_IO),
+}
 
 
 @dataclass
@@ -96,24 +120,15 @@ def _default_rules_text() -> str:
     return resources.files("kidex.data").joinpath("default_rules.tre").read_text(encoding="utf-8")
 
 
-def _doc_paths(in_dir: Path) -> list[Path]:
-    if not in_dir.is_dir():
-        raise NotADirectoryError(str(in_dir))
-    return sorted(p for p in in_dir.iterdir()
-                  if p.suffix.lower() in (".txt", ".json") and p.is_file())
-
-
-def _page_file_paths(pages: Path) -> list[Path]:
-    if pages.is_dir():
-        return sorted(p for p in pages.iterdir()
-                      if p.name.endswith(".json") and p.is_file())
-    if pages.is_file():
-        return [pages]
-    raise FileNotFoundError(str(pages))
+def _files(directory: Path, keep) -> list[Path]:
+    """The files in ``directory`` whose path ``keep`` accepts, in name order."""
+    if not directory.is_dir():
+        raise NotADirectoryError(f"not a directory: {directory}")
+    return sorted(p for p in directory.iterdir() if keep(p) and p.is_file())
 
 
 # mask files are named <doc_id>.p<page>.json
-_MASK_SUFFIX_RE = re.compile(r"\.p\d+\.json$")
+_MASK_NAME_RE = re.compile(r"(.+)\.p(\d+)\.json")
 
 
 def _doc_id_for(path: Path) -> str:
@@ -127,50 +142,25 @@ def _doc_id_for(path: Path) -> str:
 
 def cmd_annotate(args, config: Config) -> int:
     rules_path = args.rules or config.rules
-    try:
-        source = read_utf8(rules_path) if rules_path else _default_rules_text()
-        source_name = rules_path or "default_rules.tre"
-        compiled = ruledsl.compile_rules(ruledsl.parse_rules(source, str(source_name)))
-    except ruledsl.RuleError as e:
-        print(f"rule error: {e}", file=sys.stderr)
-        return EXIT_RULES
-    except OSError as e:
-        print(f"cannot read rules: {e}", file=sys.stderr)
-        return EXIT_IO
-    except SchemaError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        sections_path = args.sections or config.sections
-        section_cfg = (annotate_mod.load_section_config(sections_path) if sections_path
-                       else annotate_mod.default_section_config())
-        docs = _doc_paths(Path(args.in_dir))
-    except (OSError, SchemaError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
+    source = read_utf8(rules_path) if rules_path else _default_rules_text()
+    rule_file = ruledsl.parse_rules(source, str(rules_path or "default_rules.tre"))
+    compiled = ruledsl.compile_rules(rule_file)
+    sections_path = args.sections or config.sections
+    section_cfg = (annotate_mod.load_section_config(sections_path) if sections_path
+                   else annotate_mod.default_section_config())
+    docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
 
     results: list[matcher.ExtractionResult] = []
-    try:
-        for path in docs:
-            doc = textprep.load_document(_doc_id_for(path), path)
-            doc = annotate_mod.tokenize_document(doc)
-            doc = annotate_mod.annotate_sections(doc, section_cfg)
-            _doc, found = matcher.run_rules(compiled, doc)
-            results.extend(found)
-    except matcher.RuleComplexityError as e:
-        print(f"rule error: {e}", file=sys.stderr)
-        return EXIT_RULES
-    except (OSError, SchemaError, textprep.IngestError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
+    for path in docs:
+        doc = textprep.load_document(_doc_id_for(path), path)
+        doc = annotate_mod.tokenize_document(doc)
+        doc = annotate_mod.annotate_sections(doc, section_cfg)
+        _doc, found = matcher.run_rules(compiled, doc)
+        results.extend(found)
 
     results.sort(key=lambda r: (r.doc_id, r.field, r.first_token, r.last_token, r.rule_id))
-    try:
+    with _writing():
         matcher.export_results(results, args.format, args.out)
-    except OSError as e:
-        print(f"cannot write output: {e}", file=sys.stderr)
-        return EXIT_IO
     print(f"annotate: {len(docs)} documents, {len(results)} extractions -> {args.out}")
     return EXIT_OK
 
@@ -181,72 +171,59 @@ def cmd_annotate(args, config: Config) -> int:
 
 def cmd_tables(args, config: Config) -> int:
     labels_path = args.labels or config.labels
-    try:
-        tab_cfg = config.tab_config()
-        labels = (tabrec.load_labels_config(labels_path) if labels_path
-                  else tabrec.default_labels_config())
-    except (OSError, SchemaError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
+    tab_cfg = config.tab_config()
+    labels = (tabrec.load_labels_config(labels_path) if labels_path
+              else tabrec.default_labels_config())
     cmap = config.confusion_map()
 
-    masks_dir = Path(args.masks)
-    if not masks_dir.is_dir():
-        print(f"input error: not a directory: {masks_dir}", file=sys.stderr)
-        return EXIT_IO
+    # both maps are keyed by the file name, which a mask's content must repeat
     masks: dict[tuple[str, int], object] = {}
     skipped_docs: set[str] = set()
-    for path in sorted(masks_dir.iterdir()):
-        if not (path.is_file() and path.suffix == ".json"):
-            continue
+    for path in _files(Path(args.masks), lambda p: p.suffix == ".json"):
+        named = _MASK_NAME_RE.fullmatch(path.name)
         try:
+            if named is None:
+                raise SchemaError("the name is not <doc_id>.p<page>.json")
             page = load_page_detections(path)
+            if (page.doc_id, str(page.page)) != named.groups():
+                raise SchemaError(f"doc_id {page.doc_id!r} and page {page.page} "
+                                  "disagree with the file name")
             masks[(page.doc_id, page.page)] = page
         except (SchemaError, OSError) as e:
             print(f"warning: skipping malformed mask file {path.name}: {e}", file=sys.stderr)
             if args.strict:
                 return EXIT_IO
-            skipped_docs.add(_MASK_SUFFIX_RE.sub("", path.name))
+            if named is not None:
+                skipped_docs.add(named[1])
 
-    try:
-        page_files = _page_file_paths(Path(args.pages))
-    except OSError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
-
+    pages = Path(args.pages)
+    page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
     rows: list[dict] = []
-    try:
-        for path in page_files:
-            doc = textprep.load_document(_doc_id_for(path), path)
-            if doc.doc_id in skipped_docs:
-                continue
-            page_map = tabrec.identify_pages(doc.page_texts(), tab_cfg)
-            for ttype in tabrec.TableType:
-                pageno = page_map.get(ttype)
-                record = None
-                if pageno is not None and (doc.doc_id, pageno) in masks:
-                    page = masks[(doc.doc_id, pageno)]
-                    try:
-                        hit = tabrec.extract_table(page, ttype, tab_cfg, labels)
-                    except tabrec.AmbiguousTableError as e:
-                        print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
-                        hit = None
-                    if hit is not None:
-                        record, warnings = tabrec.map_to_record(hit[0], hit[1], labels, cmap,
-                                                                config.locale_hint)
-                        for w in warnings:
-                            print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
-                rows.append(tabrec.table_row_dict(doc.doc_id, pageno, ttype, record))
-    except (OSError, SchemaError, textprep.IngestError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
+    for path in page_files:
+        doc = textprep.load_document(_doc_id_for(path), path)
+        if doc.doc_id in skipped_docs:
+            continue
+        page_map = tabrec.identify_pages(doc.page_texts(), tab_cfg)
+        for ttype in tabrec.TableType:
+            pageno = page_map.get(ttype)
+            record = None
+            if pageno is not None and (doc.doc_id, pageno) in masks:
+                page = masks[(doc.doc_id, pageno)]
+                try:
+                    hit = tabrec.extract_table(page, ttype, tab_cfg, labels)
+                except tabrec.AmbiguousTableError as e:
+                    print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
+                    hit = None
+                if hit is not None:
+                    record, warnings = tabrec.map_to_record(hit[0], hit[1], labels, cmap,
+                                                            config.locale_hint)
+                    for w in warnings:
+                        print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
+            rows.append(tabrec.table_row_dict(doc.doc_id, pageno, ttype, record))
 
     rows.sort(key=lambda r: (r["doc_id"], r["type"]))
-    try:
+    with _writing():
         tabrec.write_tables_jsonl(rows, args.out)
-    except OSError as e:
-        print(f"cannot write output: {e}", file=sys.stderr)
-        return EXIT_IO
 
     print(f"{'table type':<24} {'Extracted':>10} {'Missing':>10}")
     for ttype in tabrec.TableType:
@@ -262,36 +239,24 @@ def cmd_tables(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_predictions(pred_dir: Path):
+    found = {p.name: p for p in _files(pred_dir, lambda p: True)}
     fields: list[evalkit.Triple] = []
-    for name in ("fields.jsonl", "fields.csv"):
-        path = pred_dir / name
-        if path.exists():
-            for i, row in enumerate(matcher.read_results_file(path), 1):
-                fields.append(evalkit._field_triple(row, f"{path}: row {i}"))
-            break
-    tables_path = pred_dir / "tables.jsonl"
-    tables = evalkit.load_gold_tables(tables_path) if tables_path.exists() else {}
+    path = found.get("fields.jsonl") or found.get("fields.csv")
+    if path is not None:
+        for i, row in enumerate(matcher.read_results_file(path), 1):
+            fields.append(evalkit._field_triple(row, f"{path}: row {i}"))
+    tables = evalkit.load_gold_tables(found["tables.jsonl"]) if "tables.jsonl" in found else {}
     return fields, tables
 
 
 def cmd_eval(args, config: Config) -> int:
-    try:
-        gold = evalkit.load_gold_set(Path(args.gold))
-        fields, tables = _load_predictions(Path(args.pred))
-    except FileNotFoundError as e:
-        print(f"missing file: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, SchemaError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_IO
+    gold = evalkit.load_gold_set(Path(args.gold))
+    fields, tables = _load_predictions(Path(args.pred))
     report = evalkit.evaluate(gold, fields, tables)
     sys.stdout.write(evalkit.format_report(report))
     report_path = Path(args.report) if args.report else Path(args.pred) / "eval_report.json"
-    try:
+    with _writing():
         report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    except OSError as e:
-        print(f"cannot write report: {e}", file=sys.stderr)
-        return EXIT_IO
     print(f"report -> {report_path}")
     return EXIT_OK
 
@@ -353,7 +318,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, SchemaError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_IO
-    return args.func(args, config)
+    try:
+        return args.func(args, config)
+    except tuple(_ERRORS) as e:
+        prefix, code = next(_ERRORS[cls] for cls in _ERRORS if isinstance(e, cls))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -73,12 +73,10 @@ def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str,
 
 def load_gold_set(gold_dir: str | Path) -> GoldSet:
     gold_dir = Path(gold_dir)
-    fields_path = gold_dir / "fields.jsonl"
-    if not fields_path.exists():
-        raise FileNotFoundError(str(fields_path))
+    fields = load_gold_fields(gold_dir / "fields.jsonl")
     tables_path = gold_dir / "tables.jsonl"
     tables = load_gold_tables(tables_path) if tables_path.exists() else {}
-    return GoldSet.from_parts(load_gold_fields(fields_path), tables)
+    return GoldSet.from_parts(fields, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,6 @@ class Annotation:
         if not (0 <= self.first <= self.last):
             raise ValueError(f"annotation range invalid: [{self.first}, {self.last}]")
 
-    def to_dict(self) -> dict:
-        return {"key": self.key, "value": self.value, "first": self.first,
-                "last": self.last, "rule_id": self.rule_id}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Annotation":
-        return cls(d["key"], d["value"], d["first"], d["last"], d.get("rule_id", "system"))
-
 
 def _check_tokens(text: str, tokens: tuple[Token, ...]) -> None:
     prev_end = -1
@@ -188,26 +180,6 @@ class Document:
             out.append(self.text[s:end])
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "text": self.text,
-            "tokens": [{"text": t.text, "begin": t.begin, "end": t.end, "index": t.index}
-                       for t in self.tokens],
-            "annotations": [a.to_dict() for a in self.annotations],
-            "pages": list(self.pages) if self.pages is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Document":
-        return cls(
-            doc_id=d["doc_id"],
-            text=d["text"],
-            tokens=tuple(Token(**t) for t in d["tokens"]),
-            annotations=tuple(Annotation.from_dict(a) for a in d["annotations"]),
-            pages=tuple(d["pages"]) if d.get("pages") is not None else None,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Geometry and detections
@@ -232,9 +204,6 @@ class BBox(namedtuple("BBox", "left top right bottom")):
     def _make(cls, iterable) -> "BBox":
         return cls(*iterable)
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
     @property
     def width(self) -> int:
         return self.right - self.left
@@ -249,13 +218,6 @@ class BBox(namedtuple("BBox", "left top right bottom")):
 
     def to_dict(self) -> dict:
         return {"left": self.left, "top": self.top, "right": self.right, "bottom": self.bottom}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BBox":
-        try:
-            return cls(d["left"], d["top"], d["right"], d["bottom"])
-        except KeyError as e:
-            raise SchemaError(f"bbox: missing field {e.args[0]!r}") from None
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -316,7 +278,7 @@ def _json_box(value, where: str) -> BBox:
 
 def _check_bounds(box: BBox, where: str, width, height) -> None:
     if box.left < 0 or box.top < 0 or box.right > width or box.bottom > height:
-        raise SchemaError(f"{where}: bbox {box.as_tuple()} outside page {width}x{height}")
+        raise SchemaError(f"{where}: bbox {tuple(box)} outside page {width}x{height}")
 
 
 def _json_list(d: Mapping, key: str) -> list:
@@ -367,12 +329,6 @@ class OcrEntry(namedtuple("OcrEntry", "bbox text")):
 
     def to_dict(self) -> dict:
         return {"bbox": self.bbox.to_dict(), "text": self.text}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "OcrEntry":
-        if "text" not in d:
-            raise SchemaError("ocr entry: missing field 'text'")
-        return cls(BBox.from_dict(d["bbox"]), d["text"])
 
 
 def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
@@ -483,13 +439,6 @@ class Cell:
     bbox: BBox
     text: str
 
-    def to_dict(self) -> dict:
-        return {"bbox": self.bbox.to_dict(), "text": self.text}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Cell":
-        return cls(BBox.from_dict(d["bbox"]), d["text"])
-
 
 @dataclass(frozen=True)
 class RawTable:
@@ -504,15 +453,6 @@ class RawTable:
             for a, b in zip(row, row[1:]):
                 if b.bbox.left < a.bbox.left:
                     raise ValueError(f"row {r} cells not sorted by left edge")
-
-    def to_dict(self) -> dict:
-        return {"table_bbox": self.table_bbox.to_dict(),
-                "rows": [[c.to_dict() for c in row] for row in self.rows]}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RawTable":
-        return cls(BBox.from_dict(d["table_bbox"]),
-                   tuple(tuple(Cell.from_dict(c) for c in row) for row in d["rows"]))
 
 
 class Scenario(str, Enum):

@@ -25,6 +25,7 @@ predicates with capture slots; execution lives in :mod:`kidex.matcher`.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -221,6 +222,7 @@ class _Parser:
         # capture names: of each pattern binding, and of the pattern being parsed
         self.binding_groups: dict[str, frozenset[str]] = {}
         self.groups: set[str] = set()
+        self.depth = 0  # groups open around the current token
 
     def peek(self, ahead: int = 0) -> Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -411,16 +413,20 @@ class _Parser:
         if self.at_op("["):
             return self.parse_attrset()
         if self.at_op("("):
+            if self.depth == MAX_NESTING:
+                raise self.error("pattern nested too deeply")
             self.next()
-            if self.at_op("?") and self.peek(1).kind == "pname":
+            self.depth += 1
+            named = self.at_op("?") and self.peek(1).kind == "pname"
+            if named:
                 self.next()
                 name_tok = self.next()
                 self.groups.add(name_tok.value)
-                body = self.parse_alt()
-                self.expect_op(")")
-                return NamedGroup(name_tok.value, body, pos=(name_tok.line, name_tok.col))
             inner = self.parse_alt()
             self.expect_op(")")
+            self.depth -= 1
+            if named:
+                return NamedGroup(name_tok.value, inner, pos=(name_tok.line, name_tok.col))
             return inner
         raise self.error("expected a pattern atom (/regex/, [..], $name or a group)")
 
@@ -454,11 +460,7 @@ class _Parser:
 
 def parse_rules(source: str, source_name: str = "rules") -> RuleFile:
     """Parse a rule file; raises RuleParseError with line/column on bad input."""
-    parser = _Parser(source, source_name)
-    try:
-        return parser.parse_file()
-    except RecursionError:
-        raise parser.error("pattern nested too deeply") from None
+    return _Parser(source, source_name).parse_file()
 
 
 def parse_pattern(source: str, bindings: Iterable[Binding] = ()) -> PatternExpr:
@@ -685,6 +687,10 @@ class CompiledRules:
 # instructions one compiled pattern may hold: bounded repeats and binding references copy
 # their bodies, so a short file could compile to millions (the largest packaged has 21)
 MAX_PROGRAM_SIZE = 10_000
+# how deep groups may nest in a pattern: in its source, and once binding references are
+# expanded; parsing and compiling at this depth stay far inside the default recursion limit
+MAX_NESTING = 100
+_RANKS = {Alt: 3, Seq: 2, Repeat: 1}
 
 
 class _PatternCompiler:
@@ -693,6 +699,7 @@ class _PatternCompiler:
         self.pos = pos or (None, None)
         self.instrs: list = []
         self.n_regs = 0
+        self.depth = 0  # group levels open around the current node
 
     def emit(self, op: int, a=None, b=None) -> int:
         if len(self.instrs) >= MAX_PROGRAM_SIZE:
@@ -702,18 +709,17 @@ class _PatternCompiler:
         return len(self.instrs) - 1
 
     def compile(self, node: PatternExpr) -> CompiledPattern:
-        try:
-            self._node(node)
-        except RecursionError:
-            raise RuleCompileError("pattern nested too deeply", *self.pos) from None
+        self._node(node)
         self.emit(OP_MATCH)
         instrs = tuple(tuple(ins) for ins in self.instrs)
         return CompiledPattern(instrs, _first_preds(instrs))
 
     def _regex(self, body: str, pos) -> re.Pattern:
         try:
-            return re.compile(body)
-        except (re.error, OverflowError, RecursionError) as e:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. FutureWarning: Possible nested set
+                return re.compile(body)
+        except (re.error, OverflowError, RecursionError, Warning) as e:
             line, col = pos or (None, None)
             raise RuleCompileError(f"invalid character regex /{body}/: {e}", line, col) from None
 
@@ -723,7 +729,17 @@ class _PatternCompiler:
         rx = self._regex(self.env[c.value].regex if c.kind == "ref" else c.value, c.pos)
         return TextRegexPred(rx) if c.key == "word" else AnnRegexPred(c.key, rx)
 
-    def _node(self, node: PatternExpr) -> None:
+    def _node(self, node: PatternExpr, outer: int = 0) -> None:
+        # the depth counts group levels as a source writes them, bindings expanded: a level
+        # opens at a named group, a pattern binding's body, and an Alt, Seq or Repeat held by
+        # one of no higher rank ``outer`` on its level, which takes a "(" (0: held by none)
+        rank = _RANKS.get(type(node), 0)
+        opens = (rank >= outer > 0 or isinstance(node, NamedGroup)
+                 or isinstance(node, VarRef) and self.env[node.name].pattern is not None)
+        if opens:
+            if self.depth == MAX_NESTING:
+                raise RuleCompileError("pattern nested too deeply", *self.pos)
+            self.depth += 1
         if isinstance(node, TokenRegex):
             pred = AnyPred() if node.wildcard else TextRegexPred(self._regex(node.body, node.pos))
             self.emit(OP_PRED, pred)
@@ -738,13 +754,13 @@ class _PatternCompiler:
                 self.emit(OP_PRED, TextRegexPred(self._regex(binding.regex, node.pos)))
         elif isinstance(node, Seq):
             for item in node.items:
-                self._node(item)
+                self._node(item, rank)
         elif isinstance(node, Alt):
             jumps = []
             for k, option in enumerate(node.options):
                 last = k == len(node.options) - 1
                 split = None if last else self.emit(OP_SPLIT)
-                self._node(option)
+                self._node(option, rank)
                 if not last:
                     jumps.append(self.emit(OP_JMP))
                     self.instrs[split][1] = split + 1
@@ -763,7 +779,7 @@ class _PatternCompiler:
         elif isinstance(node, Repeat):
             for _ in range(node.lo):
                 size = len(self.instrs)
-                self._node(node.body)
+                self._node(node.body, rank)
                 if len(self.instrs) == size:  # an empty body: more copies add nothing
                     break
             if node.hi is None:
@@ -772,6 +788,8 @@ class _PatternCompiler:
                 self._bounded_tail(node.body, node.hi - node.lo, node.lazy)
         else:
             raise TypeError(f"not a pattern node: {node!r}")
+        if opens:
+            self.depth -= 1
 
     def _star_tail(self, body: PatternExpr, lazy: bool) -> None:
         # an iteration that consumes nothing fails via OP_PROGRESS, which
@@ -780,7 +798,7 @@ class _PatternCompiler:
         self.n_regs += 1
         top = self.emit(OP_SPLIT)
         self.emit(OP_SETPOS, reg)
-        self._node(body)
+        self._node(body, _RANKS[Repeat])
         self.emit(OP_PROGRESS, reg)
         self.emit(OP_JMP, top)
         end = len(self.instrs)
@@ -791,7 +809,7 @@ class _PatternCompiler:
         splits = []
         for _ in range(count):
             splits.append(self.emit(OP_SPLIT))
-            self._node(body)
+            self._node(body, _RANKS[Repeat])
         end = len(self.instrs)
         for s in splits:
             self.instrs[s][1:] = [end, s + 1] if lazy else [s + 1, end]
@@ -828,7 +846,8 @@ def compile_pattern(node: PatternExpr, bindings: Iterable[Binding] = ()) -> Comp
 
 def compile_rules(rules: RuleFile) -> CompiledRules:
     """Compile every rule; total on valid rule files except malformed char regexes,
-    patterns nested too deeply and programs past MAX_PROGRAM_SIZE."""
+    patterns nested past MAX_NESTING once bindings are expanded and programs past
+    MAX_PROGRAM_SIZE."""
     env = rules.binding_map()
     by_stage: dict[int, list[CompiledRule]] = {}
     for rule in rules.rules:

@@ -12,10 +12,6 @@ from typing import Optional
 from .model import Document, SchemaError, parse_json_object, read_utf8
 
 
-class IngestError(ValueError):
-    """Input bytes or file structure cannot be ingested."""
-
-
 LIGATURES = {"ﬁ": "fi", "ﬂ": "fl", "ﬀ": "ff", "ﬃ": "ffi", "ﬄ": "ffl"}
 
 # letter "-" newline letter; a blank line after the hyphen never joins
@@ -62,10 +58,7 @@ def load_document(doc_id: str, source: str | Path) -> Document:
     file takes precedence over the argument.
     """
     path = Path(source)
-    try:
-        raw = read_utf8(path)
-    except SchemaError as e:
-        raise IngestError(str(e)) from None
+    raw = read_utf8(path)
     if path.suffix.lower() == ".json":
         file_doc_id, pages = _parse_page_file(raw, path)
         normed = [normalize_text(p) for p in pages]

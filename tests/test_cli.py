@@ -685,3 +685,138 @@ def test_json_past_parser_limits_exit_1(corpus, tmp_path, capsys, bad_file, argv
     assert main(argv(corpus, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err == f"{prefix}{bad}{where}: not valid JSON ({why})\n"
+
+
+@pytest.mark.parametrize("flag", ["--in", "--masks", "--pages", "--pred"])
+def test_missing_input_directory_is_an_input_error(corpus, tmp_path, capsys, flag):
+    missing, out = tmp_path / "nope", tmp_path / "o.csv"
+    argv = {"--in": ["annotate", "--in", corpus / "docs", "--out", out],
+            "--pred": ["eval", "--gold", corpus / "gold", "--pred", tmp_path, "--report", out],
+            }.get(flag, ["tables", "--masks", corpus / "masks", "--pages", corpus / "docs",
+                         "--out", out])
+    argv[argv.index(flag) + 1] = missing
+    assert main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == f"input error: not a directory: {missing}\n"
+    assert not out.exists()
+
+
+def test_eval_empty_pred_directory_is_scored(corpus, tmp_path, capsys):
+    (tmp_path / "pred").mkdir()
+    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(tmp_path / "pred")]) == 0
+    report = json.loads((tmp_path / "pred" / "eval_report.json").read_text(encoding="utf-8"))
+    assert report["micro"]["recall"] == 0.0
+
+
+def _mask_holding_another_doc(masks):
+    (masks / "kid00001.p3.json").write_bytes((masks / "kid00003.p3.json").read_bytes())
+    return "kid00001.p3.json", "doc_id 'kid00003' and page 3 disagree with the file name", \
+        ["kid00002", "kid00003"]
+
+
+def _mask_holding_another_page(masks):
+    mask = json.loads((masks / "kid00002.p4.json").read_text(encoding="utf-8"))
+    mask["page"] = 5
+    (masks / "kid00002.p4.json").write_text(json.dumps(mask), encoding="utf-8")
+    return "kid00002.p4.json", "doc_id 'kid00002' and page 5 disagree with the file name", \
+        ["kid00001", "kid00003"]
+
+
+def _mask_with_a_bad_name(masks):
+    shutil.copy(masks / "kid00002.p4.json", masks / "kid00002.p4.bak.json")
+    return "kid00002.p4.bak.json", "the name is not <doc_id>.p<page>.json", \
+        ["kid00001", "kid00002", "kid00003"]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["skip", "strict"])
+@pytest.mark.parametrize("edit", [_mask_holding_another_doc, _mask_holding_another_page,
+                                  _mask_with_a_bad_name], ids=["doc-id", "page", "name"])
+def test_tables_mask_name_must_agree_with_its_content(corpus, tmp_path, capsys, edit, strict):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    name, why, kept = edit(masks)
+    out = tmp_path / "tables.jsonl"
+    argv = ["tables", "--masks", str(masks), "--pages", str(corpus / "docs"), "--out", str(out)]
+    assert main(["--strict"] * strict + argv) == (1 if strict else 0)
+    assert capsys.readouterr().err == f"warning: skipping malformed mask file {name}: {why}\n"
+    if strict:
+        assert not out.exists()
+        return
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    assert sorted({r["doc_id"] for r in rows}) == kept
+    assert all(r["status"] == "extracted" for r in rows)
+
+
+def test_annotate_regex_that_re_warns_about_is_rule_error(corpus, tmp_path, capsys, recwarn):
+    rules = tmp_path / "bad.tre"
+    rules.write_text(_RULE % ("/[[a]/", ""), encoding="utf-8")
+    code = main(["annotate", "--rules", str(rules), "--in", str(corpus / "docs"),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rule error: line 1, column 34: invalid character regex /[[a]/: "), err
+    assert err.count("\n") == 1
+    assert not recwarn.list
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _policy_case(corpus, tmp_path, row):
+    """The argv of one run that ends in ``row`` of the README's error table."""
+    docs, masks, gold = (str(corpus / d) for d in ("docs", "masks", "gold"))
+    out = str(tmp_path / "out.jsonl")
+    if row == "rule-error":
+        (tmp_path / "bad.tre").write_text("$X = (/a/", encoding="utf-8")
+        return ["annotate", "--rules", str(tmp_path / "bad.tre"), "--in", docs, "--out", out]
+    if row == "rule-error-backtracking":
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "d.txt").write_text("a " * 40, encoding="utf-8")
+        (tmp_path / "slow.tre").write_text(_RULE % ("((/a/|/a/ /a/)+)+ /b/", ""),
+                                           encoding="utf-8")
+        return ["annotate", "--rules", str(tmp_path / "slow.tre"), "--in",
+                str(tmp_path / "docs"), "--out", out]
+    if row == "input-error":
+        return ["eval", "--gold", gold, "--pred", str(tmp_path / "nope")]
+    if row == "config-error":
+        return ["--config", str(tmp_path / "nope.json"), "gen", "--n", "1", "--seed", "1",
+                "--out", str(tmp_path / "c")]
+    if row == "cannot-write-output":
+        return ["tables", "--masks", masks, "--pages", docs, "--out", str(tmp_path / "no" / "t")]
+    if row == "gen-error":
+        return ["gen", "--n", "0", "--seed", "1", "--out", str(tmp_path / "c")]
+    bad_masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    if row.startswith("mask-skipped"):
+        (bad_masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
+        strict = ["--strict"] if row.endswith("strict") else []
+        return strict + ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
+    assert row == "table-warning"
+    mask = bad_masks / "kid00001.p5.json"
+    mask.write_text(mask.read_text(encoding="utf-8").replace("Costi di ingresso", "Costi ignoti"),
+                    encoding="utf-8")
+    return ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
+
+
+# one case per row of the error table in README.md: stderr prefix and exit code
+_POLICY_ROWS = {
+    "rule-error": ("rule error: line 1, column 10: ", 2),
+    "rule-error-backtracking": ("rule error: rule ", 2),
+    "input-error": ("input error: not a directory: ", 1),
+    "config-error": ("config error: ", 1),
+    "cannot-write-output": ("cannot write output: ", 1),
+    "gen-error": ("gen error: n must be >= 1", 1),
+    "mask-skipped": ("warning: skipping malformed mask file kid00001.p3.json: ", 0),
+    "mask-skipped-strict": ("warning: skipping malformed mask file kid00001.p3.json: ", 1),
+    "table-warning": ("warning: kid00001 p5: composition row unmatched: ", 0),
+    "usage": ("usage: kidex ", 2),
+}
+
+
+@pytest.mark.parametrize("row", _POLICY_ROWS)
+def test_error_policy_table(corpus, tmp_path, row):
+    prefix, code = _POLICY_ROWS[row]
+    argv = ["annotate"] if row == "usage" else _policy_case(corpus, tmp_path, row)
+    src = Path(kidex.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "kidex.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr[:len(prefix)]) == (code, prefix), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 or row == "usage"

@@ -111,11 +111,6 @@ def test_every_token_building_path_checks_tokens(tokens, message):
         Document("d", "abc", tokens)
     with pytest.raises(ValueError, match=message):
         Document("d", "abc").with_tokens(tokens)
-    as_dict = {"doc_id": "d", "text": "abc", "annotations": [],
-               "tokens": [{"text": t.text, "begin": t.begin, "end": t.end, "index": t.index}
-                          for t in tokens]}
-    with pytest.raises(ValueError, match=message):
-        Document.from_dict(as_dict)
 
 
 def test_with_annotations_checks_new_annotations_and_keeps_the_rest():
@@ -162,12 +157,6 @@ def test_page_breaks_strictly_increasing():
         Document("d", "abc", (), (), pages=(2, 2))
 
 
-def test_document_round_trip():
-    doc = Document("d", "ab cd", (Token("ab", 0, 2, 0), Token("cd", 3, 5, 1)),
-                   (Annotation("SECTION", "S1", 0, 1),), pages=(3,))
-    assert Document.from_dict(json.loads(json.dumps(doc.to_dict()))) == doc
-
-
 def test_page_detections_round_trip_and_format():
     page = PageDetections(
         "doc1", 3, 2480, 3508,
@@ -201,8 +190,7 @@ def test_confidence_range_enforced():
 
 def test_raw_table_round_trip_and_sorting():
     rows = ((Cell(BBox(0, 0, 10, 10), "a"), Cell(BBox(20, 0, 30, 10), "b")),)
-    table = RawTable(BBox(0, 0, 40, 12), rows)
-    assert RawTable.from_dict(table.to_dict()) == table
+    RawTable(BBox(0, 0, 40, 12), rows)
     with pytest.raises(ValueError):
         RawTable(BBox(0, 0, 40, 12),
                  ((Cell(BBox(20, 0, 30, 10), "b"), Cell(BBox(0, 0, 10, 10), "a")),))
@@ -392,9 +380,7 @@ def test_geometry_repr_and_hash_match_the_frozen_dataclass_values():
     assert repr(entry) == "OcrEntry(bbox=BBox(left=1, top=2, right=3, bottom=4), text='x')"
     assert hash(box) == hash((1, 2, 3, 4))
     assert hash(entry) == hash(((1, 2, 3, 4), "x"))
-    assert (box.width, box.height, box.area, box.as_tuple()) == (2, 2, 4, (1, 2, 3, 4))
-    assert BBox.from_dict(box.to_dict()) == box
-    assert OcrEntry.from_dict(entry.to_dict()) == entry
+    assert (box.width, box.height, box.area) == (2, 2, 4)
 
 
 @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,
@@ -563,8 +549,6 @@ def test_loading_a_dense_page_makes_no_python_call_per_ocr_entry(monkeypatch):
         return wrapper
 
     for cls in (BBox, OcrEntry):
-        monkeypatch.setattr(cls, "from_dict", classmethod(counting(
-            f"{cls.__name__}.from_dict", cls.from_dict.__func__)))
         monkeypatch.setattr(cls, "__new__", counting(f"{cls.__name__}.__new__", cls.__new__))
     page = PageDetections.from_dict(raw)
     assert len(page.ocr) == 400 and page.ocr[7].text == "w7"

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from importlib import resources
 
 import pytest
@@ -214,6 +215,39 @@ def test_deep_nesting_is_a_parse_error():
     src = '{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(K, "v") ) }'
     with pytest.raises(RuleParseError, match="pattern nested too deeply"):
         parse_rules(src % ("(" * 300 + "/a/" + ")" * 300))
+
+
+@pytest.mark.parametrize("recursion_limit", [1000, 20_000], ids=["default", "raised"])
+def test_nesting_limit_is_one_number(recursion_limit):
+    src = '{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(K, "v") ) }'
+    n = ruledsl.MAX_NESTING
+
+    def nested(depth, named):
+        open_ = "(?$G /b/ " if named else "(/b/ "
+        return open_ * depth + "/a/" + ")*" * depth
+
+    def chain(depth, body="/b/ $b{}"):
+        """Each pattern binding wraps the one before it, as if it were a group."""
+        bindings = "".join(f"$b{i} = ( {body.format(i - 1)} )\n" for i in range(1, depth))
+        return "$b0 = ( /a/ )\n" + bindings + src % f"$b{depth - 1}"
+
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(recursion_limit)
+    try:
+        for named in (False, True):
+            assert compile_rules(parse_rules(src % nested(n, named)))
+            with pytest.raises(RuleParseError, match="pattern nested too deeply"):
+                parse_rules(src % nested(n + 1, named))
+        assert compile_rules(parse_rules(chain(n)))
+        with pytest.raises(RuleCompileError,
+                           match=f"^line {n + 2}, column 1: pattern nested too deeply$"):
+            compile_rules(parse_rules(chain(n + 1)))
+        # a group inside each binding: two levels per binding, one for $b0
+        assert compile_rules(parse_rules(chain(n // 2, "/b/ (/c/ $b{})")))
+        with pytest.raises(RuleCompileError, match="pattern nested too deeply"):
+            compile_rules(parse_rules(chain(n // 2 + 1, "/b/ (/c/ $b{})")))
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_program_size_is_capped_at_the_rule():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kidex.model import SchemaError
-from kidex.textprep import IngestError, load_document, normalize_text
+from kidex.textprep import load_document, normalize_text
 
 
 def test_ligatures_mapped():
@@ -91,7 +91,7 @@ def test_load_empty_file_is_fine(tmp_path):
 def test_invalid_utf8_names_byte_offset(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ok \xff\xfe more")
-    with pytest.raises(IngestError, match="byte offset 3"):
+    with pytest.raises(SchemaError, match="byte offset 3"):
         load_document("bad", path)
 
 
