@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from .model import Annotation, Document, SchemaError, Token, parse_json_object, read_utf8
+from .model import (Annotation, Document, SchemaError, Struct, Token, parse_json_object,
+                    read_utf8)
 
 SECTION_KEY = "SECTION"
 
@@ -50,17 +50,15 @@ def tokenize_document(doc: Document) -> Document:
     return doc.with_tokens(tokenize(doc.text))
 
 
-@dataclass(frozen=True)
-class SectionSpec:
+class SectionSpec(Struct):
     name: str
     header_patterns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SectionConfig:
+class SectionConfig(Struct):
     sections: tuple[SectionSpec, ...]
 
-    def __post_init__(self):
+    def _check(self):
         names = [s.name for s in self.sections]
         if len(set(names)) != len(names):
             raise ValueError("section names must be unique")

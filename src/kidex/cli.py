@@ -11,7 +11,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -19,7 +18,8 @@ from typing import Optional
 from . import annotate as annotate_mod
 from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
-from .model import SchemaError, json_object, load_page_detections, parse_json_object, read_utf8
+from .model import (Factory, SchemaError, Struct, json_object, load_page_detections,
+                    parse_json_object, read_utf8)
 from .normalize import LOCALE_HINTS, ConfusionMap
 
 EXIT_OK = 0
@@ -50,14 +50,17 @@ _ERRORS = {
 }
 
 
-@dataclass
-class Config:
+class Config(Struct):
     rules: Optional[str] = None
     sections: Optional[str] = None
     labels: Optional[str] = None
-    tab: dict = field(default_factory=dict)  # inline TabConfig fields
+    tab: dict = Factory(dict)  # inline TabConfig fields
     confusions: Optional[dict] = None
     locale_hint: str = "it"
+    # filled in from the config file, so mutable and unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":
@@ -65,9 +68,8 @@ class Config:
             return cls()
         data = parse_json_object(read_utf8(path), path)
         cfg = cls()
-        known = {f.name for f in fields(cls)}
         for key, value in data.items():
-            if key not in known:
+            if key not in cls._fields:
                 raise SchemaError(f"{path}: unknown key {key!r}")
             setattr(cfg, key, value)
         if isinstance(cfg.tab, str):  # a path to a separate tab-config JSON

@@ -8,12 +8,11 @@ mismatches are counted as incorrect rather than missing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from . import tabrec
-from .model import Record, SchemaError, TableType, read_jsonl
+from .model import Factory, Record, SchemaError, Struct, TableType, read_jsonl
 
 _WS_RE = re.compile(r"\s+")
 
@@ -25,8 +24,7 @@ def _norm_value(value: str) -> str:
 Triple = tuple[str, str, str]  # (doc_id, field, value)
 
 
-@dataclass(frozen=True)
-class GoldSet:
+class GoldSet(Struct):
     """Gold field triples plus per-(doc, type) table truth."""
     fields: frozenset[Triple]
     tables: Mapping[tuple[str, TableType], tuple[str, Optional[Record]]]
@@ -97,8 +95,7 @@ def f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
-class FieldScore:
+class FieldScore(Struct):
     tp: int
     fp: int
     fn: int
@@ -121,8 +118,7 @@ class FieldScore:
                 "f_measure": self.f}
 
 
-@dataclass(frozen=True)
-class TableScore:
+class TableScore(Struct):
     extracted: int = 0   # status extracted and record equals gold
     incorrect: int = 0   # status extracted but record differs
     missing: int = 0     # predicted missing (or absent) where gold has a table
@@ -132,11 +128,10 @@ class TableScore:
                 "missing": self.missing}
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Struct):
     fields: Mapping[str, FieldScore]
     micro: FieldScore
-    tables: Mapping[TableType, TableScore] = field(default_factory=dict)
+    tables: Mapping[TableType, TableScore] = Factory(dict)
 
     def to_dict(self) -> dict:
         return {

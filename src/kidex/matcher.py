@@ -12,12 +12,11 @@ import csv
 import io
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .model import Annotation, Document, read_jsonl, read_utf8
+from .model import Annotation, Document, Struct, read_jsonl, read_utf8
 from .ruledsl import (OP_GEND, OP_GSTART, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS,
                       OP_SETPOS, OP_SPLIT, CompiledPattern, CompiledRule, CompiledRules)
 
@@ -33,17 +32,19 @@ class RuleComplexityError(RuntimeError):
                          f"{BACKTRACK_STEP_LIMIT} steps at one start position")
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(Struct):
     """A rule match; spans are half-open token index ranges."""
     rule_id: str
     start: int
     end: int
     captures: Mapping[str, tuple[int, int]]
 
+    def __init__(self, rule_id: str, start: int, end: int,
+                 captures: Mapping[str, tuple[int, int]]):
+        self.__dict__.update(rule_id=rule_id, start=start, end=end, captures=captures)
 
-@dataclass(frozen=True)
-class ExtractionResult:
+
+class ExtractionResult(Struct):
     """One extracted field; the token range is the annotated capture, inclusive."""
     doc_id: str
     field: str
@@ -52,6 +53,11 @@ class ExtractionResult:
     first_token: int
     last_token: int
     rule_id: str
+
+    def __init__(self, doc_id: str, field: str, value: str, tag: str, first_token: int,
+                 last_token: int, rule_id: str):
+        self.__dict__.update(doc_id=doc_id, field=field, value=value, tag=tag,
+                             first_token=first_token, last_token=last_token, rule_id=rule_id)
 
     def to_dict(self) -> dict:
         return {"doc_id": self.doc_id, "field": self.field, "value": self.value,

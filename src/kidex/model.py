@@ -9,7 +9,6 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import chain, product, repeat
@@ -81,11 +80,88 @@ def dec_str(value: Decimal) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+class Factory:
+    """A field default built afresh for each instance: ``tab: dict = Factory(dict)``."""
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+class Struct:
+    """Base of the value classes: immutable, compared and hashed by value.
+
+    The fields are the class's own annotations, in order; a class attribute
+    named after a field is its default, and a ``Factory`` default is built
+    per instance. ``_uncompared`` names the fields left out of ``==`` and
+    ``hash``; ``_check()`` runs after the generic ``__init__``. Two objects
+    are equal when they have the same class and equal compared fields, the
+    hash is that of the tuple of compared fields and the repr is
+    ``Name(field=value, ...)``. A class built in bulk defines its own
+    ``__init__``, which checks its arguments and then fills ``__dict__``.
+    """
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} arguments, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for field in self._fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in self._defaults:
+                default = self._defaults[field]
+                values[field] = default.make() if type(default) is Factory else default
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got unexpected or repeated arguments {sorted(kwargs)}")
+        self.__dict__.update(values)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError when the fields break the class's invariants."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Text side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(Struct):
     """A whitespace/punctuation unit of the document text.
 
     ``begin``/``end`` are character offsets into the source text,
@@ -96,27 +172,28 @@ class Token:
     end: int
     index: int
 
-    def __post_init__(self):
-        if not (0 <= self.begin < self.end):
-            raise ValueError(f"token span invalid: [{self.begin}, {self.end})")
-        if len(self.text) != self.end - self.begin:
+    def __init__(self, text: str, begin: int, end: int, index: int):
+        if not (0 <= begin < end):
+            raise ValueError(f"token span invalid: [{begin}, {end})")
+        if len(text) != end - begin:
             raise ValueError("token text length disagrees with its span")
+        self.__dict__.update(text=text, begin=begin, end=end, index=index)
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(Struct):
     """A key/value label over an inclusive token-index range."""
     key: str
     value: str
     first: int
     last: int
-    rule_id: str = "system"
+    rule_id: str
 
-    def __post_init__(self):
-        if not self.key:
+    def __init__(self, key: str, value: str, first: int, last: int, rule_id: str = "system"):
+        if not key:
             raise ValueError("annotation key must be non-empty")
-        if not (0 <= self.first <= self.last):
-            raise ValueError(f"annotation range invalid: [{self.first}, {self.last}]")
+        if not (0 <= first <= last):
+            raise ValueError(f"annotation range invalid: [{first}, {last}]")
+        self.__dict__.update(key=key, value=value, first=first, last=last, rule_id=rule_id)
 
 
 def _check_tokens(text: str, tokens: tuple[Token, ...]) -> None:
@@ -137,8 +214,7 @@ def _check_annotations(annotations: tuple[Annotation, ...], n: int) -> None:
             raise ValueError(f"annotation {ann.key} exceeds token count {n}")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Struct):
     """Source text plus its token layer and annotation store.
 
     ``pages``, when present, holds the character offsets at which pages
@@ -150,7 +226,7 @@ class Document:
     annotations: tuple[Annotation, ...] = ()
     pages: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self):
+    def _check(self):
         _check_tokens(self.text, self.tokens)
         _check_annotations(self.annotations, len(self.tokens))
         if self.pages is not None:
@@ -288,15 +364,15 @@ def _json_list(d: Mapping, key: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(Struct):
     cls: DetectionClass
     confidence: float
     bbox: BBox
 
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+    def __init__(self, cls: DetectionClass, confidence: float, bbox: BBox):
+        if not (0.0 <= confidence <= 1.0):
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        self.__dict__.update(cls=cls, confidence=confidence, bbox=bbox)
 
     def to_dict(self) -> dict:
         return {"class": self.cls.value, "confidence": self.confidence,
@@ -365,8 +441,7 @@ def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
     return tuple(map(tuple.__new__, repeat(OcrEntry), zip(boxes, texts)))
 
 
-@dataclass(frozen=True)
-class PageDetections:
+class PageDetections(Struct):
     """Externally produced masks and OCR text for one page of one document."""
     doc_id: str
     page: int
@@ -375,7 +450,7 @@ class PageDetections:
     detections: tuple[Detection, ...] = ()
     ocr: tuple[OcrEntry, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.page < 1:
             raise SchemaError("page: must be a 1-based page number")
         for det in self.detections:
@@ -414,7 +489,7 @@ class PageDetections:
             _check_bounds(det.bbox, f"detections[{i}]", width, height)
             detections.append(det)
         ocr = _ocr_entries(_json_list(d, "ocr"), width, height)
-        # every check of __post_init__ ran above, once per entry
+        # every check of _check ran above, once per entry
         out = object.__new__(cls)
         out.__dict__.update(doc_id=doc_id, page=page, page_width=width, page_height=height,
                             detections=tuple(detections), ocr=ocr)
@@ -434,19 +509,20 @@ def dump_page_detections(page: PageDetections, path: str | Path) -> None:
 # Reconstructed tables and typed records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Struct):
     bbox: BBox
     text: str
 
+    def __init__(self, bbox: BBox, text: str):
+        self.__dict__.update(bbox=bbox, text=text)
 
-@dataclass(frozen=True)
-class RawTable:
+
+class RawTable(Struct):
     """Row-major grid of cells; within a row, cells are sorted by left edge."""
     table_bbox: BBox
     rows: tuple[tuple[Cell, ...], ...]
 
-    def __post_init__(self):
+    def _check(self):
         for r, row in enumerate(self.rows):
             if not row:
                 raise ValueError(f"row {r} is empty")
@@ -536,8 +612,7 @@ def _parse_level(node, levels: tuple, names: tuple, prefix: tuple, where: str,
             values[path] = _dec_or_none(child)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Struct):
     """One typed table: a flat map from key path to value, ``None`` the missing marker.
 
     ``RECORD_SCHEMAS[ttype]`` fixes the paths, for example
@@ -546,15 +621,15 @@ class Record:
     once one of its values is given, the others are stored too, as ``None``.
     """
     ttype: TableType
-    values: Mapping[tuple, Optional[Decimal]] = field(default_factory=dict)
+    values: Mapping[tuple, Optional[Decimal]] = Factory(dict)
 
-    def __post_init__(self):
+    def _check(self):
         cell_of = _CELL_OF[self.ttype]
         for path in self.values:
             if path not in cell_of:
                 raise ValueError(f"record: {path!r} is no {self.ttype.value} path")
-        object.__setattr__(self, "values", {p: self.values.get(p)
-                                            for path in self.values for p in cell_of[path]})
+        self.__dict__["values"] = {p: self.values.get(p)
+                                   for path in self.values for p in cell_of[path]}
 
     def to_dict(self) -> dict:
         text = {path: None if v is None else format(v, "f")  # dec_str without the call

@@ -8,9 +8,10 @@ single-separator cases; the default follows Italian KID printing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Optional
+
+from .model import Factory, Struct
 
 _CURRENCY_RE = re.compile(r"[€$£]|(?i:\b(?:EUR|USD|GBP|CHF)\b)")
 _MULTISPACE_RE = re.compile(r" {2,}")
@@ -19,13 +20,12 @@ _MULTISPACE_RE = re.compile(r" {2,}")
 _SEPARATOR_CHARS = set(" \t.,%€$£+-")
 
 
-@dataclass(frozen=True)
-class ConfusionMap:
+class ConfusionMap(Struct):
     """Char-for-char OCR repairs, by default the slash-for-seven confusion."""
-    pairs: dict = field(default_factory=lambda: {"/": "7"})
+    pairs: dict = Factory(lambda: {"/": "7"})
     numeric_context_only: bool = True
 
-    def __post_init__(self):
+    def _check(self):
         if set(self.pairs.values()) & set(self.pairs.keys()):
             raise ValueError("confusion map must be acyclic: a target char cannot also be a source")
 

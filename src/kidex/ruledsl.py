@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
+
+from .model import Struct
 
 
 class RuleError(ValueError):
@@ -112,57 +113,54 @@ def _lex(source: str) -> list[Tok]:
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TokenRegex:
+class TokenRegex(Struct):
     """Character regex anchored against the whole token text; body ``*`` is the any-token wildcard."""
     body: str
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("pos",)
 
     @property
     def wildcard(self) -> bool:
         return self.body == "*"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Struct):
     """One ``{key:value}`` clause; ``kind`` is lit, regex or ref."""
     key: str
     kind: str
     value: str
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
-class AttrSet:
+class AttrSet(Struct):
     constraints: tuple[Constraint, ...]
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(Struct):
     name: str
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
-class NamedGroup:
+class NamedGroup(Struct):
     name: str
     body: "PatternExpr"
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Struct):
     items: tuple["PatternExpr", ...]
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(Struct):
     options: tuple["PatternExpr", ...]
 
 
-@dataclass(frozen=True)
-class Repeat:
+class Repeat(Struct):
     """Quantifier: ``hi`` is None for unbounded; ``lazy`` only for *? and +?."""
     body: "PatternExpr"
     lo: int
@@ -173,35 +171,33 @@ class Repeat:
 PatternExpr = TokenRegex | AttrSet | VarRef | NamedGroup | Seq | Alt | Repeat
 
 
-@dataclass(frozen=True)
-class AnnotateAction:
+class AnnotateAction(Struct):
     """Annotate(group, KEY, value); value None means the captured tokens' text."""
     group: Optional[str]
     key: str
     value: Optional[str]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Struct):
     pattern: PatternExpr
     actions: tuple[AnnotateAction, ...]
     stage: int = 0
     # diagnostics only: source:line, so reprinting must not affect equality
-    rule_id: str = field(default="", compare=False)
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    rule_id: str = ""
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("rule_id", "pos")
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Struct):
     """``$name = (pattern)`` or ``$name = "/char-regex/"``; exactly one side is set."""
     name: str
     pattern: Optional[PatternExpr] = None
     regex: Optional[str] = None
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+    pos: Optional[tuple[int, int]] = None
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
-class RuleFile:
+class RuleFile(Struct):
     bindings: tuple[Binding, ...]
     rules: tuple[Rule, ...]
 
@@ -640,21 +636,26 @@ OP_PRED, OP_SPLIT, OP_JMP, OP_GSTART, OP_GEND, OP_SETPOS, OP_PROGRESS, OP_MATCH 
 FIRST_TEXT_MEMO_CAP = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledPattern:
+class CompiledPattern(Struct):
     """Backtracking program over token predicates with capture slots.
 
     ``first_preds`` is a prefilter: the set of predicates one of which must
     accept the first token of any non-empty match. ``None`` means the
     pattern may match the empty token sequence, so every start offset must
     be attempted. ``may_start`` memoises the prefilter's text part per
-    distinct token text, across every document the pattern runs on. A
+    distinct token text in ``first_text_memo``, across every document the
+    pattern runs on; the memo is no field, so the repr leaves it out. A
     pattern is compared and hashed by identity, so it can key per-document
     caches.
     """
     instrs: tuple
     first_preds: Optional[tuple]
-    first_text_memo: dict[str, bool] = field(default_factory=dict, init=False, repr=False)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, instrs: tuple, first_preds: Optional[tuple]):
+        self.__dict__.update(instrs=instrs, first_preds=first_preds,
+                             first_text_memo={})
 
     def may_start(self, text: str) -> bool:
         """False only if no token with this text can pass ``first_preds``."""
@@ -667,16 +668,14 @@ class CompiledPattern:
         return ok
 
 
-@dataclass(frozen=True)
-class CompiledRule:
+class CompiledRule(Struct):
     rule_id: str
     stage: int
     pattern: CompiledPattern
     actions: tuple[AnnotateAction, ...]
 
 
-@dataclass(frozen=True)
-class CompiledRules:
+class CompiledRules(Struct):
     """Rules grouped by ascending stage, file order preserved within a stage."""
     stages: tuple[tuple[int, tuple[CompiledRule, ...]], ...]
 
@@ -691,6 +690,17 @@ MAX_PROGRAM_SIZE = 10_000
 # expanded; parsing and compiling at this depth stay far inside the default recursion limit
 MAX_NESTING = 100
 _RANKS = {Alt: 3, Seq: 2, Repeat: 1}
+
+
+class _RuleRegex(str):
+    """A rule's character regex, as ``re`` compiles it.
+
+    ``re`` keys its cache of compiled patterns by the pattern's type, and
+    warns only while it really compiles. A pattern of this type is cached
+    only by ``_PatternCompiler._regex``, which turns warnings into errors,
+    so one that warns is never cached and warns on every compile, whoever
+    compiled the same string before.
+    """
 
 
 class _PatternCompiler:
@@ -718,7 +728,7 @@ class _PatternCompiler:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # e.g. FutureWarning: Possible nested set
-                return re.compile(body)
+                return re.compile(_RuleRegex(body))
         except (re.error, OverflowError, RecursionError, Warning) as e:
             line, col = pos or (None, None)
             raise RuleCompileError(f"invalid character regex /{body}/: {e}", line, col) from None

@@ -13,18 +13,16 @@ import functools
 import json
 import math
 import re
-import statistics
-from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .annotate import PUNCT_CHARS
-from .model import (RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, OcrEntry,
-                    PageDetections, Period, RawTable, Record, Scenario, SchemaError, TableType,
-                    contains_center, enum_member, iou, json_object, parse_json_object,
-                    read_jsonl, read_utf8)
+from .model import (RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Factory, OcrEntry,
+                    PageDetections, Period, RawTable, Record, Scenario, SchemaError, Struct,
+                    TableType, enum_member, iou, json_object, parse_json_object, read_jsonl,
+                    read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -37,8 +35,7 @@ class AmbiguousTableError(ValueError):
         super().__init__(f"table matches anchors of multiple types: {names}")
 
 
-@dataclass(frozen=True)
-class AnchorSet:
+class AnchorSet(Struct):
     page_strings: tuple[str, ...]
     table_strings: tuple[str, ...]
 
@@ -73,15 +70,14 @@ _RATIOS = ("confidence_threshold", "alignment_factor_ratio", "enlargement_ratio"
            "ocr_iou_threshold")
 
 
-@dataclass(frozen=True)
-class TabConfig:
+class TabConfig(Struct):
     confidence_threshold: float = 0.6
     alignment_factor_ratio: float = 0.5  # fraction of the median cell height
     enlargement_ratio: float = 0.05      # per side
     ocr_iou_threshold: float = 0.5
-    anchors: Mapping[TableType, AnchorSet] = field(default_factory=lambda: dict(DEFAULT_ANCHORS))
+    anchors: Mapping[TableType, AnchorSet] = Factory(lambda: dict(DEFAULT_ANCHORS))
 
-    def __post_init__(self):
+    def _check(self):
         for name in _RATIOS:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0) and not (name == "enlargement_ratio" and v == 0.0):
@@ -174,11 +170,18 @@ def filter_detections(page: PageDetections, cfg: TabConfig) -> tuple[list[Detect
 def assign_cells(tables: list[Detection], cells: list[Detection]) -> dict[int, list[Detection]]:
     """Cell goes to the table containing its center; IoU breaks multi-table ties."""
     out: dict[int, list[Detection]] = {i: [] for i in range(len(tables))}
+    boxes = [t.bbox for t in tables]
+    # contains_center's test, with each table's edges doubled once
+    doubled = [(2 * left, 2 * top, 2 * right, 2 * bottom) for left, top, right, bottom in boxes]
     for cell in cells:
-        holders = [i for i, t in enumerate(tables) if contains_center(t.bbox, cell.bbox)]
+        box = cell.bbox
+        left, top, right, bottom = box
+        cx2, cy2 = left + right, top + bottom
+        holders = [i for i, (l2, t2, r2, b2) in enumerate(doubled)
+                   if l2 <= cx2 <= r2 and t2 <= cy2 <= b2]
         if not holders:
             continue
-        best = max(holders, key=lambda i: (iou(cell.bbox, tables[i].bbox), -i))
+        best = max(holders, key=lambda i: (iou(box, boxes[i]), -i))
         out[best].append(cell)
     return out
 
@@ -262,6 +265,13 @@ def identify_table(cells_with_text: Iterable[Cell], cfg: TabConfig) -> Optional[
     return matched[0]
 
 
+def _median(values: list) -> float:
+    """The middle value, or the mean of the two middle ones, as ``statistics.median``."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+
+
 def group_rows(cells: list[Cell], cfg: TabConfig,
                table_bbox: Optional[BBox] = None) -> RawTable:
     """Cluster cells into rows by top coordinate.
@@ -273,21 +283,23 @@ def group_rows(cells: list[Cell], cfg: TabConfig,
     """
     if not cells:
         raise ValueError("group_rows needs at least one cell")
-    factor = cfg.alignment_factor_ratio * statistics.median(c.bbox.height for c in cells)
-    ordered = sorted(cells, key=lambda c: (c.bbox.top, c.bbox.left, c.bbox.right))
-    rows: list[list[Cell]] = [[ordered[0]]]
-    anchor_top = ordered[0].bbox.top
-    for cell in ordered[1:]:
-        if cell.bbox.top - anchor_top <= factor:
-            rows[-1].append(cell)
+    boxes = [c.bbox for c in cells]
+    factor = cfg.alignment_factor_ratio * _median([bottom - top
+                                                   for _, top, _, bottom in boxes])
+    # sort keys end in the cell's index: cells are never compared, and cells with
+    # equal edges keep their input order, as a stable sort on the edges would
+    scan = sorted([(top, left, right, i) for i, (left, top, right, _) in enumerate(boxes)])
+    rows: list[list[tuple]] = []  # per row, (left, top, right, index) of each cell
+    for top, left, right, i in scan:
+        if rows and top - anchor_top <= factor:
+            rows[-1].append((left, top, right, i))
         else:
-            rows.append([cell])
-            anchor_top = cell.bbox.top
-    sorted_rows = tuple(tuple(sorted(row, key=lambda c: (c.bbox.left, c.bbox.top)))
-                        for row in rows)
+            rows.append([(left, top, right, i)])
+            anchor_top = top
+    sorted_rows = tuple(tuple([cells[key[3]] for key in sorted(row)]) for row in rows)
     if table_bbox is None:
-        table_bbox = BBox(min(c.bbox.left for c in cells), min(c.bbox.top for c in cells),
-                          max(c.bbox.right for c in cells), max(c.bbox.bottom for c in cells))
+        lefts, tops, rights, bottoms = zip(*boxes)
+        table_bbox = BBox(min(lefts), min(tops), max(rights), max(bottoms))
     return RawTable(table_bbox, sorted_rows)
 
 
@@ -324,11 +336,11 @@ def split_multiline(row: Iterable[Cell], schema_labels: Iterable[str]) -> list[C
             out.append(cell)
             continue
         k = len(parts)
-        box = cell.bbox
+        left, top, right, bottom = cell.bbox
+        height = bottom - top
         for i, part in enumerate(parts):
-            top = box.top + (box.height * i) // k
-            bottom = box.top + (box.height * (i + 1)) // k if i + 1 < k else box.bottom
-            out.append(Cell(BBox(box.left, top, box.right, bottom), part))
+            out.append(Cell(BBox(left, top + height * i // k, right,
+                                 top + height * (i + 1) // k if i + 1 < k else bottom), part))
     return out
 
 
@@ -366,8 +378,7 @@ def extract_table(page: PageDetections, type_hint: Optional[TableType],
 # Labels config and record mapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelsConfig:
+class LabelsConfig(Struct):
     """Label phrases that tie grid rows/columns to record fields."""
     initial_period: tuple[str, ...]
     scenarios: Mapping[Scenario, tuple[str, ...]]
@@ -449,7 +460,8 @@ def _period_columns(table: RawTable, norm_rows: list[list[str]],
     found: list[tuple[int, int]] = []  # (center_x, years)
     for row, norms in zip(table.rows, norm_rows):
         for cell, norm in zip(row, norms):
-            center = (cell.bbox.left + cell.bbox.right) // 2
+            left, _, right, _ = cell.bbox
+            center = (left + right) // 2
             if initial.search(norm):
                 found.append((center, 1))
                 continue
@@ -543,7 +555,8 @@ def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
             for cell, value, is_pct in numerics:
                 name = metric or ("yield_pct" if is_pct else "refund")
                 if columns:  # the period of the nearest header column
-                    center = (cell.bbox.left + cell.bbox.right) // 2
+                    left, _, right, _ = cell.bbox
+                    center = (left + right) // 2
                     period = min(columns, key=lambda cp: abs(cp[0] - center))[1]
                 else:
                     idx = counters[name] = counters.get(name, -1) + 1

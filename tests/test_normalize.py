@@ -1,6 +1,7 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from kidex.normalize import ConfusionMap, fix_confusions, normalize_number, strip_currency
 from oracles import expected_number
@@ -128,3 +129,20 @@ def test_never_removes_digits():
     for text in ("€150", "USD99", "£ 12,5", "EUR7"):
         stripped = strip_currency(text)
         assert [c for c in stripped if c.isdigit()] == [c for c in text if c.isdigit()]
+
+
+_digits = st.text("0123456789", max_size=8)
+
+
+@seed(20220604)
+@settings(max_examples=500, deadline=None, database=None)
+@given(d1=_digits, d2=_digits, sep=st.sampled_from([None, ".", ","]),
+       locale_hint=st.sampled_from(["it", "en"]))
+def test_single_separator_numerals_follow_the_decision_table(d1, d2, sep, locale_hint):
+    # the table is written for "it"; under "en" the two separators swap roles
+    if sep is None:
+        text, expected = d1 + d2, expected_number(d1 + d2, "", None)
+    else:
+        role = sep if locale_hint == "it" else {".": ",", ",": "."}[sep]
+        text, expected = d1 + sep + d2, expected_number(d1, d2, role)
+    assert normalize_number(text, locale_hint) == expected

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import warnings
 from importlib import resources
 
 import pytest
@@ -390,3 +391,16 @@ def _rule_file_source(draw):
 def test_print_parse_round_trip_on_generated_rule_files(src):
     rf = parse_rules(src, "generated")
     assert parse_rules(print_rules(rf)) == rf
+
+
+def test_regex_warning_is_an_error_even_when_re_cached_the_pattern():
+    # re warns only while it really compiles; a copy it cached earlier, compiled by
+    # other code with warnings ignored, must not let the rule through
+    src = '{ ruleType: "tokens", pattern: ( /[[a]/ ), action: ( Annotate(K, "v") ) }'
+    message = r"^line 1, column 34: invalid character regex /\[\[a\]/: Possible nested set"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        re.compile("[[a]")
+    for _ in range(2):
+        with pytest.raises(RuleCompileError, match=message):
+            compile_rules(parse_rules(src))

@@ -1,5 +1,6 @@
 import random
 import re
+import statistics
 from decimal import Decimal
 
 import pytest
@@ -638,3 +639,46 @@ def test_filter_and_assign_monotone_under_removal():
         assert len(s_tables) <= len(kept_tables) and len(s_cells) <= len(kept_cells)
         smaller_total = sum(len(v) for v in assign_cells(s_tables, s_cells).values())
         assert smaller_total <= full_total
+
+
+_number = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@seed(20220603)
+@settings(max_examples=400, deadline=None, database=None)
+@given(values=st.lists(_number, min_size=1, max_size=9))
+def test_median_agrees_with_statistics_median(values):
+    got = tabrec._median(values)
+    assert got == statistics.median(values) and type(got) is type(statistics.median(values))
+
+
+def _rows_by_stable_sorts(cells, factor):
+    """Row texts by the documented rule, with ties kept in input order by stable sorts."""
+    ordered = sorted(cells, key=lambda c: (c.bbox.top, c.bbox.left, c.bbox.right))
+    rows, anchor = [], None
+    for c in ordered:
+        if rows and c.bbox.top - anchor <= factor:
+            rows[-1].append(c)
+        else:
+            rows.append([c])
+            anchor = c.bbox.top
+    return [[c.text for c in sorted(row, key=lambda c: (c.bbox.left, c.bbox.top))]
+            for row in rows]
+
+
+_tied_box = st.tuples(st.sampled_from([0, 5, 10]), st.sampled_from([0, 1, 2, 20, 21]),
+                      st.sampled_from([1, 3, 8]), st.sampled_from([1, 4, 9])).map(
+    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+@seed(20220605)
+@settings(max_examples=400, deadline=None, database=None)
+@given(boxes=st.lists(_tied_box, min_size=1, max_size=12),
+       ratio=st.sampled_from([0.1, 0.5, 1.0]))
+def test_group_rows_orders_tied_cells_as_stable_sorts_do(boxes, ratio):
+    cells = [Cell(box, str(i)) for i, box in enumerate(boxes)]
+    cfg = TabConfig(alignment_factor_ratio=ratio)
+    factor = ratio * statistics.median(box.height for box in boxes)
+    table = group_rows(cells, cfg)
+    assert [[c.text for c in row] for row in table.rows] == _rows_by_stable_sorts(cells, factor)
