@@ -9,14 +9,12 @@ stays put.
 """
 from __future__ import annotations
 
-import json
 import re
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
-from .model import (Annotation, Document, SchemaError, Struct, Token, parse_json_object,
-                    read_utf8)
+from .model import (DATA, Annotation, Document, SchemaError, Struct, Token, json_object,
+                    json_strings, parse_json_object, read_utf8)
 
 SECTION_KEY = "SECTION"
 
@@ -81,12 +79,24 @@ class SectionConfig(Struct):
     def from_dict(cls, d) -> "SectionConfig":
         if "sections" not in d:
             raise SchemaError("section config: missing field 'sections'")
+        if not isinstance(d["sections"], list):
+            raise SchemaError("section config: 'sections': expected a list of objects")
         specs = []
         for i, entry in enumerate(d["sections"]):
+            at = f"sections[{i}]"
+            entry = json_object(entry, f"section config: '{at}'")
             if "name" not in entry or "header_patterns" not in entry:
-                raise SchemaError(f"section config: sections[{i}] needs 'name' and 'header_patterns'")
-            specs.append(SectionSpec(entry["name"], tuple(entry["header_patterns"])))
-        return cls(tuple(specs))
+                raise SchemaError(f"section config: '{at}' needs 'name' and 'header_patterns'")
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise SchemaError(f"section config: '{at}.name': expected a string, got {name!r}")
+            patterns = json_strings(entry["header_patterns"],
+                                    f"section config: '{at}.header_patterns'")
+            specs.append(SectionSpec(name, patterns))
+        try:
+            return cls(tuple(specs))
+        except ValueError as e:
+            raise SchemaError(f"section config: {e}") from None
 
 
 def load_section_config(path: str | Path) -> SectionConfig:
@@ -94,8 +104,7 @@ def load_section_config(path: str | Path) -> SectionConfig:
 
 
 def default_section_config() -> SectionConfig:
-    data = resources.files("kidex.data").joinpath("sections.json").read_text(encoding="utf-8")
-    return SectionConfig.from_dict(json.loads(data))
+    return load_section_config(DATA / "sections.json")
 
 
 def _header_key(pattern: str) -> tuple[str, ...]:

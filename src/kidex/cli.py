@@ -11,20 +11,19 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from . import annotate as annotate_mod
 from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
-from .model import (Factory, SchemaError, Struct, json_object, load_page_detections,
+from .model import (DATA, Factory, SchemaError, Struct, json_object, load_page_detections,
                     parse_json_object, read_utf8)
 from .normalize import LOCALE_HINTS, ConfusionMap
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_RULES = 2
+EXIT_RULES = 3  # usage errors keep argparse's 2
 
 
 class OutputError(Exception):
@@ -54,31 +53,28 @@ class Config(Struct):
     rules: Optional[str] = None
     sections: Optional[str] = None
     labels: Optional[str] = None
-    tab: dict = Factory(dict)  # inline TabConfig fields
-    confusions: Optional[dict] = None
+    tab: tabrec.TabConfig = Factory(tabrec.TabConfig)
+    confusions: ConfusionMap = Factory(ConfusionMap)
     locale_hint: str = "it"
-    # filled in from the config file, so mutable and unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":
         if not path:
             return cls()
         data = parse_json_object(read_utf8(path), path)
-        cfg = cls()
-        for key, value in data.items():
+        for key in data:
             if key not in cls._fields:
                 raise SchemaError(f"{path}: unknown key {key!r}")
-            setattr(cfg, key, value)
-        if isinstance(cfg.tab, str):  # a path to a separate tab-config JSON
-            if not Path(cfg.tab).exists():
-                raise FileNotFoundError(cfg.tab)
-            cfg.tab = parse_json_object(read_utf8(cfg.tab), cfg.tab)
-        json_object(cfg.tab, f"{path}: 'tab'")
-        if cfg.confusions is not None:
-            _check_confusions(cfg.confusions, f"{path}: 'confusions'")
+        tab = data.get("tab", {})
+        if isinstance(tab, str):  # a path to a separate tab-config JSON
+            if not Path(tab).exists():
+                raise FileNotFoundError(tab)
+            tab = parse_json_object(read_utf8(tab), tab)
+        data["tab"] = tabrec.TabConfig.from_dict(json_object(tab, f"{path}: 'tab'"))
+        confusions = data.get("confusions")  # null, like no key, means the default map
+        data["confusions"] = ConfusionMap.from_dict({} if confusions is None else confusions,
+                                                    f"{path}: 'confusions'")
+        cfg = cls(**data)
         if cfg.locale_hint not in LOCALE_HINTS:
             raise SchemaError(f"{path}: 'locale_hint': expected one of "
                               f"{', '.join(map(repr, LOCALE_HINTS))}, got {cfg.locale_hint!r}")
@@ -89,37 +85,6 @@ class Config(Struct):
             if value and not Path(value).exists():
                 raise FileNotFoundError(value)
         return cfg
-
-    def tab_config(self) -> tabrec.TabConfig:
-        return tabrec.TabConfig.from_dict(self.tab) if self.tab else tabrec.TabConfig()
-
-    def confusion_map(self) -> ConfusionMap:
-        if not self.confusions:
-            return ConfusionMap()
-        return ConfusionMap(pairs=dict(self.confusions.get("pairs", {"/": "7"})),
-                            numeric_context_only=self.confusions.get("numeric_context_only", True))
-
-
-def _check_confusions(value, where: str) -> None:
-    """SchemaError unless ``value`` describes a valid ConfusionMap."""
-    for key in json_object(value, where):
-        if key not in ("pairs", "numeric_context_only"):
-            raise SchemaError(f"{where}: unknown key {key!r}")
-    pairs = json_object(value.get("pairs", {}), f"{where}: 'pairs'")
-    for source, target in pairs.items():
-        if len(source) != 1 or not isinstance(target, str) or len(target) != 1:
-            raise SchemaError(f"{where}: 'pairs': expected one character for one character, "
-                              f"got {source!r}: {target!r}")
-    if not isinstance(value.get("numeric_context_only", True), bool):
-        raise SchemaError(f"{where}: 'numeric_context_only': expected true or false")
-    try:
-        ConfusionMap(pairs=pairs)
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from None
-
-
-def _default_rules_text() -> str:
-    return resources.files("kidex.data").joinpath("default_rules.tre").read_text(encoding="utf-8")
 
 
 def _files(directory: Path, keep) -> list[Path]:
@@ -144,12 +109,11 @@ def _doc_id_for(path: Path) -> str:
 
 def cmd_annotate(args, config: Config) -> int:
     rules_path = args.rules or config.rules
-    source = read_utf8(rules_path) if rules_path else _default_rules_text()
-    rule_file = ruledsl.parse_rules(source, str(rules_path or "default_rules.tre"))
+    source = read_utf8(rules_path or DATA / "default_rules.tre")
+    rule_file = ruledsl.parse_rules(source, rules_path or "default_rules.tre")
     compiled = ruledsl.compile_rules(rule_file)
-    sections_path = args.sections or config.sections
-    section_cfg = (annotate_mod.load_section_config(sections_path) if sections_path
-                   else annotate_mod.default_section_config())
+    section_cfg = annotate_mod.load_section_config(args.sections or config.sections
+                                                   or DATA / "sections.json")
     docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
 
     results: list[matcher.ExtractionResult] = []
@@ -172,11 +136,7 @@ def cmd_annotate(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args, config: Config) -> int:
-    labels_path = args.labels or config.labels
-    tab_cfg = config.tab_config()
-    labels = (tabrec.load_labels_config(labels_path) if labels_path
-              else tabrec.default_labels_config())
-    cmap = config.confusion_map()
+    labels = tabrec.load_labels_config(args.labels or config.labels or DATA / "labels.json")
 
     # both maps are keyed by the file name, which a mask's content must repeat
     masks: dict[tuple[str, int], object] = {}
@@ -205,20 +165,20 @@ def cmd_tables(args, config: Config) -> int:
         doc = textprep.load_document(_doc_id_for(path), path)
         if doc.doc_id in skipped_docs:
             continue
-        page_map = tabrec.identify_pages(doc.page_texts(), tab_cfg)
+        page_map = tabrec.identify_pages(doc.page_texts(), config.tab)
         for ttype in tabrec.TableType:
             pageno = page_map.get(ttype)
             record = None
             if pageno is not None and (doc.doc_id, pageno) in masks:
                 page = masks[(doc.doc_id, pageno)]
                 try:
-                    hit = tabrec.extract_table(page, ttype, tab_cfg, labels)
+                    hit = tabrec.extract_table(page, ttype, config.tab, labels)
                 except tabrec.AmbiguousTableError as e:
                     print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
                     hit = None
                 if hit is not None:
-                    record, warnings = tabrec.map_to_record(hit[0], hit[1], labels, cmap,
-                                                            config.locale_hint)
+                    record, warnings = tabrec.map_to_record(hit[0], hit[1], labels,
+                                                            config.confusions, config.locale_hint)
                     for w in warnings:
                         print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
             rows.append(tabrec.table_row_dict(doc.doc_id, pageno, ttype, record))

@@ -17,6 +17,9 @@ from typing import Iterable, Mapping, Optional, TypeVar
 
 E = TypeVar("E", bound=Enum)
 
+# the packaged rules and configs, read by the same loaders as a user's files
+DATA = Path(__file__).parent / "data"
+
 
 class SchemaError(ValueError):
     """An input file violates its documented schema; the message names the field."""
@@ -27,6 +30,13 @@ def json_object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected a JSON object")
     return value
+
+
+def json_strings(value, where: str) -> tuple[str, ...]:
+    """``value`` as a tuple if it is a JSON list of strings; otherwise a SchemaError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: expected a list of strings")
+    return tuple(value)
 
 
 def read_utf8(path: str | Path) -> str:

@@ -11,7 +11,7 @@ import re
 from decimal import Decimal, InvalidOperation
 from typing import Optional
 
-from .model import Factory, Struct
+from .model import Factory, SchemaError, Struct, json_object
 
 _CURRENCY_RE = re.compile(r"[€$£]|(?i:\b(?:EUR|USD|GBP|CHF)\b)")
 _MULTISPACE_RE = re.compile(r" {2,}")
@@ -28,6 +28,24 @@ class ConfusionMap(Struct):
     def _check(self):
         if set(self.pairs.values()) & set(self.pairs.keys()):
             raise ValueError("confusion map must be acyclic: a target char cannot also be a source")
+
+    @classmethod
+    def from_dict(cls, d, where: str) -> "ConfusionMap":
+        """The map JSON object ``d`` describes, a key it leaves out at its default; a
+        fault is a SchemaError led by ``where``."""
+        for key in json_object(d, where):
+            if key not in cls._fields:
+                raise SchemaError(f"{where}: unknown key {key!r}")
+        for source, target in json_object(d.get("pairs", {}), f"{where}: 'pairs'").items():
+            if len(source) != 1 or not isinstance(target, str) or len(target) != 1:
+                raise SchemaError(f"{where}: 'pairs': expected one character for one character, "
+                                  f"got {source!r}: {target!r}")
+        if not isinstance(d.get("numeric_context_only", True), bool):
+            raise SchemaError(f"{where}: 'numeric_context_only': expected true or false")
+        try:
+            return cls(**d)
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from None
 
 
 def fix_confusions(text: str, cmap: Optional[ConfusionMap] = None) -> str:

@@ -14,15 +14,14 @@ import json
 import math
 import re
 from decimal import Decimal
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .annotate import PUNCT_CHARS
-from .model import (RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Factory, OcrEntry,
-                    PageDetections, Period, RawTable, Record, Scenario, SchemaError, Struct,
-                    TableType, enum_member, iou, json_object, parse_json_object, read_jsonl,
-                    read_utf8)
+from .model import (DATA, RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Factory,
+                    OcrEntry, PageDetections, Period, RawTable, Record, Scenario, SchemaError,
+                    Struct, TableType, enum_member, iou, json_object, json_strings,
+                    parse_json_object, read_jsonl, read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -57,13 +56,6 @@ DEFAULT_ANCHORS: dict[TableType, AnchorSet] = {
                        "Entry costs", "Exit costs"),
     ),
 }
-
-
-def _strings(value, where: str) -> tuple[str, ...]:
-    """A label pool or anchor list, which the config gives as a list of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaError(f"{where}: expected a list of strings")
-    return tuple(value)
 
 
 _RATIOS = ("confidence_threshold", "alignment_factor_ratio", "enlargement_ratio",
@@ -104,7 +96,7 @@ class TabConfig(Struct):
             for key, spec in json_object(d["anchors"], "tab config: 'anchors'").items():
                 ttype = enum_member(TableType, key, "tab config: 'anchors': unknown table type")
                 spec = json_object(spec, f"tab config: 'anchors.{key}'")
-                page, table = (_strings(spec.get(name), f"tab config: 'anchors.{key}.{name}'")
+                page, table = (json_strings(spec.get(name), f"tab config: 'anchors.{key}.{name}'")
                                for name in ("page_strings", "table_strings"))
                 anchors[ttype] = AnchorSet(page, table)
             kwargs["anchors"] = anchors
@@ -411,13 +403,13 @@ class LabelsConfig(Struct):
             for k, v in group(where).items():
                 if k not in by_name:
                     raise SchemaError(f"labels config: '{where}': unknown key {k!r}")
-                out[by_name[k]] = _strings(v, f"labels config: '{where}.{k}'")
+                out[by_name[k]] = json_strings(v, f"labels config: '{where}.{k}'")
             return out
 
         try:
             return cls(
-                initial_period=_strings(group("periods")["initial"],
-                                        "labels config: 'periods.initial'"),
+                initial_period=json_strings(group("periods")["initial"],
+                                            "labels config: 'periods.initial'"),
                 scenarios=pools("performance_scenarios.scenarios", Scenario),
                 perf_metrics=pools("performance_scenarios.metrics",
                                    RECORD_SCHEMAS[TableType.PERFORMANCE_SCENARIOS][1]),
@@ -434,8 +426,7 @@ def load_labels_config(path: str | Path) -> LabelsConfig:
 
 
 def default_labels_config() -> LabelsConfig:
-    data = resources.files("kidex.data").joinpath("labels.json").read_text(encoding="utf-8")
-    return LabelsConfig.from_dict(json.loads(data))
+    return load_labels_config(DATA / "labels.json")
 
 
 _PERIOD_RE = re.compile(r"(\d+)\s*(?:anni|anno|years|year)(?!\w)")

@@ -35,12 +35,12 @@ def test_annotate_end_to_end(corpus, tmp_path):
     assert len(lines) == 1 + 3 * 8
 
 
-def test_annotate_bad_rules_exit_2(corpus, tmp_path):
+def test_annotate_bad_rules_exit_3(corpus, tmp_path):
     bad = tmp_path / "bad.tre"
     bad.write_text("$X = (/a/", encoding="utf-8")
     code = main(["annotate", "--rules", str(bad), "--in", str(corpus / "docs"),
                  "--out", str(tmp_path / "o.csv")])
-    assert code == 2
+    assert code == 3
 
 
 _RULE = '{ ruleType: "tokens", pattern: ( %s ), action: ( Annotate(K, "v") )%s }\n'
@@ -72,7 +72,7 @@ def test_annotate_malformed_rules_is_rule_error(corpus, tmp_path, capsys, source
     rules.write_text(source, encoding="utf-8")
     code = main(["annotate", "--rules", str(rules), "--in", str(corpus / "docs"),
                  "--out", str(tmp_path / "o.csv")])
-    assert code == 2
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("rule error: line ") and err.endswith(message + "\n"), err
 
@@ -186,6 +186,32 @@ def test_tables_bad_labels_config_is_input_error(corpus, tmp_path, capsys, edit,
     assert not out.exists()
 
 
+def _sections(name="A", header_patterns=("Prodotto",)):
+    return {"sections": [{"name": name, "header_patterns": header_patterns}]}
+
+
+@pytest.mark.parametrize("sections, message", [
+    (_sections(header_patterns="Prodotto"),
+     "'sections[0].header_patterns': expected a list of strings"),
+    ({"sections": 5}, "'sections': expected a list of objects"),
+    ({"sections": [5]}, "'sections[0]': expected a JSON object"),
+    (_sections(header_patterns=[5]), "'sections[0].header_patterns': expected a list of strings"),
+    (_sections(name=["A"]), "'sections[0].name': expected a string, got ['A']"),
+    ({"sections": _sections()["sections"] * 2}, "section names must be unique"),
+    (_sections(header_patterns=[]), "section A: needs at least one header pattern"),
+], ids=["patterns-a-string", "sections-a-number", "section-a-number", "pattern-a-number",
+        "name-a-list", "duplicate-names", "no-patterns"])
+def test_annotate_bad_section_config_is_input_error(corpus, tmp_path, capsys, sections,
+                                                    message):
+    path = tmp_path / "sections.json"
+    path.write_text(json.dumps(sections), encoding="utf-8")
+    out = tmp_path / "fields.csv"
+    assert main(["annotate", "--sections", str(path), "--in", str(corpus / "docs"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"input error: section config: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("group, key", [
     ("performance_scenarios", "refund"),
     ("costs_evolution", "riy_pct"),
@@ -225,14 +251,19 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
      "'anchors.costs_evolution': expected a JSON object"),
 ], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type",
         "anchors-a-list", "anchor-spec-a-string"])
-def test_tables_bad_tab_config_is_input_error(corpus, tmp_path, capsys, tab, named):
+@pytest.mark.parametrize("command", ["gen", "tables"])
+def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tab": tab}), encoding="utf-8")
-    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
-                 "--pages", str(corpus / "docs"), "--out", str(tmp_path / "t.jsonl")]) == 1
+    out = tmp_path / "out"
+    argv = {"gen": ["gen", "--n", "1", "--seed", "1", "--out", str(out)],
+            "tables": ["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                       "--out", str(out)]}[command]
+    assert main(["--config", str(cfg), *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("input error: tab config: ")
+    assert err.startswith("config error: tab config: ") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
 
 
 def test_missing_page_makes_type_missing(corpus, tmp_path):
@@ -543,7 +574,8 @@ def test_tables_mask_not_utf8_is_malformed(corpus, tmp_path, capsys, strict):
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"tab": {"ocr_iou_treshold": 0.9}}, "input error: tab config: unknown key 'ocr_iou_treshold'"),
+    ({"tab": {"ocr_iou_treshold": 0.9}},
+     "config error: tab config: unknown key 'ocr_iou_treshold'"),
     ({"confusions": 5}, "config error: {cfg}: 'confusions': expected a JSON object"),
     ({"tab": 3}, "config error: {cfg}: 'tab': expected a JSON object"),
     ({"lables": "labels.json"}, "config error: {cfg}: unknown key 'lables'"),
@@ -750,7 +782,7 @@ def test_annotate_regex_that_re_warns_about_is_rule_error(corpus, tmp_path, caps
     rules.write_text(_RULE % ("/[[a]/", ""), encoding="utf-8")
     code = main(["annotate", "--rules", str(rules), "--in", str(corpus / "docs"),
                  "--out", str(tmp_path / "o.csv")])
-    assert code == 2
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("rule error: line 1, column 34: invalid character regex /[[a]/: "), err
     assert err.count("\n") == 1
@@ -795,8 +827,8 @@ def _policy_case(corpus, tmp_path, row):
 
 # one case per row of the error table in README.md: stderr prefix and exit code
 _POLICY_ROWS = {
-    "rule-error": ("rule error: line 1, column 10: ", 2),
-    "rule-error-backtracking": ("rule error: rule ", 2),
+    "rule-error": ("rule error: line 1, column 10: ", 3),
+    "rule-error-backtracking": ("rule error: rule ", 3),
     "input-error": ("input error: not a directory: ", 1),
     "config-error": ("config error: ", 1),
     "cannot-write-output": ("cannot write output: ", 1),

@@ -1,5 +1,6 @@
 """The value-class contract of ``model.Struct``, one class from each module, and the
-start-up cost it removes: importing the CLI loads no ``dataclasses``."""
+start-up cost it removes: importing the CLI loads no ``dataclasses`` and no
+``importlib.resources``."""
 import copy
 import pickle
 import subprocess
@@ -50,8 +51,10 @@ REPRS = [
      "last_token=1, rule_id='r')"),
     (annotate.SectionSpec("S", ("h",)), "SectionSpec(name='S', header_patterns=('h',))"),
     (normalize.ConfusionMap(), "ConfusionMap(pairs={'/': '7'}, numeric_context_only=True)"),
-    (cli.Config(), "Config(rules=None, sections=None, labels=None, tab={}, confusions=None, "
-                   "locale_hint='it')"),
+    (cli.Config(tab=tabrec.TabConfig(anchors={})),
+     "Config(rules=None, sections=None, labels=None, tab=TabConfig(confidence_threshold=0.6, "
+     "alignment_factor_ratio=0.5, enlargement_ratio=0.05, ocr_iou_threshold=0.5, anchors={}), "
+     "confusions=ConfusionMap(pairs={'/': '7'}, numeric_context_only=True), locale_hint='it')"),
 ]
 
 
@@ -102,7 +105,7 @@ def test_hash_is_the_hash_of_the_compared_fields():
     (model.Token("ab", 0, 2, 0), "text"), (model.Record(TableType.COSTS_COMPOSITION), "values"),
     (RULE, "pos"), (tabrec.TabConfig(), "anchors"), (evalkit.FieldScore(0, 0, 0), "tp"),
     (matcher.Match("r", 0, 1, {}), "extra"), (annotate.SectionSpec("S", ("h",)), "name"),
-    (normalize.ConfusionMap(), "pairs")])
+    (normalize.ConfusionMap(), "pairs"), (cli.Config(), "tab")])
 def test_fields_cannot_be_set_or_deleted(obj, name):
     with pytest.raises(AttributeError):
         setattr(obj, name, 0)
@@ -116,14 +119,6 @@ def test_factory_defaults_are_built_per_instance():
     assert cli.Config().tab is not cli.Config().tab
     assert normalize.ConfusionMap().pairs is not normalize.ConfusionMap().pairs
     assert model.Record(TableType.COSTS_EVOLUTION).values == {}
-
-
-def test_config_stays_mutable_and_unhashable():
-    cfg = cli.Config()
-    cfg.rules = "r.tre"
-    assert cfg.rules == "r.tre" and cli.Config._fields[0] == "rules"
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(cfg)
 
 
 def test_generic_init_takes_defaults_keywords_and_checks():
@@ -150,7 +145,8 @@ def test_generic_init_takes_defaults_keywords_and_checks():
     model.Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("1.5")}),
     RULE, tabrec.TabConfig(), evalkit.FieldScore(1, 2, 3),
     matcher.ExtractionResult("d", "f", "v", "t", 0, 1, "r"),
-    annotate.SectionSpec("S", ("h",)), normalize.ConfusionMap(), cli.Config(tab={"a": 1})],
+    annotate.SectionSpec("S", ("h",)), normalize.ConfusionMap(),
+    cli.Config(tab=tabrec.TabConfig(0.7))],
     ids=lambda o: type(o).__name__)
 def test_copy_and_pickle_round_trips_are_equal(obj, round_trip):
     out = round_trip(obj)
@@ -170,11 +166,11 @@ def test_compiled_pattern_is_equal_only_to_itself():
     assert repr(pattern).startswith("CompiledPattern(instrs=((0, <kidex.ruledsl.TextRegexPred ")
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_statistics():
+def test_importing_the_cli_loads_no_dataclasses_inspect_statistics_or_importlib_resources():
     # -S keeps site-packages start-up hooks from importing these modules first
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kidex.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'statistics', 'fractions') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'statistics', 'fractions', "
+            "'importlib.resources', 'tempfile') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "[]\n", out.stdout + out.stderr
