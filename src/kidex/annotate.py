@@ -13,7 +13,7 @@ import re
 from functools import cached_property
 from pathlib import Path
 
-from .model import (DATA, Annotation, Document, SchemaError, Struct, Token, json_object,
+from .model import (DATA, Annotation, Document, SchemaError, Struct, Token, json_fields,
                     json_strings, parse_json_object, read_utf8)
 
 SECTION_KEY = "SECTION"
@@ -77,16 +77,14 @@ class SectionConfig(Struct):
 
     @classmethod
     def from_dict(cls, d) -> "SectionConfig":
-        if "sections" not in d:
-            raise SchemaError("section config: missing field 'sections'")
+        d = json_fields(d, "section config", ("sections",), optional=())
         if not isinstance(d["sections"], list):
             raise SchemaError("section config: 'sections': expected a list of objects")
         specs = []
         for i, entry in enumerate(d["sections"]):
             at = f"sections[{i}]"
-            entry = json_object(entry, f"section config: '{at}'")
-            if "name" not in entry or "header_patterns" not in entry:
-                raise SchemaError(f"section config: '{at}' needs 'name' and 'header_patterns'")
+            entry = json_fields(entry, f"section config: '{at}'", SectionSpec._fields,
+                                optional=())
             name = entry["name"]
             if not isinstance(name, str):
                 raise SchemaError(f"section config: '{at}.name': expected a string, got {name!r}")

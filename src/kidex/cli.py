@@ -17,8 +17,8 @@ from typing import Optional
 from . import annotate as annotate_mod
 from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
-from .model import (DATA, Factory, SchemaError, Struct, json_object, load_page_detections,
-                    parse_json_object, read_utf8)
+from .model import (DATA, Factory, SchemaError, Struct, json_fields, json_object,
+                    load_page_detections, parse_json_object, read_utf8)
 from .normalize import LOCALE_HINTS, ConfusionMap
 
 EXIT_OK = 0
@@ -61,10 +61,7 @@ class Config(Struct):
     def load(cls, path: Optional[str]) -> "Config":
         if not path:
             return cls()
-        data = parse_json_object(read_utf8(path), path)
-        for key in data:
-            if key not in cls._fields:
-                raise SchemaError(f"{path}: unknown key {key!r}")
+        data = json_fields(parse_json_object(read_utf8(path), path), path, optional=cls._fields)
         tab = data.get("tab", {})
         if isinstance(tab, str):  # a path to a separate tab-config JSON
             if not Path(tab).exists():

@@ -201,10 +201,11 @@ class _GridBuilder:
             box = BBox(left, top + jitter, right, top + jitter + height)
             self.cells.append((box, text, col >= numeric_from))
 
-    def build(self, ttype: TableType, pageno: int, table_box: BBox, drops: dict,
+    def build(self, doc_id: str, ttype: TableType, pageno: int, table_box: BBox, drops: dict,
               values: dict) -> tuple[PageDetections, Record]:
-        """The ``ttype`` table's page and gold record; when ``drops[ttype]`` is set,
-        the cells holding a table anchor of the type lose their masks."""
+        """The ``ttype`` table's page of ``doc_id`` and its gold record; when
+        ``drops[ttype]`` is set, the cells holding a table anchor of the type lose
+        their masks."""
         drop_keys = ([_norm_ws(s) for s in DEFAULT_ANCHORS[ttype].table_strings]
                      if drops[ttype] else [])
         detections = [Detection(self.rng.choice((DetectionClass.BORDERED_TABLE,
@@ -223,7 +224,7 @@ class _GridBuilder:
                            box.right + wobble[2], box.bottom + wobble[3])
             ocr_text = self.noise.maybe_confuse(text) if numeric else text
             ocr.append(OcrEntry(ocr_box, ocr_text))
-        page = PageDetections("", pageno, PAGE_W, PAGE_H, tuple(detections), tuple(ocr))
+        page = PageDetections(doc_id, pageno, PAGE_W, PAGE_H, tuple(detections), tuple(ocr))
         return page, Record(ttype, values)
 
 
@@ -232,7 +233,7 @@ def _period_header(rhp: int) -> list[str]:
     return ["1 anno", f"{mid} anni", f"{rhp} anni (periodo di detenzione raccomandato)"]
 
 
-def _perf_table(rng: random.Random, noise: _NoiseBox, rhp: int,
+def _perf_table(doc_id: str, rng: random.Random, noise: _NoiseBox, rhp: int,
                 drops: dict) -> tuple[PageDetections, Record]:
     label_col = (220, 700)
     metric_col = (720, 1300)
@@ -259,10 +260,11 @@ def _perf_table(rng: random.Random, noise: _NoiseBox, rhp: int,
             values[(scenario, period, "yield_pct")] = ypct
 
     table_box = BBox(200, 580, 2300, top + _ROW_PITCH + 40)
-    return grid.build(TableType.PERFORMANCE_SCENARIOS, PERF_PAGE, table_box, drops, values)
+    return grid.build(doc_id, TableType.PERFORMANCE_SCENARIOS, PERF_PAGE, table_box, drops,
+                      values)
 
 
-def _evolution_table(rng: random.Random, noise: _NoiseBox, rhp: int,
+def _evolution_table(doc_id: str, rng: random.Random, noise: _NoiseBox, rhp: int,
                      drops: dict) -> tuple[PageDetections, Record]:
     label_col = (220, 1200)
     period_cols = [(1340, 1620), (1660, 1940), (1980, 2260)]
@@ -284,10 +286,11 @@ def _evolution_table(rng: random.Random, noise: _NoiseBox, rhp: int,
         values[(period, "total_cost")] = total
         values[(period, "riy_pct")] = riy
     table_box = BBox(200, 660, 2300, top + _ROW_PITCH + 40)
-    return grid.build(TableType.COSTS_EVOLUTION, EVOLUTION_PAGE, table_box, drops, values)
+    return grid.build(doc_id, TableType.COSTS_EVOLUTION, EVOLUTION_PAGE, table_box, drops,
+                      values)
 
 
-def _composition_table(rng: random.Random, noise: _NoiseBox,
+def _composition_table(doc_id: str, rng: random.Random, noise: _NoiseBox,
                        drops: dict) -> tuple[PageDetections, Record]:
     label_col = (220, 1200)
     value_col = (1300, 1700)
@@ -301,7 +304,8 @@ def _composition_table(rng: random.Random, noise: _NoiseBox,
                      [_CATEGORY_LABELS[category], _fmt_pct(value)], numeric_from=1)
         top += _ROW_PITCH
     table_box = BBox(200, 660, 1800, top + 40)
-    return grid.build(TableType.COSTS_COMPOSITION, COMPOSITION_PAGE, table_box, drops, values)
+    return grid.build(doc_id, TableType.COSTS_COMPOSITION, COMPOSITION_PAGE, table_box, drops,
+                      values)
 
 
 def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
@@ -345,12 +349,10 @@ def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
             json.dumps({"doc_id": doc_id, "pages": pages}, ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8")
 
-        tables = (_perf_table(rng, noise_box, fields["rhp"], drops),
-                  _evolution_table(rng, noise_box, fields["rhp"], drops),
-                  _composition_table(rng, noise_box, drops))
+        tables = (_perf_table(doc_id, rng, noise_box, fields["rhp"], drops),
+                  _evolution_table(doc_id, rng, noise_box, fields["rhp"], drops),
+                  _composition_table(doc_id, rng, noise_box, drops))
         for page, _record in tables:
-            page = PageDetections(doc_id, page.page, page.page_width, page.page_height,
-                                  page.detections, page.ocr)
             dump_page_detections(page, masks_dir / f"{doc_id}.p{page.page}.json")
 
         for row in _gold_fields(fields):

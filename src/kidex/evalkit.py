@@ -65,6 +65,8 @@ def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str,
             doc_id, _page, ttype, record = tabrec.parse_table_row(row)
         except SchemaError as e:
             raise SchemaError(f"{path}:{lineno}: {e}") from None
+        if (doc_id, ttype) in out:
+            raise SchemaError(f"{path}:{lineno}: duplicate table row {(doc_id, ttype.value)!r}")
         out[(doc_id, ttype)] = (row["status"], record)
     return out
 

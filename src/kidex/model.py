@@ -13,7 +13,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import chain, product, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, TypeVar
+from typing import Collection, Iterable, Mapping, Optional, TypeVar
 
 E = TypeVar("E", bound=Enum)
 
@@ -37,6 +37,22 @@ def json_strings(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SchemaError(f"{where}: expected a list of strings")
     return tuple(value)
+
+
+def json_fields(value, where: str, required: Collection[str] = (),
+                optional: Optional[Collection[str]] = None) -> dict:
+    """``value`` if it is a JSON object holding every ``required`` key; otherwise a
+    SchemaError led by ``where``. Given ``optional``, the object is closed: a key
+    that is neither required nor optional is an error too."""
+    obj = json_object(value, where)
+    if optional is not None:
+        for key in obj:
+            if key not in required and key not in optional:
+                raise SchemaError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing field {key!r}")
+    return obj
 
 
 def read_utf8(path: str | Path) -> str:
@@ -350,10 +366,8 @@ _EDGES = operator.itemgetter(*BBox._fields)
 
 def _json_box(value, where: str) -> BBox:
     """The box a JSON bbox object describes: four number edges, non-degenerate."""
-    box = json_object(value, f"{where}: 'bbox'")
+    box = json_fields(value, f"{where}: 'bbox'", BBox._fields)
     for name in BBox._fields:
-        if name not in box:
-            raise SchemaError(f"{where}: bbox: missing field {name!r}")
         if type(box[name]) not in _NUMBERS:
             raise SchemaError(f"{where}: bbox: {name!r} must be a number, got {box[name]!r}")
     try:
@@ -391,12 +405,8 @@ class Detection(Struct):
     @classmethod
     def from_dict(cls, d: Mapping, where: str = "detection") -> "Detection":
         """Every schema violation is a SchemaError led by ``where``."""
-        d = json_object(d, where)
-        if "class" not in d:
-            raise SchemaError(f"{where}: missing field 'class'")
+        d = json_fields(d, where, ("class", "confidence", "bbox"))
         kind = enum_member(DetectionClass, d["class"], f"{where}: unknown class")
-        if "confidence" not in d:
-            raise SchemaError(f"{where}: missing field 'confidence'")
         try:
             confidence = float(d["confidence"])
         except (TypeError, ValueError, OverflowError):
@@ -404,8 +414,6 @@ class Detection(Struct):
         if not 0.0 <= confidence <= 1.0:
             raise SchemaError(f"{where}: 'confidence' must be a number in [0, 1], "
                               f"got {d['confidence']!r}")
-        if "bbox" not in d:
-            raise SchemaError(f"{where}: missing field 'bbox'")
         return cls(kind, confidence, _json_box(d["bbox"], where))
 
 
@@ -439,10 +447,7 @@ def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
     if not ok:
         for i, entry in enumerate(raw):
             where = f"ocr[{i}]"
-            entry = json_object(entry, where)
-            for key in ("bbox", "text"):
-                if key not in entry:
-                    raise SchemaError(f"{where}: missing field {key!r}")
+            entry = json_fields(entry, where, OcrEntry._fields)
             if type(entry["text"]) is not str:
                 raise SchemaError(f"{where}: 'text' must be a string, got {entry['text']!r}")
             _check_bounds(_json_box(entry["bbox"], where), where, width, height)
@@ -482,9 +487,7 @@ class PageDetections(Struct):
     def from_dict(cls, d: Mapping) -> "PageDetections":
         """The page a JSON object describes; any schema violation is a SchemaError
         naming the field and, inside ``detections`` or ``ocr``, the entry index."""
-        for key in ("doc_id", "page", "page_width", "page_height"):
-            if key not in d:
-                raise SchemaError(f"page detections: missing field {key!r}")
+        d = json_fields(d, "page detections", ("doc_id", "page", "page_width", "page_height"))
         doc_id, page, width, height = d["doc_id"], d["page"], d["page_width"], d["page_height"]
         if type(doc_id) is not str:
             raise SchemaError(f"doc_id: must be a string, got {doc_id!r}")

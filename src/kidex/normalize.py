@@ -11,7 +11,7 @@ import re
 from decimal import Decimal, InvalidOperation
 from typing import Optional
 
-from .model import Factory, SchemaError, Struct, json_object
+from .model import Factory, SchemaError, Struct, json_fields, json_object
 
 _CURRENCY_RE = re.compile(r"[€$£]|(?i:\b(?:EUR|USD|GBP|CHF)\b)")
 _MULTISPACE_RE = re.compile(r" {2,}")
@@ -33,9 +33,7 @@ class ConfusionMap(Struct):
     def from_dict(cls, d, where: str) -> "ConfusionMap":
         """The map JSON object ``d`` describes, a key it leaves out at its default; a
         fault is a SchemaError led by ``where``."""
-        for key in json_object(d, where):
-            if key not in cls._fields:
-                raise SchemaError(f"{where}: unknown key {key!r}")
+        d = json_fields(d, where, optional=cls._fields)
         for source, target in json_object(d.get("pairs", {}), f"{where}: 'pairs'").items():
             if len(source) != 1 or not isinstance(target, str) or len(target) != 1:
                 raise SchemaError(f"{where}: 'pairs': expected one character for one character, "

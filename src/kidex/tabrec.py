@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .annotate import PUNCT_CHARS
 from .model import (DATA, RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Factory,
                     OcrEntry, PageDetections, Period, RawTable, Record, Scenario, SchemaError,
-                    Struct, TableType, enum_member, iou, json_object, json_strings,
+                    Struct, TableType, enum_member, iou, json_fields, json_object, json_strings,
                     parse_json_object, read_jsonl, read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
@@ -80,9 +80,7 @@ class TabConfig(Struct):
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TabConfig":
-        for name in d:
-            if name not in _RATIOS and name != "anchors":
-                raise SchemaError(f"tab config: unknown key {name!r}")
+        d = json_fields(d, "tab config", optional=(*_RATIOS, "anchors"))
         kwargs: dict = {}
         for name in _RATIOS:
             if name in d:
@@ -95,9 +93,10 @@ class TabConfig(Struct):
             anchors = dict(DEFAULT_ANCHORS)
             for key, spec in json_object(d["anchors"], "tab config: 'anchors'").items():
                 ttype = enum_member(TableType, key, "tab config: 'anchors': unknown table type")
-                spec = json_object(spec, f"tab config: 'anchors.{key}'")
+                spec = json_fields(spec, f"tab config: 'anchors.{key}'",
+                                   optional=AnchorSet._fields)
                 page, table = (json_strings(spec.get(name), f"tab config: 'anchors.{key}.{name}'")
-                               for name in ("page_strings", "table_strings"))
+                               for name in AnchorSet._fields)
                 anchors[ttype] = AnchorSet(page, table)
             kwargs["anchors"] = anchors
         try:
@@ -370,6 +369,11 @@ def extract_table(page: PageDetections, type_hint: Optional[TableType],
 # Labels config and record mapping
 # ---------------------------------------------------------------------------
 
+# the groups of a labels config and the keys each holds
+_LABEL_GROUPS = {"periods": ("initial",), "performance_scenarios": ("scenarios", "metrics"),
+                 "costs_evolution": ("metrics",), "costs_composition": ("categories",)}
+
+
 class LabelsConfig(Struct):
     """Label phrases that tie grid rows/columns to record fields."""
     initial_period: tuple[str, ...]
@@ -389,36 +393,28 @@ class LabelsConfig(Struct):
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LabelsConfig":
-        def group(where: str) -> Mapping:
-            node = d
-            keys = where.split(".")
-            for i, key in enumerate(keys):
-                node = json_object(node[key], f"labels config: '{'.'.join(keys[:i + 1])}'")
-            return node
+        top = json_fields(d, "labels config", _LABEL_GROUPS, optional=())
+        groups = {name: json_fields(top[name], f"labels config: '{name}'", keys, optional=())
+                  for name, keys in _LABEL_GROUPS.items()}
 
-        def pools(where: str, keys: Iterable) -> dict:
-            """The pools of group ``where``, keyed by ``keys`` (enum members or value names)."""
-            by_name = {getattr(key, "value", key): key for key in keys}
-            out = {}
-            for k, v in group(where).items():
-                if k not in by_name:
-                    raise SchemaError(f"labels config: '{where}': unknown key {k!r}")
-                out[by_name[k]] = json_strings(v, f"labels config: '{where}.{k}'")
-            return out
+        def pools(group: str, key: str, members: Iterable) -> dict:
+            """The pools of ``group.key``, keyed by ``members`` (enum members or value names)."""
+            where = f"{group}.{key}"
+            by_name = {getattr(m, "value", m): m for m in members}
+            node = json_fields(groups[group][key], f"labels config: '{where}'", optional=by_name)
+            return {by_name[k]: json_strings(v, f"labels config: '{where}.{k}'")
+                    for k, v in node.items()}
 
-        try:
-            return cls(
-                initial_period=json_strings(group("periods")["initial"],
-                                            "labels config: 'periods.initial'"),
-                scenarios=pools("performance_scenarios.scenarios", Scenario),
-                perf_metrics=pools("performance_scenarios.metrics",
-                                   RECORD_SCHEMAS[TableType.PERFORMANCE_SCENARIOS][1]),
-                evolution_metrics=pools("costs_evolution.metrics",
-                                        RECORD_SCHEMAS[TableType.COSTS_EVOLUTION][1]),
-                categories=pools("costs_composition.categories", CostCategory),
-            )
-        except KeyError as e:
-            raise SchemaError(f"labels config: missing field {e.args[0]!r}") from None
+        return cls(
+            initial_period=json_strings(groups["periods"]["initial"],
+                                        "labels config: 'periods.initial'"),
+            scenarios=pools("performance_scenarios", "scenarios", Scenario),
+            perf_metrics=pools("performance_scenarios", "metrics",
+                               RECORD_SCHEMAS[TableType.PERFORMANCE_SCENARIOS][1]),
+            evolution_metrics=pools("costs_evolution", "metrics",
+                                    RECORD_SCHEMAS[TableType.COSTS_EVOLUTION][1]),
+            categories=pools("costs_composition", "categories", CostCategory),
+        )
 
 
 def load_labels_config(path: str | Path) -> LabelsConfig:
@@ -582,12 +578,14 @@ def table_row_dict(doc_id: str, page: Optional[int], ttype: TableType,
 
 
 def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional[Record]]:
-    for key in ("doc_id", "type", "status"):
-        if key not in d:
-            raise SchemaError(f"tables row: missing field {key!r}")
+    d = json_fields(d, "tables row", ("doc_id", "type", "status"))
     if not isinstance(d["doc_id"], str):
         raise SchemaError(f"tables row: 'doc_id' must be a string, got {d['doc_id']!r}")
     ttype = enum_member(TableType, d["type"], "tables row: unknown type")
+    page = d.get("page")
+    if page is not None and (type(page) is not int or page < 1):
+        raise SchemaError(f"tables row: 'page' must be null or a page number from 1, "
+                          f"got {page!r}")
     if d["status"] not in ("extracted", "missing"):
         raise SchemaError(f"tables row: unknown status {d['status']!r}")
     record = None
@@ -595,7 +593,7 @@ def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional
         if d.get("record") is None:
             raise SchemaError("tables row: status 'extracted' requires a record")
         record = Record.from_dict(ttype, json_object(d["record"], "tables row: 'record'"))
-    return d["doc_id"], d.get("page"), ttype, record
+    return d["doc_id"], page, ttype, record
 
 
 def write_tables_jsonl(rows: Iterable[dict], path: str | Path) -> None:

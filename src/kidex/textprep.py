@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .model import Document, SchemaError, parse_json_object, read_utf8
+from .model import Document, SchemaError, json_fields, parse_json_object, read_utf8
 
 
 LIGATURES = {"ﬁ": "fi", "ﬂ": "fl", "ﬀ": "ff", "ﬃ": "ffi", "ﬄ": "ffl"}
@@ -34,9 +34,7 @@ def normalize_text(raw: str) -> str:
 
 
 def _parse_page_file(raw: str, path: Path) -> tuple[Optional[str], list[str]]:
-    data = parse_json_object(raw, path)
-    if "pages" not in data:
-        raise SchemaError(f"{path}: missing field 'pages'")
+    data = json_fields(parse_json_object(raw, path), str(path), ("pages",))
     pages = data["pages"]
     if not isinstance(pages, list):
         raise SchemaError(f"{path}: field 'pages' must be a list of strings")

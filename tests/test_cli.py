@@ -167,11 +167,28 @@ def _labels_group_a_list(labels):
     labels["costs_evolution"]["metrics"] = [["Costi totali"]]
 
 
+def _labels_group_typo(labels):
+    labels["perfromance_scenarios"] = {}
+
+
+def _labels_sub_group_typo(labels):
+    labels["costs_evolution"]["metrix"] = {}
+
+
+def _labels_without_evolution_metrics(labels):
+    del labels["costs_evolution"]["metrics"]
+
+
 @pytest.mark.parametrize("edit, named", [
     (_labels_pool_a_string, "'costs_composition.categories.entry'"),
     (_labels_without_performance_scenarios, "'performance_scenarios'"),
     (_labels_group_a_list, "'costs_evolution.metrics': expected a JSON object"),
-], ids=["pool-a-string", "no-performance-scenarios", "group-a-list"])
+    (_labels_group_typo, "labels config: unknown key 'perfromance_scenarios'"),
+    (_labels_sub_group_typo, "labels config: 'costs_evolution': unknown key 'metrix'"),
+    (_labels_without_evolution_metrics,
+     "labels config: 'costs_evolution': missing field 'metrics'"),
+], ids=["pool-a-string", "no-performance-scenarios", "group-a-list", "group-typo",
+        "sub-group-typo", "no-evolution-metrics"])
 def test_tables_bad_labels_config_is_input_error(corpus, tmp_path, capsys, edit, named):
     labels = _packaged_labels()
     edit(labels)
@@ -199,8 +216,13 @@ def _sections(name="A", header_patterns=("Prodotto",)):
     (_sections(name=["A"]), "'sections[0].name': expected a string, got ['A']"),
     ({"sections": _sections()["sections"] * 2}, "section names must be unique"),
     (_sections(header_patterns=[]), "section A: needs at least one header pattern"),
+    ({**_sections(), "sectons": []}, "unknown key 'sectons'"),
+    ({"sections": [{**_sections()["sections"][0], "header_pattern": ["x"]}]},
+     "'sections[0]': unknown key 'header_pattern'"),
+    ({"sections": [{"header_patterns": ["Prodotto"]}]}, "'sections[0]': missing field 'name'"),
 ], ids=["patterns-a-string", "sections-a-number", "section-a-number", "pattern-a-number",
-        "name-a-list", "duplicate-names", "no-patterns"])
+        "name-a-list", "duplicate-names", "no-patterns", "top-level-typo", "section-key-typo",
+        "no-name"])
 def test_annotate_bad_section_config_is_input_error(corpus, tmp_path, capsys, sections,
                                                     message):
     path = tmp_path / "sections.json"
@@ -460,7 +482,9 @@ def test_eval_unknown_record_key_exit_1(corpus, tmp_path, capsys, side, ttype, e
     (_set("doc_id", value=["kid00001"]), "tables row: 'doc_id' must be a string, got ['kid00001']"),
     (_set("status", value="extractd"), "tables row: unknown status 'extractd'"),
     (_set("status", value=None), "tables row: unknown status None"),
-], ids=["doc-id-list", "status-typo", "status-null"])
+    (_set("page", value="x"), "tables row: 'page' must be null or a page number from 1, got 'x'"),
+    (_set("page", value=[3]), "tables row: 'page' must be null or a page number from 1, got [3]"),
+], ids=["doc-id-list", "status-typo", "status-null", "page-a-string", "page-a-list"])
 def test_eval_table_row_bad_doc_id_or_status_exit_1(corpus, tmp_path, capsys, side, edit, message):
     code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side,
                                                        "costs_evolution", edit)
@@ -581,8 +605,12 @@ def test_tables_mask_not_utf8_is_malformed(corpus, tmp_path, capsys, strict):
     ({"lables": "labels.json"}, "config error: {cfg}: unknown key 'lables'"),
     ({"confusions": {"pairs": {"/": "7"}, "numeric_only": False}},
      "config error: {cfg}: 'confusions': unknown key 'numeric_only'"),
+    ({"tab": {"anchors": {"costs_evolution": {"page_strings": ["Costi"],
+                                              "table_strings": ["Costi totali"],
+                                              "tabel_strings": ["Costi"]}}}},
+     "config error: tab config: 'anchors.costs_evolution': unknown key 'tabel_strings'"),
 ], ids=["tab-key-typo", "confusions-a-number", "tab-a-number", "unknown-top-level-key",
-        "confusions-key-typo"])
+        "confusions-key-typo", "anchor-spec-typo"])
 def test_config_typo_or_wrong_shape_exit_1(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -626,9 +654,10 @@ def _drop(path):
     (_set(("ocr",), 5), "ocr: expected a list, got 5"),
     (_set(("page",), "3"), "page: must be a 1-based page number"),
     (_set(("ocr", 2, "text"), 7), "ocr[2]: 'text' must be a string, got 7"),
+    (_drop(("ocr", 2, "bbox", "left")), "ocr[2]: 'bbox': missing field 'left'"),
 ], ids=["ocr-no-bbox", "detection-no-bbox", "bbox-a-list", "entry-a-string", "degenerate-box",
         "coordinate-a-string", "confidence-abc", "confidence-nan", "ocr-a-number",
-        "page-a-string", "text-a-number"])
+        "page-a-string", "text-a-number", "bbox-no-left"])
 def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, message):
     masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
     bad = masks / "kid00002.p4.json"

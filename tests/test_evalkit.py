@@ -1,11 +1,13 @@
 import json
 import random
+import re
 from decimal import Decimal
 
 import pytest
 
 from kidex.evalkit import (FieldScore, GoldSet, evaluate, f_measure, format_report,
-                           load_gold_fields, load_gold_set, precision_of, recall_of)
+                           load_gold_fields, load_gold_set, load_gold_tables, precision_of,
+                           recall_of)
 from kidex.model import CostCategory, Record, SchemaError
 from kidex.tabrec import TableType
 
@@ -114,6 +116,17 @@ def test_gold_loader_rejects_duplicates(tmp_path):
     path.write_text(row + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="duplicate"):
         load_gold_fields(path)
+
+
+def test_gold_tables_loader_rejects_duplicates(tmp_path):
+    path = tmp_path / "tables.jsonl"
+    row = {"doc_id": "d", "page": 5, "type": "costs_composition", "status": "extracted",
+           "record": {"entries": {"entry": "0.5"}}}
+    missing = dict(row, status="missing", record=None)
+    path.write_text(json.dumps(row) + "\n" + json.dumps(missing) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:2: duplicate table row ('d', 'costs_composition')")):
+        load_gold_tables(path)
 
 
 def test_gold_loader_names_missing_field(tmp_path):
