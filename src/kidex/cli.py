@@ -100,6 +100,17 @@ def _doc_id_for(path: Path) -> str:
     return stem[:-6] if stem.endswith(".pages") else stem
 
 
+def _load_documents(paths: list[Path]):
+    """The document of each file; a doc_id that an earlier file holds is an input error."""
+    first: dict[str, Path] = {}
+    for path in paths:
+        doc = textprep.load_document(_doc_id_for(path), path)
+        earlier = first.setdefault(doc.doc_id, path)
+        if earlier != path:
+            raise SchemaError(f"{path}: doc_id {doc.doc_id!r} repeats {earlier}")
+        yield doc
+
+
 # ---------------------------------------------------------------------------
 # annotate
 # ---------------------------------------------------------------------------
@@ -114,8 +125,7 @@ def cmd_annotate(args, config: Config) -> int:
     docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
 
     results: list[matcher.ExtractionResult] = []
-    for path in docs:
-        doc = textprep.load_document(_doc_id_for(path), path)
+    for doc in _load_documents(docs):
         doc = annotate_mod.tokenize_document(doc)
         doc = annotate_mod.annotate_sections(doc, section_cfg)
         _doc, found = matcher.run_rules(compiled, doc)
@@ -157,9 +167,8 @@ def cmd_tables(args, config: Config) -> int:
 
     pages = Path(args.pages)
     page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
-    rows: list[dict] = []
-    for path in page_files:
-        doc = textprep.load_document(_doc_id_for(path), path)
+    rows = []  # (doc_id, type, page, record or None)
+    for doc in _load_documents(page_files):
         if doc.doc_id in skipped_docs:
             continue
         page_map = tabrec.identify_pages(doc.page_texts(), config.tab)
@@ -178,18 +187,17 @@ def cmd_tables(args, config: Config) -> int:
                                                             config.confusions, config.locale_hint)
                     for w in warnings:
                         print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
-            rows.append(tabrec.table_row_dict(doc.doc_id, pageno, ttype, record))
+            rows.append((doc.doc_id, ttype, pageno, record))
 
-    rows.sort(key=lambda r: (r["doc_id"], r["type"]))
+    rows.sort(key=lambda r: (r[0], r[1].value))
     with _writing():
         tabrec.write_tables_jsonl(rows, args.out)
 
     print(f"{'table type':<24} {'Extracted':>10} {'Missing':>10}")
     for ttype in tabrec.TableType:
-        extracted = sum(1 for r in rows if r["type"] == ttype.value and r["status"] == "extracted")
-        missing = sum(1 for r in rows if r["type"] == ttype.value and r["status"] == "missing")
-        title = evalkit.TABLE_TITLES[ttype]
-        print(f"{title:<24} {extracted:>10} {missing:>10}")
+        records = [record for _doc_id, t, _page, record in rows if t is ttype]
+        extracted = sum(r is not None for r in records)
+        print(f"{evalkit.TABLE_TITLES[ttype]:<24} {extracted:>10} {len(records) - extracted:>10}")
     return EXIT_OK
 
 
@@ -197,20 +205,9 @@ def cmd_tables(args, config: Config) -> int:
 # eval and gen
 # ---------------------------------------------------------------------------
 
-def _load_predictions(pred_dir: Path):
-    found = {p.name: p for p in _files(pred_dir, lambda p: True)}
-    fields: list[evalkit.Triple] = []
-    path = found.get("fields.jsonl") or found.get("fields.csv")
-    if path is not None:
-        for i, row in enumerate(matcher.read_results_file(path), 1):
-            fields.append(evalkit._field_triple(row, f"{path}: row {i}"))
-    tables = evalkit.load_gold_tables(found["tables.jsonl"]) if "tables.jsonl" in found else {}
-    return fields, tables
-
-
 def cmd_eval(args, config: Config) -> int:
     gold = evalkit.load_gold_set(Path(args.gold))
-    fields, tables = _load_predictions(Path(args.pred))
+    fields, tables = evalkit.load_predictions(args.pred)
     report = evalkit.evaluate(gold, fields, tables)
     sys.stdout.write(evalkit.format_report(report))
     report_path = Path(args.report) if args.report else Path(args.pred) / "eval_report.json"

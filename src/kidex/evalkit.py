@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from . import tabrec
+from . import matcher, tabrec
 from .model import Factory, Record, SchemaError, Struct, TableType, read_jsonl
 
 _WS_RE = re.compile(r"\s+")
@@ -22,20 +22,18 @@ def _norm_value(value: str) -> str:
 
 
 Triple = tuple[str, str, str]  # (doc_id, field, value)
+Tables = Mapping[tuple[str, TableType], Optional[Record]]  # None: the table is missing
 
 
 class GoldSet(Struct):
     """Gold field triples plus per-(doc, type) table truth."""
     fields: frozenset[Triple]
-    tables: Mapping[tuple[str, TableType], tuple[str, Optional[Record]]]
+    tables: Tables
 
     @classmethod
     def from_parts(cls, fields: Iterable[Triple],
                    tables: Mapping = ()) -> "GoldSet":
-        normed = set()
-        for doc_id, fname, value in fields:
-            normed.add((doc_id, fname, _norm_value(value)))
-        return cls(frozenset(normed), dict(tables))
+        return cls(frozenset((d, f, _norm_value(v)) for d, f, v in fields), dict(tables))
 
 
 def _field_triple(row: Mapping, where: str) -> Triple:
@@ -58,16 +56,17 @@ def load_gold_fields(path: str | Path) -> list[Triple]:
     return triples
 
 
-def load_gold_tables(path: str | Path) -> dict[tuple[str, TableType], tuple[str, Optional[Record]]]:
+def load_gold_tables(path: str | Path) -> Tables:
+    """The record of every (doc_id, type) of a gold or predicted tables file."""
     out = {}
     for lineno, row in tabrec.read_tables_jsonl(path):
         try:
-            doc_id, _page, ttype, record = tabrec.parse_table_row(row)
+            doc_id, ttype, record = tabrec.parse_table_row(row)
         except SchemaError as e:
             raise SchemaError(f"{path}:{lineno}: {e}") from None
         if (doc_id, ttype) in out:
             raise SchemaError(f"{path}:{lineno}: duplicate table row {(doc_id, ttype.value)!r}")
-        out[(doc_id, ttype)] = (row["status"], record)
+        out[(doc_id, ttype)] = record
     return out
 
 
@@ -77,6 +76,20 @@ def load_gold_set(gold_dir: str | Path) -> GoldSet:
     tables_path = gold_dir / "tables.jsonl"
     tables = load_gold_tables(tables_path) if tables_path.exists() else {}
     return GoldSet.from_parts(fields, tables)
+
+
+def load_predictions(pred_dir: str | Path) -> tuple[list[Triple], Tables]:
+    """The field triples of ``fields.jsonl``, else ``fields.csv``, and the tables of
+    ``tables.jsonl`` in a result directory; each file may be absent."""
+    pred_dir = Path(pred_dir)
+    if not pred_dir.is_dir():
+        raise NotADirectoryError(f"not a directory: {pred_dir}")
+    path = next((p for p in (pred_dir / "fields.jsonl", pred_dir / "fields.csv") if p.is_file()),
+                None)
+    rows = matcher.read_results_file(path) if path is not None else []
+    fields = [_field_triple(row, f"{path}: row {i}") for i, row in enumerate(rows, 1)]
+    tables_path = pred_dir / "tables.jsonl"
+    return fields, load_gold_tables(tables_path) if tables_path.is_file() else {}
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +134,9 @@ class FieldScore(Struct):
 
 
 class TableScore(Struct):
-    extracted: int = 0   # status extracted and record equals gold
-    incorrect: int = 0   # status extracted but record differs
-    missing: int = 0     # predicted missing (or absent) where gold has a table
+    extracted: int = 0   # a predicted record equal to gold's
+    incorrect: int = 0   # a predicted record that differs, or where gold has none
+    missing: int = 0     # no predicted record where gold has one
 
     def to_dict(self) -> dict:
         return {"extracted": self.extracted, "incorrect": self.incorrect,
@@ -145,17 +158,15 @@ class EvalReport(Struct):
 
 
 def evaluate(gold: GoldSet, field_predictions: Iterable[Triple],
-             table_predictions: Mapping[tuple[str, TableType],
-                                        tuple[str, Optional[Record]]] | None = None) -> EvalReport:
+             table_predictions: Tables | None = None) -> EvalReport:
     """Score predictions: sets of normalized (doc_id, field, value) triples.
 
     A prediction is a true positive iff gold holds the identical triple
     after whitespace normalization; values compare case-sensitively.
-    Predictions for unknown doc_ids are false positives.
+    Predictions for unknown doc_ids are false positives. Tables, if gold has
+    any, are scored over the (doc_id, type) keys of both (see TableScore).
     """
-    pred = set()
-    for doc_id, fname, value in field_predictions:
-        pred.add((doc_id, fname, _norm_value(value)))
+    pred = {(d, f, _norm_value(v)) for d, f, v in field_predictions}
 
     field_names = sorted({t[1] for t in gold.fields} | {t[1] for t in pred})
     scores: dict[str, FieldScore] = {}
@@ -173,16 +184,12 @@ def evaluate(gold: GoldSet, field_predictions: Iterable[Triple],
     if gold.tables:
         table_predictions = table_predictions or {}
         counts = {t: [0, 0, 0] for t in TableType}
-        for (doc_id, ttype), (g_status, g_record) in gold.tables.items():
-            p_status, p_record = table_predictions.get((doc_id, ttype), ("missing", None))
-            if g_status != "extracted":
-                continue  # gold has no table there; nothing to score
-            if p_status == "extracted" and p_record == g_record:
-                counts[ttype][0] += 1
-            elif p_status == "extracted":
-                counts[ttype][1] += 1
-            else:
-                counts[ttype][2] += 1
+        for key in gold.tables.keys() | table_predictions.keys():
+            g_record, p_record = gold.tables.get(key), table_predictions.get(key)
+            if p_record is not None:
+                counts[key[1]][0 if p_record == g_record else 1] += 1
+            elif g_record is not None:
+                counts[key[1]][2] += 1
         table_scores = {t: TableScore(*counts[t]) for t in TableType
                         if any(counts[t])}
 

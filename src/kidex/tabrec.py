@@ -577,7 +577,8 @@ def table_row_dict(doc_id: str, page: Optional[int], ttype: TableType,
     }
 
 
-def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional[Record]]:
+def parse_table_row(d: Mapping) -> tuple[str, TableType, Optional[Record]]:
+    """The (doc_id, type, record) of one tables row; ``None`` for a missing table."""
     d = json_fields(d, "tables row", ("doc_id", "type", "status"))
     if not isinstance(d["doc_id"], str):
         raise SchemaError(f"tables row: 'doc_id' must be a string, got {d['doc_id']!r}")
@@ -586,18 +587,21 @@ def parse_table_row(d: Mapping) -> tuple[str, Optional[int], TableType, Optional
     if page is not None and (type(page) is not int or page < 1):
         raise SchemaError(f"tables row: 'page' must be null or a page number from 1, "
                           f"got {page!r}")
-    if d["status"] not in ("extracted", "missing"):
-        raise SchemaError(f"tables row: unknown status {d['status']!r}")
-    record = None
-    if d["status"] == "extracted":
-        if d.get("record") is None:
-            raise SchemaError("tables row: status 'extracted' requires a record")
-        record = Record.from_dict(ttype, json_object(d["record"], "tables row: 'record'"))
-    return d["doc_id"], page, ttype, record
+    status, record = d["status"], d.get("record")
+    if status not in ("extracted", "missing"):
+        raise SchemaError(f"tables row: unknown status {status!r}")
+    if (status == "extracted") != (record is not None):
+        raise SchemaError(f"tables row: status {status!r} requires "
+                          f"{'a' if record is None else 'a null'} record")
+    if record is not None:
+        record = Record.from_dict(ttype, json_object(record, "tables row: 'record'"))
+    return d["doc_id"], ttype, record
 
 
-def write_tables_jsonl(rows: Iterable[dict], path: str | Path) -> None:
-    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+def write_tables_jsonl(rows: Iterable[tuple], path: str | Path) -> None:
+    """Write (doc_id, type, page, record) rows, ``None`` for a missing table."""
+    text = "".join(json.dumps(table_row_dict(doc_id, page, ttype, record), ensure_ascii=False)
+                   + "\n" for doc_id, ttype, page, record in rows)
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -484,12 +484,67 @@ def test_eval_unknown_record_key_exit_1(corpus, tmp_path, capsys, side, ttype, e
     (_set("status", value=None), "tables row: unknown status None"),
     (_set("page", value="x"), "tables row: 'page' must be null or a page number from 1, got 'x'"),
     (_set("page", value=[3]), "tables row: 'page' must be null or a page number from 1, got [3]"),
-], ids=["doc-id-list", "status-typo", "status-null", "page-a-string", "page-a-list"])
+    (_set("status", value="missing"), "tables row: status 'missing' requires a null record"),
+], ids=["doc-id-list", "status-typo", "status-null", "page-a-string", "page-a-list",
+        "missing-with-record"])
 def test_eval_table_row_bad_doc_id_or_status_exit_1(corpus, tmp_path, capsys, side, edit, message):
     code, tables, lineno = _eval_with_edited_table_row(corpus, tmp_path, side,
                                                        "costs_evolution", edit)
     assert code == 1
     assert capsys.readouterr().err == f"input error: {tables}:{lineno}: {message}\n"
+
+
+def test_eval_counts_a_table_for_a_document_gold_lacks_incorrect(tmp_path, capsys):
+    corpus, pred = tmp_path / "corpus", tmp_path / "pred"
+    assert main(["gen", "--n", "2", "--seed", "3", "--out", str(corpus)]) == 0
+    pred.mkdir()
+    rows = (corpus / "gold" / "tables.jsonl").read_text(encoding="utf-8").splitlines()
+    ghost = dict(json.loads(rows[0]), doc_id="kid99999")
+    assert ghost["status"] == "extracted"
+    (pred / "tables.jsonl").write_text("\n".join(rows + [json.dumps(ghost)]) + "\n",
+                                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("Incorrect") == 1 and f"{'':<24} Incorrect {1:>6}\n" in out
+    report = json.loads((pred / "eval_report.json").read_text(encoding="utf-8"))
+    assert report["tables"][ghost["type"]] == {"extracted": 2, "incorrect": 1, "missing": 0}
+
+
+def test_eval_accepts_what_tables_writes(tmp_path):
+    corpus, pred = tmp_path / "corpus", tmp_path / "pred"
+    assert main(["gen", "--n", "8", "--seed", "5", "--noise", "0.5", "--out", str(corpus)]) == 0
+    pred.mkdir()
+    # one document is skipped for a malformed mask, another loses a page anchor
+    sorted((corpus / "masks").glob("kid00002.p*.json"))[0].write_text("{broken", encoding="utf-8")
+    anchorless = corpus / "docs" / "kid00003.pages.json"
+    anchorless.write_text(anchorless.read_text(encoding="utf-8")
+                          .replace("Andamento dei costi", "testo generico"), encoding="utf-8")
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                 "--out", str(pred / "tables.jsonl")]) == 0
+    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
+    report = json.loads((pred / "eval_report.json").read_text(encoding="utf-8"))
+    noise = json.loads((corpus / "gold" / "noise.json").read_text(encoding="utf-8"))
+    missing = {tuple(pair) for pair in noise["dropped_headers"]}
+    types = [t.value for t in kidex.TableType]
+    missing |= {("kid00002", t) for t in types} | {("kid00003", "costs_evolution")}
+    for ttype in types:
+        count = sum(1 for _doc_id, t in missing if t == ttype)
+        assert report["tables"][ttype] == {"extracted": 8 - count, "incorrect": 0,
+                                           "missing": count}
+
+
+@pytest.mark.parametrize("command", ["annotate", "tables"])
+def test_doc_id_in_two_input_files_is_input_error(corpus, tmp_path, capsys, command):
+    docs = shutil.copytree(corpus / "docs", tmp_path / "docs")
+    shutil.copy(docs / "kid00001.pages.json", docs / "copy.pages.json")
+    out = tmp_path / "out"
+    argv = {"annotate": ["annotate", "--in", str(docs)],
+            "tables": ["tables", "--masks", str(corpus / "masks"), "--pages", str(docs)]}
+    assert main(argv[command] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"input error: {docs / 'kid00001.pages.json'}: doc_id "
+                                       f"'kid00001' repeats {docs / 'copy.pages.json'}\n")
+    assert not out.exists()
 
 
 def test_workers_flag_rejected(tmp_path):
@@ -842,6 +897,10 @@ def _policy_case(corpus, tmp_path, row):
         return ["tables", "--masks", masks, "--pages", docs, "--out", str(tmp_path / "no" / "t")]
     if row == "gen-error":
         return ["gen", "--n", "0", "--seed", "1", "--out", str(tmp_path / "c")]
+    if row == "duplicate-doc-id":  # relative paths: the run's working directory is tmp_path
+        dup = shutil.copytree(corpus / "docs", tmp_path / "docs")
+        shutil.copy(dup / "kid00001.pages.json", dup / "copy.pages.json")
+        return ["annotate", "--in", "docs", "--out", out]
     bad_masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
     if row.startswith("mask-skipped"):
         (bad_masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
@@ -859,6 +918,8 @@ _POLICY_ROWS = {
     "rule-error": ("rule error: line 1, column 10: ", 3),
     "rule-error-backtracking": ("rule error: rule ", 3),
     "input-error": ("input error: not a directory: ", 1),
+    "duplicate-doc-id": ("input error: docs/kid00001.pages.json: doc_id 'kid00001' repeats "
+                         "docs/copy.pages.json", 1),
     "config-error": ("config error: ", 1),
     "cannot-write-output": ("cannot write output: ", 1),
     "gen-error": ("gen error: n must be >= 1", 1),
@@ -876,7 +937,7 @@ def test_error_policy_table(corpus, tmp_path, row):
     src = Path(kidex.__file__).resolve().parent.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "kidex.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", "kidex.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr[:len(prefix)]) == (code, prefix), proc.stderr
     assert "Traceback" not in proc.stderr

@@ -6,8 +6,8 @@ from decimal import Decimal
 import pytest
 
 from kidex.evalkit import (FieldScore, GoldSet, evaluate, f_measure, format_report,
-                           load_gold_fields, load_gold_set, load_gold_tables, precision_of,
-                           recall_of)
+                           load_gold_fields, load_gold_set, load_gold_tables, load_predictions,
+                           precision_of, recall_of)
 from kidex.model import CostCategory, Record, SchemaError
 from kidex.tabrec import TableType
 
@@ -88,18 +88,38 @@ def test_table_scoring_extracted_incorrect_missing():
     good = Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("0.5")})
     bad = Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("0.6")})
     gold_tables = {
-        ("d1", TableType.COSTS_COMPOSITION): ("extracted", good),
-        ("d2", TableType.COSTS_COMPOSITION): ("extracted", good),
-        ("d3", TableType.COSTS_COMPOSITION): ("extracted", good),
+        ("d1", TableType.COSTS_COMPOSITION): good,
+        ("d2", TableType.COSTS_COMPOSITION): good,
+        ("d3", TableType.COSTS_COMPOSITION): good,
+        ("d4", TableType.COSTS_COMPOSITION): good,
     }
     preds = {
-        ("d1", TableType.COSTS_COMPOSITION): ("extracted", good),
-        ("d2", TableType.COSTS_COMPOSITION): ("extracted", bad),
+        ("d1", TableType.COSTS_COMPOSITION): good,
+        ("d2", TableType.COSTS_COMPOSITION): bad,
+        ("d4", TableType.COSTS_COMPOSITION): None,
         # d3 absent -> missing
     }
     report = evaluate(_gold([], gold_tables), [], preds)
     score = report.tables[TableType.COSTS_COMPOSITION]
-    assert (score.extracted, score.incorrect, score.missing) == (1, 1, 1)
+    assert (score.extracted, score.incorrect, score.missing) == (1, 1, 2)
+
+
+def test_table_scoring_counts_a_spurious_table_incorrect():
+    good = Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("0.5")})
+    gold_tables = {("d1", TableType.COSTS_COMPOSITION): good,
+                   ("d2", TableType.COSTS_COMPOSITION): None}
+    preds = {
+        ("d1", TableType.COSTS_COMPOSITION): good,
+        ("d2", TableType.COSTS_COMPOSITION): good,      # gold's row says missing
+        ("ghost", TableType.COSTS_COMPOSITION): good,   # gold has no row
+        ("ghost", TableType.COSTS_EVOLUTION): None,     # a missing table counts nothing
+    }
+    report = evaluate(_gold([], gold_tables), [], preds)
+    score = report.tables[TableType.COSTS_COMPOSITION]
+    assert (score.extracted, score.incorrect, score.missing) == (1, 2, 0)
+    assert set(report.tables) == {TableType.COSTS_COMPOSITION}
+    # without gold tables nothing is scored, however many tables are predicted
+    assert evaluate(_gold([]), [], preds).tables == {}
 
 
 def test_report_rendering_mentions_each_field():
@@ -139,3 +159,18 @@ def test_gold_loader_names_missing_field(tmp_path):
 def test_gold_set_requires_fields_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_gold_set(tmp_path)
+
+
+def test_load_predictions_reads_fields_jsonl_before_fields_csv(tmp_path):
+    assert load_predictions(tmp_path) == ([], {})
+    (tmp_path / "fields.csv").write_text("doc_id,field,value\nd,F,csv\n", encoding="utf-8")
+    assert load_predictions(tmp_path) == ([("d", "F", "csv")], {})
+    (tmp_path / "fields.jsonl").write_text(
+        json.dumps({"doc_id": "d", "field": "F", "value": "jsonl"}) + "\n", encoding="utf-8")
+    (tmp_path / "tables.jsonl").write_text(json.dumps(
+        {"doc_id": "d", "page": None, "type": "costs_evolution", "status": "missing",
+         "record": None}) + "\n", encoding="utf-8")
+    assert load_predictions(tmp_path) == ([("d", "F", "jsonl")],
+                                          {("d", TableType.COSTS_EVOLUTION): None})
+    with pytest.raises(NotADirectoryError, match="not a directory: "):
+        load_predictions(tmp_path / "fields.csv")

@@ -603,6 +603,8 @@ def _composition_row(entries) -> dict:
     ({"doc_id": "d", "type": "bogus", "status": "missing"}, "tables row: unknown type 'bogus'"),
     (_composition_row({"bogus": "0.5"}), "record: unknown category 'bogus'"),
     (_composition_row({"entry": "abc"}), "record: not a number 'abc'"),
+    (dict(_composition_row({"entry": "0.5"}), status="missing"),
+     "tables row: status 'missing' requires a null record"),
 ])
 def test_parse_table_row_rejects_unknown_values(row, message):
     with pytest.raises(SchemaError, match=re.escape(message)):
