@@ -39,7 +39,7 @@ def _writing():
 
 
 # The error policy of annotate, tables and eval: the stderr prefix and exit code per
-# exception class. Config errors, mask skips and gen errors are reported where they occur.
+# exception class. Config errors, tables warnings and gen errors are reported where they occur.
 _ERRORS = {
     OutputError: ("cannot write output", EXIT_IO),
     ruledsl.RuleError: ("rule error", EXIT_RULES),
@@ -168,7 +168,9 @@ def cmd_tables(args, config: Config) -> int:
     pages = Path(args.pages)
     page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
     rows = []  # (doc_id, type, page, record or None)
+    held: set[str] = set()  # the doc_ids the page files hold
     for doc in _load_documents(page_files):
+        held.add(doc.doc_id)
         if doc.doc_id in skipped_docs:
             continue
         page_map = tabrec.identify_pages(doc.page_texts(), config.tab)
@@ -188,6 +190,16 @@ def cmd_tables(args, config: Config) -> int:
                     for w in warnings:
                         print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
             rows.append((doc.doc_id, ttype, pageno, record))
+
+    orphans: dict[str, list[str]] = {}  # doc_id -> its mask files, for docs no page file holds
+    for doc_id, pageno in sorted(masks):
+        if doc_id not in held:
+            orphans.setdefault(doc_id, []).append(f"{doc_id}.p{pageno}.json")
+    for doc_id, names in orphans.items():
+        print(f"warning: no page file holds {doc_id}; ignoring its mask files {', '.join(names)}",
+              file=sys.stderr)
+    if orphans and args.strict:
+        return EXIT_IO
 
     rows.sort(key=lambda r: (r[0], r[1].value))
     with _writing():

@@ -313,7 +313,9 @@ def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
 
     Layout: ``docs/`` page-text files, ``masks/`` one detections file per
     table page, ``gold/fields.jsonl``, ``gold/tables.jsonl`` and
-    ``gold/noise.json`` (drop bookkeeping).
+    ``gold/noise.json`` (drop bookkeeping). A layout directory that already
+    holds anything is a FileExistsError, raised before any write, so no file
+    of an earlier corpus can stay behind among the new ones.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -323,6 +325,10 @@ def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
     docs_dir = out / "docs"
     masks_dir = out / "masks"
     gold_dir = out / "gold"
+    for d in (docs_dir, masks_dir, gold_dir):
+        if d.is_dir() and any(d.iterdir()):
+            raise FileExistsError(f"{d} is not empty; gen writes a corpus into empty "
+                                  "directories only")
     for d in (docs_dir, masks_dir, gold_dir):
         d.mkdir(parents=True, exist_ok=True)
 

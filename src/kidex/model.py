@@ -12,6 +12,7 @@ from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from itertools import chain, product, repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Optional, TypeVar
 
@@ -318,9 +319,6 @@ class BBox(namedtuple("BBox", "left top right bottom")):
     def area(self) -> int:
         return self.width * self.height
 
-    def to_dict(self) -> dict:
-        return {"left": self.left, "top": self.top, "right": self.right, "bottom": self.bottom}
-
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection area over union area; 0.0 for disjoint boxes."""
@@ -398,10 +396,6 @@ class Detection(Struct):
             raise ValueError(f"confidence {confidence} outside [0, 1]")
         self.__dict__.update(cls=cls, confidence=confidence, bbox=bbox)
 
-    def to_dict(self) -> dict:
-        return {"class": self.cls.value, "confidence": self.confidence,
-                "bbox": self.bbox.to_dict()}
-
     @classmethod
     def from_dict(cls, d: Mapping, where: str = "detection") -> "Detection":
         """Every schema violation is a SchemaError led by ``where``."""
@@ -420,9 +414,6 @@ class Detection(Struct):
 class OcrEntry(namedtuple("OcrEntry", "bbox text")):
     """One OCR text box; a tuple subclass like ``BBox``."""
     __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {"bbox": self.bbox.to_dict(), "text": self.text}
 
 
 def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
@@ -473,16 +464,6 @@ class PageDetections(Struct):
         for entry in self.ocr:
             _check_bounds(entry.bbox, "ocr", self.page_width, self.page_height)
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "page": self.page,
-            "page_width": self.page_width,
-            "page_height": self.page_height,
-            "detections": [d.to_dict() for d in self.detections],
-            "ocr": [o.to_dict() for o in self.ocr],
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "PageDetections":
         """The page a JSON object describes; any schema violation is a SchemaError
@@ -513,8 +494,30 @@ def load_page_detections(path: str | Path) -> PageDetections:
     return PageDetections.from_dict(parse_json_object(read_utf8(path), path))
 
 
+_PAGE_JSON = ('{\n  "doc_id": %s,\n  "page": %r,\n  "page_width": %r,\n  "page_height": %r,\n'
+              '  "detections": %s,\n  "ocr": %s\n}\n')
+_DETECTION_JSON = ('\n    {\n      "class": %s,\n      "confidence": %r,\n      "bbox": {\n'
+                   '        "left": %r,\n        "top": %r,\n        "right": %r,\n'
+                   '        "bottom": %r\n      }\n    }')
+_OCR_JSON = ('\n    {\n      "bbox": {\n        "left": %r,\n        "top": %r,\n'
+             '        "right": %r,\n        "bottom": %r\n      },\n      "text": %s\n    }')
+
+
+def _json_array(items: list[str]) -> str:
+    return "[" + ",".join(items) + "\n  ]" if items else "[]"
+
+
 def dump_page_detections(page: PageDetections, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(page.to_dict(), ensure_ascii=False, indent=2) + "\n",
+    """Write the bytes ``json.dumps(..., ensure_ascii=False, indent=2)`` and a newline
+    give for ``page``, without that call's pure-Python encoder: strings go through its
+    escaper, and numbers through ``%r``, which is its ``int.__repr__`` or
+    ``float.__repr__`` for the finite numbers of every page ``from_dict`` accepts."""
+    detections = [_DETECTION_JSON % (encode_basestring(d.cls.value), d.confidence, *d.bbox)
+                  for d in page.detections]
+    ocr = [_OCR_JSON % (*box, encode_basestring(text)) for box, text in page.ocr]
+    Path(path).write_text(_PAGE_JSON % (encode_basestring(page.doc_id), page.page,
+                                        page.page_width, page.page_height,
+                                        _json_array(detections), _json_array(ocr)),
                           encoding="utf-8")
 
 

@@ -50,6 +50,8 @@ def fix_confusions(text: str, cmap: Optional[ConfusionMap] = None) -> str:
     """Apply the confusion map; in numeric-context mode only to digit-heavy strings."""
     cmap = cmap or ConfusionMap()
     if cmap.numeric_context_only:
+        if not any(map(str.isdigit, text)):  # most label cells: nothing is numeric
+            return text
         core = [ch for ch in text if ch not in _SEPARATOR_CHARS]
         digits = sum(ch.isdigit() for ch in core)
         if not core or 2 * digits < len(core):
@@ -87,6 +89,8 @@ def normalize_number(text: str, locale_hint: str = "it") -> Optional[Decimal]:
     exact 3-digit groups after the first; under ``en`` the two separators
     swap those roles.
     """
+    if not any(map(str.isdigit, text)):  # the steps below never add a digit
+        return None
     s = strip_currency(text).replace("\u2212", "-").strip()
     if s.endswith("%"):
         s = s[:-1]
@@ -95,8 +99,6 @@ def normalize_number(text: str, locale_hint: str = "it") -> Optional[Decimal]:
     if s[:1] in ("+", "-"):
         negative = s[0] == "-"
         s = s[1:]
-    if not s or not any(ch.isdigit() for ch in s):
-        return None
     if any(ch not in "0123456789.," for ch in s):
         return None
 

@@ -3,13 +3,16 @@
 These deliberately avoid the production code paths: the matcher oracle
 walks the pattern AST enumerating whole derivations, the row oracle
 implements the clustering definition set-wise, the number oracle is a
-direct decision table for single-separator numerals, the OCR
-association oracle scores every OCR entry on the page, the tokenizer
-oracle scans the text one character at a time, the sections oracle
-compares every header phrase at every token position, and the page
-detections oracle builds every box and entry one at a time, the
-record oracle parses tables rows with one hand-written class per table,
-and the rule lexer oracle reads a rule file one character at a time.
+direct decision table for single-separator numerals, the number parser
+and confusion repair oracles are the full parser and map without their
+early return for digit-free text, the OCR association oracle scores every
+OCR entry on the page, the tokenizer oracle scans the text one character
+at a time, the sections oracle compares every header phrase at every token
+position, the page detections oracle builds every box and entry one at a
+time, the page dict is the JSON object the mask page writer must lay out,
+the record oracle parses tables rows with one hand-written class per
+table, and the rule lexer oracle reads a rule file one character at a
+time.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from kidex.annotate import PUNCT_CHARS, SECTION_KEY, tokenize
 from kidex.model import (Annotation, BBox, CostCategory, Detection, DetectionClass, OcrEntry,
                          PageDetections, Period, Scenario, SchemaError, TableType, Token,
                          dec_str, enum_member, iou, json_object)
+from kidex.normalize import ConfusionMap, strip_currency
 from kidex.tabrec import enlarge_bbox
 
 
@@ -173,6 +177,68 @@ def expected_number(d1: str, d2: str, sep: Optional[str]) -> Optional[Decimal]:
     if not d2:
         return Decimal(d1)
     return Decimal((d1 or "0") + "." + d2)
+
+
+# ``normalize_number`` and ``fix_confusions`` without their early return for text
+# that holds no digit, so tests can show that the return changes no result.
+_SEPARATOR_CHARS = set(" \t.,%€$£+-")
+
+
+def fix_confusions_oracle(text: str, cmap: Optional[ConfusionMap] = None) -> str:
+    cmap = cmap or ConfusionMap()
+    if cmap.numeric_context_only:
+        core = [ch for ch in text if ch not in _SEPARATOR_CHARS]
+        digits = sum(ch.isdigit() for ch in core)
+        if not core or 2 * digits < len(core):
+            return text
+    return "".join(cmap.pairs.get(ch, ch) for ch in text)
+
+
+def normalize_number_oracle(text: str, locale_hint: str = "it") -> Optional[Decimal]:
+    s = strip_currency(text).replace("\u2212", "-").strip()
+    if s.endswith("%"):
+        s = s[:-1]
+    s = re.sub(r"\s+", "", s)
+    negative = False
+    if s[:1] in ("+", "-"):
+        negative = s[0] == "-"
+        s = s[1:]
+    if not s or not any(ch.isdigit() for ch in s):
+        return None
+    if any(ch not in "0123456789.," for ch in s):
+        return None
+
+    has_dot = "." in s
+    has_comma = "," in s
+    if has_dot and has_comma:
+        decimal_sep = "." if s.rfind(".") > s.rfind(",") else ","
+        grouping_sep = "," if decimal_sep == "." else "."
+        s = s.replace(grouping_sep, "")
+        if s.count(decimal_sep) != 1:
+            return None
+        s = s.replace(decimal_sep, ".")
+    elif has_dot or has_comma:
+        sep = "." if has_dot else ","
+        parts = s.split(sep)
+        decimal_role = (sep == ",") if locale_hint != "en" else (sep == ".")
+        if decimal_role:
+            if len(parts) == 2 and 1 <= len(parts[1]) <= 2:
+                s = parts[0] + "." + parts[1]
+            else:
+                s = "".join(parts)
+        else:
+            if len(parts) >= 2 and all(len(p) == 3 for p in parts[1:]):
+                s = "".join(parts)
+            elif len(parts) == 2:
+                s = parts[0] + "." + parts[1]
+            else:
+                return None
+
+    try:
+        value = Decimal(s)
+    except InvalidOperation:
+        return None
+    return -value if negative else value
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +406,24 @@ def page_detections_oracle(d) -> PageDetections:
         ocr.append(OcrEntry(_oracle_box(x["bbox"]), x["text"]))
     return PageDetections(d["doc_id"], d["page"], d["page_width"], d["page_height"],
                           tuple(detections), tuple(ocr))
+
+
+def _box_dict(box: BBox) -> dict:
+    return {"left": box.left, "top": box.top, "right": box.right, "bottom": box.bottom}
+
+
+def page_detections_dict(page: PageDetections) -> dict:
+    """The JSON object of a mask page, keys in file order; ``json.dumps`` of it with
+    ``ensure_ascii=False, indent=2`` is what ``dump_page_detections`` must write."""
+    return {
+        "doc_id": page.doc_id,
+        "page": page.page,
+        "page_width": page.page_width,
+        "page_height": page.page_height,
+        "detections": [{"class": d.cls.value, "confidence": d.confidence,
+                        "bbox": _box_dict(d.bbox)} for d in page.detections],
+        "ocr": [{"bbox": _box_dict(o.bbox), "text": o.text} for o in page.ocr],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,22 @@ def test_tables_malformed_mask_skips_doc_whose_id_contains_dot_p(corpus, tmp_pat
     assert [r["doc_id"] for r in rows] == ["kid00002"] * 3
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["warn", "strict"])
+def test_tables_warns_of_masks_no_page_file_holds(corpus, tmp_path, capsys, strict):
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    shutil.copy(corpus / "docs" / "kid00001.pages.json", pages)
+    out = tmp_path / "tables.jsonl"
+    code = main(["--strict"] * strict + ["tables", "--masks", str(corpus / "masks"),
+                                         "--pages", str(pages), "--out", str(out)])
+    assert code == (1 if strict else 0)
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: no page file holds {doc_id}; ignoring its mask files "
+        f"{doc_id}.p3.json, {doc_id}.p4.json, {doc_id}.p5.json"
+        for doc_id in ("kid00002", "kid00003")]
+    assert out.exists() != strict
+
+
 def test_tables_strict_malformed_exit_1(corpus, tmp_path):
     masks = tmp_path / "masks"
     masks.mkdir()
@@ -576,6 +592,20 @@ def test_gen_invalid_n_exit_1(tmp_path):
     assert main(["gen", "--n", "0", "--seed", "1", "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("layout_dir", ["docs", "masks", "gold"])
+def test_gen_into_a_non_empty_tree_is_gen_error(tmp_path, capsys, layout_dir):
+    out = tmp_path / "st"
+    assert main(["gen", "--n", "4", "--seed", "1", "--out", str(out)]) == 0
+    for name in {"docs", "masks", "gold"} - {layout_dir}:
+        shutil.rmtree(out / name)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["gen", "--n", "2", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"gen error: {out / layout_dir} is not empty; "
+                                       "gen writes a corpus into empty directories only\n")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_config_tab_as_separate_file(tmp_path, corpus):
     tab = tmp_path / "tab.json"
     tab.write_text(json.dumps({"confidence_threshold": 0.99}), encoding="utf-8")
@@ -901,10 +931,16 @@ def _policy_case(corpus, tmp_path, row):
         dup = shutil.copytree(corpus / "docs", tmp_path / "docs")
         shutil.copy(dup / "kid00001.pages.json", dup / "copy.pages.json")
         return ["annotate", "--in", "docs", "--out", out]
+    strict = ["--strict"] if row.endswith("strict") else []
+    if row.startswith("orphan-masks"):
+        pages = tmp_path / "pages"
+        pages.mkdir()
+        for doc_id in ("kid00001", "kid00002"):
+            shutil.copy(corpus / "docs" / f"{doc_id}.pages.json", pages)
+        return strict + ["tables", "--masks", masks, "--pages", str(pages), "--out", out]
     bad_masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
     if row.startswith("mask-skipped"):
         (bad_masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
-        strict = ["--strict"] if row.endswith("strict") else []
         return strict + ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
     assert row == "table-warning"
     mask = bad_masks / "kid00001.p5.json"
@@ -926,6 +962,8 @@ _POLICY_ROWS = {
     "mask-skipped": ("warning: skipping malformed mask file kid00001.p3.json: ", 0),
     "mask-skipped-strict": ("warning: skipping malformed mask file kid00001.p3.json: ", 1),
     "table-warning": ("warning: kid00001 p5: composition row unmatched: ", 0),
+    "orphan-masks": ("warning: no page file holds kid00003; ignoring its mask files ", 0),
+    "orphan-masks-strict": ("warning: no page file holds kid00003; ignoring its mask files ", 1),
     "usage": ("usage: kidex ", 2),
 }
 

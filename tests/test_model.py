@@ -23,7 +23,7 @@ from kidex.textprep import load_document
 from kidex.model import (Annotation, BBox, Cell, CostCategory, Detection, DetectionClass,
                          Document, OcrEntry, PageDetections, Period, RawTable, Record, Scenario,
                          SchemaError, TableType, Token, contains_center, dec_str, iou)
-from oracles import page_detections_oracle, record_oracle
+from oracles import page_detections_dict, page_detections_oracle, record_oracle
 
 
 def test_iou_identity():
@@ -163,11 +163,59 @@ def test_page_detections_round_trip_and_format():
         detections=(Detection(DetectionClass.CELL, 0.93, BBox(10, 20, 110, 60)),
                     Detection(DetectionClass.BORDERED_TABLE, 0.8, BBox(5, 5, 200, 100))),
         ocr=(OcrEntry(BBox(10, 20, 110, 60), "Scenario di stress"),))
-    blob = json.dumps(page.to_dict())
+    blob = json.dumps(page_detections_dict(page))
     parsed = json.loads(blob)
     assert parsed["detections"][0]["class"] == "cell"
     assert parsed["detections"][0]["bbox"] == {"left": 10, "top": 20, "right": 110, "bottom": 60}
     assert PageDetections.from_dict(parsed) == page
+
+
+def _number(hi):
+    """An int or a finite float from 0 to ``hi``, -0.0 among them."""
+    return st.one_of(st.integers(0, int(hi)), st.floats(0, float(hi)), st.just(-0.0),
+                     st.sampled_from([1e-7, 0.1, 1e16, 5e-324])).filter(lambda x: x <= hi)
+
+
+_TEXTS = st.one_of(st.text(max_size=12),
+                   st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u2028\u2029é€ñ日 a'),
+                           max_size=12))
+
+
+@st.composite
+def _page_dicts(draw):
+    """A JSON mask page ``PageDetections.from_dict`` accepts, with int and float sizes
+    and edges, strings that need escaping, and empty or absent entry lists."""
+    size = st.one_of(st.integers(1, 10**30), st.floats(1e-300, 1e300))
+    width, height = draw(size), draw(size)
+
+    def box():
+        left, right = sorted(draw(st.lists(_number(width), min_size=2, max_size=2, unique=True)))
+        top, bottom = sorted(draw(st.lists(_number(height), min_size=2, max_size=2, unique=True)))
+        return {"left": left, "top": top, "right": right, "bottom": bottom}
+
+    raw = {"doc_id": draw(_TEXTS), "page": draw(st.integers(1, 10**20)),
+           "page_width": width, "page_height": height}
+    if draw(st.booleans()):
+        raw["detections"] = [
+            {"class": draw(st.sampled_from([c.value for c in DetectionClass])),
+             "confidence": draw(st.one_of(st.floats(0, 1), st.sampled_from([0, 1, 5e-324, 1e-7]))),
+             "bbox": box()}
+            for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        raw["ocr"] = [{"bbox": box(), "text": draw(_TEXTS)} for _ in range(draw(st.integers(0, 4)))]
+    return raw
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(raw=_page_dicts())
+def test_page_writer_writes_the_bytes_of_json_dumps(raw, tmp_path_factory):
+    page = PageDetections.from_dict(raw)
+    path = tmp_path_factory.getbasetemp() / "page.json"
+    model.dump_page_detections(page, path)
+    expected = json.dumps(page_detections_dict(page), ensure_ascii=False, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert model.load_page_detections(path) == page
 
 
 def test_page_detections_bbox_bounds_checked():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from kidex.normalize import ConfusionMap, fix_confusions, normalize_number, strip_currency
-from oracles import expected_number
+from oracles import expected_number, fix_confusions_oracle, normalize_number_oracle
 
 
 # --- normalize_number rule examples -----------------------------------------
@@ -146,3 +146,25 @@ def test_single_separator_numerals_follow_the_decision_table(d1, d2, sep, locale
         role = sep if locale_hint == "it" else {".": ",", ",": "."}[sep]
         text, expected = d1 + sep + d2, expected_number(d1, d2, role)
     assert normalize_number(text, locale_hint) == expected
+
+
+# label-cell text with no digit, and numerals with Unicode digits and the
+# chars the parser and the map treat specially
+_digit_free = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="0123456789"), max_size=40).filter(
+    lambda text: not any(map(str.isdigit, text)))
+_numeric = st.text("0123456789²٣ .,%€$£+-/O\u2212EUR", max_size=12)
+
+
+@seed(20261019)
+@settings(max_examples=500, deadline=None, database=None)
+@given(text=st.one_of(_digit_free, st.sampled_from(["Possibile rimborso al netto dei costi",
+                                                    "/ / /", "€ ./,", "²", "O/O"]), _numeric),
+       locale_hint=st.sampled_from(["it", "en"]),
+       cmap=st.sampled_from([None, ConfusionMap(pairs={"O": "0", "/": "7"}),
+                             ConfusionMap(pairs={"O": "0", "/": "7"},
+                                          numeric_context_only=False)]))
+def test_digit_guard_changes_no_result(text, locale_hint, cmap):
+    assert normalize_number(text, locale_hint) == normalize_number_oracle(text, locale_hint)
+    assert fix_confusions(text, cmap) == fix_confusions_oracle(text, cmap)
+
