@@ -95,6 +95,10 @@ def _files(directory: Path, keep) -> list[Path]:
 _MASK_NAME_RE = re.compile(r"(.+)\.p(\d+)\.json")
 
 
+def _warn_malformed_mask(path: Path, reason) -> None:
+    print(f"warning: skipping malformed mask file {path.name}: {reason}", file=sys.stderr)
+
+
 def _doc_id_for(path: Path) -> str:
     stem = path.stem
     return stem[:-6] if stem.endswith(".pages") else stem
@@ -145,40 +149,44 @@ def cmd_annotate(args, config: Config) -> int:
 def cmd_tables(args, config: Config) -> int:
     labels = tabrec.load_labels_config(args.labels or config.labels or DATA / "labels.json")
 
-    # both maps are keyed by the file name, which a mask's content must repeat
-    masks: dict[tuple[str, int], object] = {}
-    skipped_docs: set[str] = set()
+    # mask file paths by the doc_id and page their names give, which a mask's content must
+    # repeat; a document's files are read with its page file, so one document's are held
+    mask_files: dict[str, list[tuple[str, Path]]] = {}
     for path in _files(Path(args.masks), lambda p: p.suffix == ".json"):
         named = _MASK_NAME_RE.fullmatch(path.name)
-        try:
-            if named is None:
-                raise SchemaError("the name is not <doc_id>.p<page>.json")
-            page = load_page_detections(path)
-            if (page.doc_id, str(page.page)) != named.groups():
-                raise SchemaError(f"doc_id {page.doc_id!r} and page {page.page} "
-                                  "disagree with the file name")
-            masks[(page.doc_id, page.page)] = page
-        except (SchemaError, OSError) as e:
-            print(f"warning: skipping malformed mask file {path.name}: {e}", file=sys.stderr)
+        if named is None:
+            _warn_malformed_mask(path, "the name is not <doc_id>.p<page>.json")
             if args.strict:
                 return EXIT_IO
-            if named is not None:
-                skipped_docs.add(named[1])
+            continue
+        mask_files.setdefault(named[1], []).append((named[2], path))
 
     pages = Path(args.pages)
     page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
     rows = []  # (doc_id, type, page, record or None)
-    held: set[str] = set()  # the doc_ids the page files hold
     for doc in _load_documents(page_files):
-        held.add(doc.doc_id)
-        if doc.doc_id in skipped_docs:
+        masks: dict[int, object] = {}
+        skipped = False
+        for named_page, path in mask_files.pop(doc.doc_id, ()):
+            try:
+                page = load_page_detections(path)
+                if (page.doc_id, str(page.page)) != (doc.doc_id, named_page):
+                    raise SchemaError(f"doc_id {page.doc_id!r} and page {page.page} "
+                                      "disagree with the file name")
+                masks[page.page] = page
+            except (SchemaError, OSError) as e:
+                _warn_malformed_mask(path, e)
+                if args.strict:
+                    return EXIT_IO
+                skipped = True
+        if skipped:
             continue
         page_map = tabrec.identify_pages(doc.page_texts(), config.tab)
         for ttype in tabrec.TableType:
             pageno = page_map.get(ttype)
             record = None
-            if pageno is not None and (doc.doc_id, pageno) in masks:
-                page = masks[(doc.doc_id, pageno)]
+            if pageno in masks:
+                page = masks[pageno]
                 try:
                     hit = tabrec.extract_table(page, ttype, config.tab, labels)
                 except tabrec.AmbiguousTableError as e:
@@ -191,14 +199,12 @@ def cmd_tables(args, config: Config) -> int:
                         print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
             rows.append((doc.doc_id, ttype, pageno, record))
 
-    orphans: dict[str, list[str]] = {}  # doc_id -> its mask files, for docs no page file holds
-    for doc_id, pageno in sorted(masks):
-        if doc_id not in held:
-            orphans.setdefault(doc_id, []).append(f"{doc_id}.p{pageno}.json")
-    for doc_id, names in orphans.items():
-        print(f"warning: no page file holds {doc_id}; ignoring its mask files {', '.join(names)}",
+    # the mask files of each doc_id that no page file holds, unread
+    for doc_id, files in sorted(mask_files.items()):
+        names = ", ".join(path.name for _page, path in sorted(files, key=lambda f: int(f[0])))
+        print(f"warning: no page file holds {doc_id}; ignoring its mask files {names}",
               file=sys.stderr)
-    if orphans and args.strict:
+    if mask_files and args.strict:
         return EXIT_IO
 
     rows.sort(key=lambda r: (r[0], r[1].value))

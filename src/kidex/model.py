@@ -26,6 +26,9 @@ class SchemaError(ValueError):
     """An input file violates its documented schema; the message names the field."""
 
 
+_NUMBERS = frozenset((int, float))  # JSON numbers; bool, a subclass of int, is not one
+
+
 def json_object(value, where: str) -> dict:
     """``value`` if it is a JSON object; otherwise a SchemaError led by ``where``."""
     if not isinstance(value, dict):
@@ -38,6 +41,19 @@ def json_strings(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SchemaError(f"{where}: expected a list of strings")
     return tuple(value)
+
+
+def json_number(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number a float holds: an int or float, not a
+    bool, finite and in range. Otherwise a SchemaError reading ``{where}, got {value!r}``."""
+    if type(value) in _NUMBERS:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"{where}, got {value!r}")
 
 
 def json_fields(value, where: str, required: Collection[str] = (),
@@ -99,11 +115,6 @@ def enum_member(enum_cls: type[E], value, where: str) -> E:
         return enum_cls(value)
     except ValueError:
         raise SchemaError(f"{where} {value!r}") from None
-
-
-def dec_str(value: Decimal) -> str:
-    """Fixed-point rendering of a decimal, never scientific notation."""
-    return format(value, "f")
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +343,6 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / ((ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter)
 
 
-def contains_center(outer: BBox, inner: BBox) -> bool:
-    """True iff the exact midpoint of ``inner`` lies in ``outer``, edges inclusive.
-
-    The midpoint comparison is done in doubled integer coordinates, so a
-    half-pixel center is handled exactly.
-    """
-    left, top, right, bottom = outer
-    il, it, ir, ib = inner
-    cx2 = il + ir
-    cy2 = it + ib
-    return 2 * left <= cx2 <= 2 * right and 2 * top <= cy2 <= 2 * bottom
-
-
 class DetectionClass(str, Enum):
     BORDERED_TABLE = "bordered_table"
     BORDERLESS_TABLE = "borderless_table"
@@ -355,7 +353,6 @@ class DetectionClass(str, Enum):
         return self is not DetectionClass.CELL
 
 
-_NUMBERS = frozenset((int, float))  # JSON numbers; bool, a subclass of int, is not one
 _STRINGS = frozenset((str,))
 _BBOX = operator.itemgetter("bbox")
 _TEXT = operator.itemgetter("text")
@@ -401,13 +398,10 @@ class Detection(Struct):
         """Every schema violation is a SchemaError led by ``where``."""
         d = json_fields(d, where, ("class", "confidence", "bbox"))
         kind = enum_member(DetectionClass, d["class"], f"{where}: unknown class")
-        try:
-            confidence = float(d["confidence"])
-        except (TypeError, ValueError, OverflowError):
-            confidence = math.nan
+        need = f"{where}: 'confidence' must be a number in [0, 1]"
+        confidence = json_number(d["confidence"], need)
         if not 0.0 <= confidence <= 1.0:
-            raise SchemaError(f"{where}: 'confidence' must be a number in [0, 1], "
-                              f"got {d['confidence']!r}")
+            raise SchemaError(f"{need}, got {d['confidence']!r}")
         return cls(kind, confidence, _json_box(d["bbox"], where))
 
 
@@ -648,7 +642,7 @@ class Record(Struct):
                                    for path in self.values for p in cell_of[path]}
 
     def to_dict(self) -> dict:
-        text = {path: None if v is None else format(v, "f")  # dec_str without the call
+        text = {path: None if v is None else format(v, "f")  # fixed point, never scientific
                 for path, v in self.values.items()}
         names = RECORD_SCHEMAS[self.ttype][1]
         out: dict = {}

@@ -1,4 +1,4 @@
-"""Token-level extraction-rule language: parser, canonical printer, compiler.
+"""Token-level extraction-rule language: parser and compiler.
 
 A rule file is a sequence of bindings and rules::
 
@@ -460,89 +460,13 @@ def parse_rules(source: str, source_name: str = "rules") -> RuleFile:
 
 
 def parse_pattern(source: str, bindings: Iterable[Binding] = ()) -> PatternExpr:
-    """Parse a bare pattern expression (test helper for pattern-level tooling)."""
+    """Parse a bare pattern expression; the tests use it as the pattern-level API."""
     parser = _Parser(source, "pattern")
     parser.env = {b.name: b for b in bindings}
     expr = parser.parse_alt()
     if parser.peek().kind != "eof":
         raise parser.error("trailing input after pattern")
     return expr
-
-
-# ---------------------------------------------------------------------------
-# Canonical printer
-# ---------------------------------------------------------------------------
-
-_ALT, _SEQ, _QUANT, _ATOM = range(4)
-
-
-def _escape_regex_body(body: str) -> str:
-    """Escape each bare ``/``; existing escapes pass through whole."""
-    return re.sub(r"(\\.)|/", lambda m: m[1] or "\\/", body, flags=re.DOTALL)
-
-
-def _escape_string(body: str) -> str:
-    return body.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _print_constraint(c: Constraint) -> str:
-    if c.kind == "lit":
-        return '{%s:"%s"}' % (c.key, _escape_string(c.value))
-    if c.kind == "regex":
-        return "{%s:/%s/}" % (c.key, _escape_regex_body(c.value))
-    return "{%s:$%s}" % (c.key, c.value)
-
-
-def print_pattern(node: PatternExpr, prec: int = _ALT) -> str:
-    if isinstance(node, TokenRegex):
-        return "/%s/" % _escape_regex_body(node.body)
-    if isinstance(node, AttrSet):
-        return "[%s]" % " & ".join(_print_constraint(c) for c in node.constraints)
-    if isinstance(node, VarRef):
-        return "$" + node.name
-    if isinstance(node, NamedGroup):
-        return "(?$%s %s)" % (node.name, print_pattern(node.body, _ALT))
-    if isinstance(node, Seq):
-        if not node.items:
-            return "()"
-        text = " ".join(print_pattern(item, _QUANT) for item in node.items)
-        return "(%s)" % text if prec > _SEQ else text
-    if isinstance(node, Alt):
-        text = " | ".join(print_pattern(o, _SEQ) for o in node.options)
-        return "(%s)" % text if prec > _ALT else text
-    if isinstance(node, Repeat):
-        suffixes = {(0, 1, False): "?", (0, None, False): "*", (1, None, False): "+",
-                    (0, None, True): "*?", (1, None, True): "+?"}
-        suffix = suffixes.get((node.lo, node.hi, node.lazy), "{%d,%d}" % (node.lo, node.hi or 0))
-        text = print_pattern(node.body, _ATOM) + suffix
-        return "(%s)" % text if prec > _QUANT else text
-    raise TypeError(f"not a pattern node: {node!r}")
-
-
-def _print_action(action: AnnotateAction) -> str:
-    value = "CAPTURED_TEXT" if action.value is None else '"%s"' % _escape_string(action.value)
-    if action.group is None:
-        return "Annotate(%s, %s)" % (action.key, value)
-    return "Annotate($%s, %s, %s)" % (action.group, action.key, value)
-
-
-def print_rules(rule_file: RuleFile) -> str:
-    """Canonical textual form; parse(print_rules(parse(s))) == parse(s)."""
-    lines: list[str] = []
-    for binding in rule_file.bindings:
-        if binding.pattern is not None:
-            lines.append("$%s = ( %s )" % (binding.name, print_pattern(binding.pattern, _ALT)))
-        else:
-            lines.append('$%s = "/%s/"' % (binding.name,
-                                           _escape_string(_escape_regex_body(binding.regex))))
-    for rule in rule_file.rules:
-        parts = ['ruleType: "tokens"',
-                 "pattern: ( %s )" % print_pattern(rule.pattern, _ALT),
-                 "action: ( %s )" % ", ".join(_print_action(a) for a in rule.actions)]
-        if rule.stage:
-            parts.append("stage: %d" % rule.stage)
-        lines.append("{ %s }" % ", ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +774,7 @@ def _first_preds(instrs: tuple) -> Optional[tuple]:
 
 
 def compile_pattern(node: PatternExpr, bindings: Iterable[Binding] = ()) -> CompiledPattern:
+    """Compile a bare pattern expression; the tests use it as the pattern-level API."""
     env = {b.name: b for b in bindings}
     return _PatternCompiler(env).compile(node)
 

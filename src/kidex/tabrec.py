@@ -20,8 +20,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .annotate import PUNCT_CHARS
 from .model import (DATA, RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Factory,
                     OcrEntry, PageDetections, Period, RawTable, Record, Scenario, SchemaError,
-                    Struct, TableType, enum_member, iou, json_fields, json_object, json_strings,
-                    parse_json_object, read_jsonl, read_utf8)
+                    Struct, TableType, enum_member, iou, json_fields, json_number, json_object,
+                    json_strings, parse_json_object, read_jsonl, read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
@@ -81,14 +81,8 @@ class TabConfig(Struct):
     @classmethod
     def from_dict(cls, d: Mapping) -> "TabConfig":
         d = json_fields(d, "tab config", optional=(*_RATIOS, "anchors"))
-        kwargs: dict = {}
-        for name in _RATIOS:
-            if name in d:
-                try:
-                    kwargs[name] = float(d[name])
-                except (TypeError, ValueError):
-                    raise SchemaError(f"tab config: {name!r} must be a number, "
-                                      f"got {d[name]!r}") from None
+        kwargs = {name: json_number(d[name], f"tab config: {name!r} must be a number")
+                  for name in _RATIOS if name in d}
         if "anchors" in d:
             anchors = dict(DEFAULT_ANCHORS)
             for key, spec in json_object(d["anchors"], "tab config: 'anchors'").items():
@@ -162,7 +156,7 @@ def assign_cells(tables: list[Detection], cells: list[Detection]) -> dict[int, l
     """Cell goes to the table containing its center; IoU breaks multi-table ties."""
     out: dict[int, list[Detection]] = {i: [] for i in range(len(tables))}
     boxes = [t.bbox for t in tables]
-    # contains_center's test, with each table's edges doubled once
+    # a center on an edge counts as inside; doubled coordinates keep a half-pixel center exact
     doubled = [(2 * left, 2 * top, 2 * right, 2 * bottom) for left, top, right, bottom in boxes]
     for cell in cells:
         box = cell.bbox
@@ -212,8 +206,7 @@ def index_ocr(ocr: Iterable[OcrEntry]) -> OcrIndex:
                     list(zip(order, map(ocr.__getitem__, order))))
 
 
-def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig,
-              page_w: Optional[int] = None, page_h: Optional[int] = None) -> Optional[str]:
+def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig, page_w: int, page_h: int) -> Optional[str]:
     """Text of the OCR entry overlapping the enlarged cell best, if well enough.
 
     Ties go to the entry first in page order. Only entries whose top lies in
@@ -222,11 +215,8 @@ def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig,
     more than ceil(h/t) above the enlarged top, or at or below its bottom,
     scores under t. One more pixel of reach absorbs float rounding. Of those,
     an entry with no horizontal overlap scores 0, under any threshold, and is
-    not scored. When page dimensions are omitted, clamping cannot apply and
-    the raw enlargement is used.
+    not scored.
     """
-    if page_w is None or page_h is None:
-        page_w = page_h = 10 ** 9
     enlarged = enlarge_bbox(cell, cfg, page_w, page_h)
     left, top, right, bottom = enlarged
     threshold = cfg.ocr_iou_threshold

@@ -12,7 +12,9 @@ position, the page detections oracle builds every box and entry one at a
 time, the page dict is the JSON object the mask page writer must lay out,
 the record oracle parses tables rows with one hand-written class per
 table, and the rule lexer oracle reads a rule file one character at a
-time.
+time. The canonical rule printer is the parser's round-trip reference,
+``contains_center`` states the cell-assignment rule one cell and table at
+a time, and ``dec_str`` renders the record oracle's decimals.
 """
 from __future__ import annotations
 
@@ -26,8 +28,10 @@ from kidex import ruledsl
 from kidex.annotate import PUNCT_CHARS, SECTION_KEY, tokenize
 from kidex.model import (Annotation, BBox, CostCategory, Detection, DetectionClass, OcrEntry,
                          PageDetections, Period, Scenario, SchemaError, TableType, Token,
-                         dec_str, enum_member, iou, json_object)
+                         enum_member, iou, json_object)
 from kidex.normalize import ConfusionMap, strip_currency
+from kidex.ruledsl import (Alt, AnnotateAction, AttrSet, Constraint, NamedGroup, PatternExpr,
+                           Repeat, RuleFile, Seq, TokenRegex, VarRef)
 from kidex.tabrec import enlarge_bbox
 
 
@@ -268,15 +272,30 @@ def label_pool_oracle(text: str, pools: dict) -> Optional[object]:
 
 
 # ---------------------------------------------------------------------------
+# Cell assignment
+# ---------------------------------------------------------------------------
+
+def contains_center(outer: BBox, inner: BBox) -> bool:
+    """True iff the exact midpoint of ``inner`` lies in ``outer``, edges inclusive.
+
+    The midpoint comparison is done in doubled integer coordinates, so a
+    half-pixel center is handled exactly.
+    """
+    left, top, right, bottom = outer
+    il, it, ir, ib = inner
+    cx2 = il + ir
+    cy2 = it + ib
+    return 2 * left <= cx2 <= 2 * right and 2 * top <= cy2 <= 2 * bottom
+
+
+# ---------------------------------------------------------------------------
 # OCR association
 # ---------------------------------------------------------------------------
 
-def ocr_association_oracle(cell, ocr, cfg, page_w=None, page_h=None) -> Optional[str]:
+def ocr_association_oracle(cell, ocr, cfg, page_w, page_h) -> Optional[str]:
     """All-pairs OCR association: every entry is scored against the enlarged
     cell, the first maximum in ``ocr`` order wins, and it must reach the
     IoU threshold."""
-    if page_w is None or page_h is None:
-        page_w = page_h = 10 ** 9
     enlarged = enlarge_bbox(cell, cfg, page_w, page_h)
     best_text, best_iou = None, 0.0
     for entry in ocr:
@@ -432,6 +451,11 @@ def page_detections_dict(page: PageDetections) -> dict:
 # One class per table type, each with its own to_dict, from_dict and __eq__.
 # A value is ``Decimal(str(x))``, so non-finite values parse, and unknown
 # cell keys are ignored.
+
+def dec_str(value: Decimal) -> str:
+    """Fixed-point rendering of a decimal, never scientific notation."""
+    return format(value, "f")
+
 
 def _dec_or_none(x) -> Optional[Decimal]:
     if x is None:
@@ -654,3 +678,79 @@ def lex_oracle(source: str) -> list[tuple[str, str, int, int]]:
         raise RuleParseError(f"unexpected character {ch!r}", start_line, start_col)
     toks.append(("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Canonical printer
+# ---------------------------------------------------------------------------
+
+_ALT, _SEQ, _QUANT, _ATOM = range(4)
+
+
+def _escape_regex_body(body: str) -> str:
+    """Escape each bare ``/``; existing escapes pass through whole."""
+    return re.sub(r"(\\.)|/", lambda m: m[1] or "\\/", body, flags=re.DOTALL)
+
+
+def _escape_string(body: str) -> str:
+    return body.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _print_constraint(c: Constraint) -> str:
+    if c.kind == "lit":
+        return '{%s:"%s"}' % (c.key, _escape_string(c.value))
+    if c.kind == "regex":
+        return "{%s:/%s/}" % (c.key, _escape_regex_body(c.value))
+    return "{%s:$%s}" % (c.key, c.value)
+
+
+def print_pattern(node: PatternExpr, prec: int = _ALT) -> str:
+    if isinstance(node, TokenRegex):
+        return "/%s/" % _escape_regex_body(node.body)
+    if isinstance(node, AttrSet):
+        return "[%s]" % " & ".join(_print_constraint(c) for c in node.constraints)
+    if isinstance(node, VarRef):
+        return "$" + node.name
+    if isinstance(node, NamedGroup):
+        return "(?$%s %s)" % (node.name, print_pattern(node.body, _ALT))
+    if isinstance(node, Seq):
+        if not node.items:
+            return "()"
+        text = " ".join(print_pattern(item, _QUANT) for item in node.items)
+        return "(%s)" % text if prec > _SEQ else text
+    if isinstance(node, Alt):
+        text = " | ".join(print_pattern(o, _SEQ) for o in node.options)
+        return "(%s)" % text if prec > _ALT else text
+    if isinstance(node, Repeat):
+        suffixes = {(0, 1, False): "?", (0, None, False): "*", (1, None, False): "+",
+                    (0, None, True): "*?", (1, None, True): "+?"}
+        suffix = suffixes.get((node.lo, node.hi, node.lazy), "{%d,%d}" % (node.lo, node.hi or 0))
+        text = print_pattern(node.body, _ATOM) + suffix
+        return "(%s)" % text if prec > _QUANT else text
+    raise TypeError(f"not a pattern node: {node!r}")
+
+
+def _print_action(action: AnnotateAction) -> str:
+    value = "CAPTURED_TEXT" if action.value is None else '"%s"' % _escape_string(action.value)
+    if action.group is None:
+        return "Annotate(%s, %s)" % (action.key, value)
+    return "Annotate($%s, %s, %s)" % (action.group, action.key, value)
+
+
+def print_rules(rule_file: RuleFile) -> str:
+    """Canonical textual form; parse(print_rules(parse(s))) == parse(s)."""
+    lines: list[str] = []
+    for binding in rule_file.bindings:
+        if binding.pattern is not None:
+            lines.append("$%s = ( %s )" % (binding.name, print_pattern(binding.pattern, _ALT)))
+        else:
+            lines.append('$%s = "/%s/"' % (binding.name,
+                                           _escape_string(_escape_regex_body(binding.regex))))
+    for rule in rule_file.rules:
+        parts = ['ruleType: "tokens"',
+                 "pattern: ( %s )" % print_pattern(rule.pattern, _ALT),
+                 "action: ( %s )" % ", ".join(_print_action(a) for a in rule.actions)]
+        if rule.stage:
+            parts.append("stage: %d" % rule.stage)
+        lines.append("{ %s }" % ", ".join(parts))
+    return "\n".join(lines) + "\n"

@@ -19,7 +19,8 @@ from kidex.matcher import find_matches, run_rules
 from kidex.model import BBox, Cell, Document
 from kidex.normalize import normalize_number
 from kidex.tabrec import TabConfig, group_rows
-from oracles import TokenListCtx, brute_find, cluster_rows_oracle, expected_number
+from oracles import (TokenListCtx, brute_find, cluster_rows_oracle, expected_number,
+                     print_pattern)
 
 
 def _ok(name, detail=""):
@@ -38,7 +39,7 @@ def test_matcher_oracle_equivalence_10k_under_60s():
         expected = brute_find(pattern, TokenListCtx(texts), bindings=STD_BINDINGS)
         m = find_matches(ruledsl.compile_pattern(pattern, STD_BINDINGS), make_doc(texts))
         got = None if m is None else (m.start, m.end, dict(m.captures))
-        assert got == expected, (ruledsl.print_pattern(pattern), texts)
+        assert got == expected, (print_pattern(pattern), texts)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
     _ok("matcher oracle equivalence", f"{cases} cases in {elapsed:.1f}s")

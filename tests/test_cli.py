@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-import kidex
+import kidex.cli
+import kidex.tabrec
 from kidex.cli import main
+from kidex.model import TableType
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,41 @@ def test_tables_warns_of_masks_no_page_file_holds(corpus, tmp_path, capsys, stri
     assert out.exists() != strict
 
 
+def test_tables_reads_a_documents_masks_with_its_page_file(corpus, tmp_path, monkeypatch):
+    # one document's mask pages in memory at a time: kid00002's are read after kid00001 is done
+    calls = []
+
+    def logged(name, real):
+        def call(arg, *rest):
+            calls.append((name, Path(arg).name if name == "load" else arg))
+            return real(arg, *rest)
+        return call
+
+    monkeypatch.setattr(kidex.cli, "load_page_detections",
+                        logged("load", kidex.cli.load_page_detections))
+    monkeypatch.setattr(kidex.tabrec, "identify_pages",
+                        logged("identify", kidex.tabrec.identify_pages))
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                 "--out", str(tmp_path / "tables.jsonl")]) == 0
+    names = [arg if name == "load" else name for name, arg in calls]
+    assert names == [f"kid0000{i}.p{p}.json" if p else "identify"
+                     for i in (1, 2, 3) for p in (3, 4, 5, None)]
+
+
+def test_tables_does_not_read_masks_no_page_file_holds(corpus, tmp_path, capsys):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    (masks / "kid00003.p4.json").write_text("{broken", encoding="utf-8")
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    shutil.copy(corpus / "docs" / "kid00001.pages.json", pages)
+    shutil.copy(corpus / "docs" / "kid00002.pages.json", pages)
+    assert main(["tables", "--masks", str(masks), "--pages", str(pages),
+                 "--out", str(tmp_path / "tables.jsonl")]) == 0
+    assert capsys.readouterr().err == ("warning: no page file holds kid00003; ignoring its mask "
+                                       "files kid00003.p3.json, kid00003.p4.json, "
+                                       "kid00003.p5.json\n")
+
+
 def test_tables_strict_malformed_exit_1(corpus, tmp_path):
     masks = tmp_path / "masks"
     masks.mkdir()
@@ -287,8 +324,12 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
     ({"anchors": []}, "'anchors': expected a JSON object"),
     ({"anchors": {"costs_evolution": "Costi"}},
      "'anchors.costs_evolution': expected a JSON object"),
+    ({"confidence_threshold": "0.7"}, "'confidence_threshold' must be a number, got '0.7'"),
+    ({"ocr_iou_threshold": True}, "'ocr_iou_threshold' must be a number, got True"),
+    ({"enlargement_ratio": 10 ** 400}, "'enlargement_ratio' must be a number, got 1" + "0" * 400),
 ], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type",
-        "anchors-a-list", "anchor-spec-a-string"])
+        "anchors-a-list", "anchor-spec-a-string", "threshold-a-numeric-string",
+        "threshold-a-bool", "ratio-past-float-range"])
 @pytest.mark.parametrize("command", ["gen", "tables"])
 def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, command):
     cfg = tmp_path / "cfg.json"
@@ -542,7 +583,7 @@ def test_eval_accepts_what_tables_writes(tmp_path):
     report = json.loads((pred / "eval_report.json").read_text(encoding="utf-8"))
     noise = json.loads((corpus / "gold" / "noise.json").read_text(encoding="utf-8"))
     missing = {tuple(pair) for pair in noise["dropped_headers"]}
-    types = [t.value for t in kidex.TableType]
+    types = [t.value for t in TableType]
     missing |= {("kid00002", t) for t in types} | {("kid00003", "costs_evolution")}
     for ttype in types:
         count = sum(1 for _doc_id, t in missing if t == ttype)
@@ -736,12 +777,17 @@ def _drop(path):
      "detections[3]: 'confidence' must be a number in [0, 1], got 'abc'"),
     (_set(("detections", 3, "confidence"), math.nan),
      "detections[3]: 'confidence' must be a number in [0, 1], got nan"),
+    (_set(("detections", 3, "confidence"), "0.9"),
+     "detections[3]: 'confidence' must be a number in [0, 1], got '0.9'"),
+    (_set(("detections", 3, "confidence"), True),
+     "detections[3]: 'confidence' must be a number in [0, 1], got True"),
     (_set(("ocr",), 5), "ocr: expected a list, got 5"),
     (_set(("page",), "3"), "page: must be a 1-based page number"),
     (_set(("ocr", 2, "text"), 7), "ocr[2]: 'text' must be a string, got 7"),
     (_drop(("ocr", 2, "bbox", "left")), "ocr[2]: 'bbox': missing field 'left'"),
 ], ids=["ocr-no-bbox", "detection-no-bbox", "bbox-a-list", "entry-a-string", "degenerate-box",
-        "coordinate-a-string", "confidence-abc", "confidence-nan", "ocr-a-number",
+        "coordinate-a-string", "confidence-abc", "confidence-nan", "confidence-a-numeric-string",
+        "confidence-a-bool", "ocr-a-number",
         "page-a-string", "text-a-number", "bbox-no-left"])
 def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, message):
     masks = shutil.copytree(corpus / "masks", tmp_path / "masks")

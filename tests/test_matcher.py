@@ -8,7 +8,7 @@ from kidex import annotate, corpusgen, matcher, ruledsl, textprep
 from kidex.matcher import (DocContext, ExtractionResult, RuleComplexityError, export_results,
                            find_matches, read_results_file, render_results_csv, run_rules)
 from kidex.model import Annotation, Document
-from oracles import TokenListCtx, brute_find
+from oracles import TokenListCtx, brute_find, print_pattern
 
 
 def _compiled(src, bindings=()):
@@ -69,7 +69,7 @@ def test_oracle_equivalence_bounded_space():
         expected = brute_find(pattern, TokenListCtx(texts), bindings=STD_BINDINGS)
         m = find_matches(ruledsl.compile_pattern(pattern, STD_BINDINGS), make_doc(texts))
         got = None if m is None else (m.start, m.end, dict(m.captures))
-        assert got == expected, (ruledsl.print_pattern(pattern), texts)
+        assert got == expected, (print_pattern(pattern), texts)
 
 
 def test_oracle_equivalence_with_annotations():
@@ -150,7 +150,7 @@ def test_pattern_compiled_once_agrees_with_oracle_across_documents(monkeypatch):
                 attempted.clear()
                 m = find_matches(compiled, ctx, start)
                 got = None if m is None else (m.start, m.end, dict(m.captures))
-                assert got == expected, (ruledsl.print_pattern(pattern), texts, anns, start)
+                assert got == expected, (print_pattern(pattern), texts, anns, start)
                 last = len(texts) if m is None else m.start
                 assert attempted == [s for s in passing if start <= s <= last]
 

@@ -22,8 +22,9 @@ from kidex.ruledsl import compile_rules, parse_rules
 from kidex.textprep import load_document
 from kidex.model import (Annotation, BBox, Cell, CostCategory, Detection, DetectionClass,
                          Document, OcrEntry, PageDetections, Period, RawTable, Record, Scenario,
-                         SchemaError, TableType, Token, contains_center, dec_str, iou)
-from oracles import page_detections_dict, page_detections_oracle, record_oracle
+                         SchemaError, TableType, Token, iou)
+from oracles import (contains_center, dec_str, page_detections_dict, page_detections_oracle,
+                     record_oracle)
 
 
 def test_iou_identity():

@@ -11,9 +11,8 @@ from helpers import STD_BINDINGS, rand_pattern
 from kidex import ruledsl
 from kidex.ruledsl import (Alt, AnnotateAction, AttrSet, Constraint, NamedGroup, Repeat,
                            RuleCompileError, RuleParseError, Seq, TokenRegex, VarRef,
-                           compile_pattern, compile_rules, parse_pattern, parse_rules,
-                           print_pattern, print_rules)
-from oracles import lex_oracle
+                           compile_pattern, compile_rules, parse_pattern, parse_rules)
+from oracles import lex_oracle, print_pattern, print_rules
 
 ISIN_RULE = '''
 $StartISIN = (

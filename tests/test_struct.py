@@ -1,6 +1,7 @@
 """The value-class contract of ``model.Struct``, one class from each module, and the
 start-up cost it removes: importing the CLI loads no ``dataclasses`` and no
-``importlib.resources``."""
+``importlib.resources``, and importing one kidex module loads only the kidex
+modules it imports."""
 import copy
 import pickle
 import subprocess
@@ -171,6 +172,20 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_statistics_or_importlib_
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kidex.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'statistics', 'fractions', "
             "'importlib.resources', 'tempfile') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n", out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("model", ("annotate", "cli", "corpusgen", "evalkit", "matcher", "normalize", "ruledsl",
+               "tabrec", "textprep")),
+    ("tabrec", ("ruledsl", "matcher", "evalkit")),
+    ("corpusgen", ("ruledsl", "matcher", "evalkit", "textprep")),
+])
+def test_importing_a_module_loads_only_the_kidex_modules_it_imports(module, absent):
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kidex.{module}; "
+            f"print(sorted(m for m in {absent!r} if 'kidex.' + m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "[]\n", out.stdout + out.stderr

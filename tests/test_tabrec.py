@@ -133,15 +133,17 @@ def test_enlarge_never_shrinks():
 
 # --- cell_text ---------------------------------------------------------------
 
+BIG = 10 ** 9  # a page size that no enlargement reaches, so none is clamped
+
 def test_cell_text_exact_match():
     box = BBox(10, 10, 100, 40)
-    assert cell_text(box, index_ocr([OcrEntry(box, "Scenario di stress")]), CFG) == \
+    assert cell_text(box, index_ocr([OcrEntry(box, "Scenario di stress")]), CFG, BIG, BIG) == \
         "Scenario di stress"
 
 
 def test_cell_text_absent_without_overlap():
     ocr = index_ocr([OcrEntry(BBox(500, 500, 600, 540), "x")])
-    assert cell_text(BBox(10, 10, 100, 40), ocr, CFG) is None
+    assert cell_text(BBox(10, 10, 100, 40), ocr, CFG, BIG, BIG) is None
 
 
 def test_cell_text_best_iou_wins():
@@ -149,20 +151,21 @@ def test_cell_text_best_iou_wins():
     cfg = TabConfig(enlargement_ratio=0.0)
     box = BBox(0, 0, 10, 10)
     entries = [OcrEntry(BBox(0, 6, 10, 10), "worse"), OcrEntry(BBox(0, 0, 10, 7), "better")]
-    assert cell_text(box, index_ocr(entries), cfg) == "better"
+    assert cell_text(box, index_ocr(entries), cfg, BIG, BIG) == "better"
 
 
 def test_cell_text_threshold_applies():
     cfg = TabConfig(enlargement_ratio=0.0, ocr_iou_threshold=0.5)
     box = BBox(0, 0, 10, 10)
-    assert cell_text(box, index_ocr([OcrEntry(BBox(0, 6, 10, 10), "x")]), cfg) is None  # IoU 0.4
+    ocr = index_ocr([OcrEntry(BBox(0, 6, 10, 10), "x")])
+    assert cell_text(box, ocr, cfg, BIG, BIG) is None  # IoU 0.4
 
 
 def test_cell_text_identical_boxes_first_in_page_order_wins():
     box = BBox(0, 0, 10, 10)
     entries = [OcrEntry(BBox(50, 50, 60, 60), "far"), OcrEntry(box, "first"),
                OcrEntry(box, "second")]
-    assert cell_text(box, index_ocr(entries), CFG) == "first"
+    assert cell_text(box, index_ocr(entries), CFG, BIG, BIG) == "first"
 
 
 def test_cell_text_finds_tall_entry_starting_well_above_the_cell():
@@ -170,7 +173,7 @@ def test_cell_text_finds_tall_entry_starting_well_above_the_cell():
     cfg = TabConfig(enlargement_ratio=0.0, ocr_iou_threshold=0.25)
     box = BBox(0, 100, 10, 120)
     entries = [OcrEntry(BBox(0, 44, 10, 120), "tall"), OcrEntry(BBox(0, 150, 10, 160), "x")]
-    assert cell_text(box, index_ocr(entries), cfg) == "tall"
+    assert cell_text(box, index_ocr(entries), cfg, BIG, BIG) == "tall"
 
 
 _coord = st.integers(0, 120)
@@ -191,7 +194,7 @@ def test_cell_text_agrees_with_all_pairs_reference(boxes, copies, cells, ratio, 
     boxes += [boxes[i] for i in copies if i < len(boxes)]  # duplicate boxes tie
     entries = [OcrEntry(b, str(i)) for i, b in enumerate(boxes)]
     cfg = TabConfig(enlargement_ratio=ratio, ocr_iou_threshold=threshold)
-    page_w = page_h = None
+    page_w = page_h = BIG
     if margin is not None:  # the page ends 0-20 px past the farthest box, so enlargement clamps
         page_w = max(b.right for b in cells + boxes) + margin[0]
         page_h = max(b.bottom for b in cells + boxes) + margin[1]
