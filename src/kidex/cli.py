@@ -19,7 +19,7 @@ from . import evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
 from .model import (DATA, Factory, SchemaError, Struct, json_fields, json_object,
                     load_page_detections, parse_json_object, read_utf8)
-from .normalize import LOCALE_HINTS, ConfusionMap
+from .normalize import ConfusionMap
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -55,7 +55,6 @@ class Config(Struct):
     labels: Optional[str] = None
     tab: tabrec.TabConfig = Factory(tabrec.TabConfig)
     confusions: ConfusionMap = Factory(ConfusionMap)
-    locale_hint: str = "it"
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":
@@ -72,9 +71,6 @@ class Config(Struct):
         data["confusions"] = ConfusionMap.from_dict({} if confusions is None else confusions,
                                                     f"{path}: 'confusions'")
         cfg = cls(**data)
-        if cfg.locale_hint not in LOCALE_HINTS:
-            raise SchemaError(f"{path}: 'locale_hint': expected one of "
-                              f"{', '.join(map(repr, LOCALE_HINTS))}, got {cfg.locale_hint!r}")
         for name in ("rules", "sections", "labels"):
             value = getattr(cfg, name)
             if value is not None and not isinstance(value, str):
@@ -193,8 +189,7 @@ def cmd_tables(args, config: Config) -> int:
                     print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
                     hit = None
                 if hit is not None:
-                    record, warnings = tabrec.map_to_record(hit[0], hit[1], labels,
-                                                            config.confusions, config.locale_hint)
+                    record, warnings = tabrec.map_to_record(*hit, labels, config.confusions)
                     for w in warnings:
                         print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
             rows.append((doc.doc_id, ttype, pageno, record))

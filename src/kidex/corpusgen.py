@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .model import (BBox, CostCategory, Detection, DetectionClass, OcrEntry, PageDetections,
                     Period, Record, Scenario, TableType, dump_page_detections)
-from .tabrec import DEFAULT_ANCHORS, _norm_ws, table_row_dict
+from .tabrec import DEFAULT_ANCHORS, _norm_ws, write_tables_jsonl
 
 PAGE_W, PAGE_H = 2480, 3508
 PERF_PAGE, EVOLUTION_PAGE, COMPOSITION_PAGE = 3, 4, 5
@@ -333,7 +333,7 @@ def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
         d.mkdir(parents=True, exist_ok=True)
 
     gold_field_lines: list[str] = []
-    gold_table_lines: list[str] = []
+    gold_table_rows: list[tuple] = []
     dropped_headers: list[list[str]] = []
     confused_total = 0
 
@@ -363,13 +363,11 @@ def gen_corpus(n: int, seed: int, noise: float, out_dir: str | Path) -> Path:
 
         for row in _gold_fields(fields):
             gold_field_lines.append(json.dumps(row, ensure_ascii=False))
-        for page, record in tables:
-            gold_table_lines.append(json.dumps(
-                table_row_dict(doc_id, page.page, record.ttype, record), ensure_ascii=False))
+        gold_table_rows += [(doc_id, record.ttype, page.page, record) for page, record in tables]
         confused_total += noise_box.confused
 
     (gold_dir / "fields.jsonl").write_text("\n".join(gold_field_lines) + "\n", encoding="utf-8")
-    (gold_dir / "tables.jsonl").write_text("\n".join(gold_table_lines) + "\n", encoding="utf-8")
+    write_tables_jsonl(gold_table_rows, gold_dir / "tables.jsonl")
     (gold_dir / "noise.json").write_text(
         json.dumps({"n": n, "seed": seed, "noise": noise,
                     "dropped_headers": dropped_headers,

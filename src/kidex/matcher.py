@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from bisect import bisect_left
 from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from .model import Annotation, Document, Struct, read_jsonl, read_utf8
-from .ruledsl import (OP_GEND, OP_GSTART, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS,
-                      OP_SETPOS, OP_SPLIT, CompiledPattern, CompiledRule, CompiledRules)
+from .ruledsl import (OP_GEND, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS, OP_SETPOS, OP_SPLIT,
+                      CompiledPattern, CompiledRule, CompiledRules)
 
 BACKTRACK_STEP_LIMIT = 10 ** 6
 
@@ -60,9 +61,12 @@ class ExtractionResult(Struct):
                              first_token=first_token, last_token=last_token, rule_id=rule_id)
 
     def to_dict(self) -> dict:
-        return {"doc_id": self.doc_id, "field": self.field, "value": self.value,
-                "tag": self.tag, "first_token": self.first_token,
-                "last_token": self.last_token, "rule_id": self.rule_id}
+        return dict(zip(CSV_COLUMNS, _columns(self)))
+
+
+# the columns of both export formats, in order
+CSV_COLUMNS = ExtractionResult._fields
+_columns = operator.attrgetter(*CSV_COLUMNS)
 
 
 class DocContext:
@@ -133,16 +137,12 @@ def _attempt(pattern: CompiledPattern, ctx: DocContext, start: int,
         elif op == OP_JMP:
             pc = a
             continue
-        elif op == OP_GSTART:
+        elif op == OP_SETPOS:
             regs[a] = pos
             pc += 1
             continue
         elif op == OP_GEND:
             caps[a] = (regs[b], pos)
-            pc += 1
-            continue
-        elif op == OP_SETPOS:
-            regs[a] = pos
             pc += 1
             continue
         elif op == OP_PROGRESS:
@@ -230,16 +230,11 @@ def run_rules(compiled: CompiledRules, doc: Document) -> tuple[Document, list[Ex
     return doc.with_annotations(new_annotations), deduped
 
 
-CSV_COLUMNS = ("doc_id", "field", "value", "tag", "first_token", "last_token", "rule_id")
-
-
 def render_results_csv(results: Iterable[ExtractionResult]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)  # "\r\n" line endings per RFC 4180
     writer.writerow(CSV_COLUMNS)
-    for r in results:
-        writer.writerow([r.doc_id, r.field, r.value, r.tag,
-                         r.first_token, r.last_token, r.rule_id])
+    writer.writerows(map(_columns, results))
     return buf.getvalue()
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -80,16 +81,42 @@ def read_utf8(path: str | Path) -> str:
         raise SchemaError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _reject_lone_surrogates(value, where: str) -> None:
+    """A SchemaError led by ``where`` if a string or key in the parsed ``value`` holds a
+    lone surrogate, which no UTF-8 output can hold (RFC 8259 section 8.2)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            m = _SURROGATE_RE.search(v)
+            if m:
+                raise SchemaError(f"{where}: a string holds a lone surrogate "
+                                  f"(\\u{ord(m.group()):04x})")
+        elif isinstance(v, dict):
+            stack += v
+            stack += v.values()
+        elif isinstance(v, list):
+            stack += v
+
+
 def _json_loads(text: str, where: str, at_line: bool):
-    """``json.loads(text)``; text it rejects is a SchemaError led by ``where``."""
+    """``json.loads(text)``; text it rejects, or a lone surrogate escape in it, is a
+    SchemaError led by ``where``."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as e:
         why = f"{e.msg} at line {e.lineno}" if at_line else e.msg
     except ValueError:  # an integer literal past the interpreter's digit limit
         why = "a number with too many digits"
     except RecursionError:
         why = "nested too deeply"
+    else:
+        if "\\u" in text:  # UTF-8 text holds no surrogate; only an escape gives one
+            _reject_lone_surrogates(value, where)
+        return value
     raise SchemaError(f"{where}: not valid JSON ({why})")
 
 
@@ -529,7 +556,6 @@ class Cell(Struct):
 
 class RawTable(Struct):
     """Row-major grid of cells; within a row, cells are sorted by left edge."""
-    table_bbox: BBox
     rows: tuple[tuple[Cell, ...], ...]
 
     def _check(self):

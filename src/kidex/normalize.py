@@ -2,8 +2,9 @@
 
 Numbers are returned as exact decimals; percents are returned as printed
 (``12,5%`` gives 12.5, not 0.125) and the percent flag is the caller's
-business. ``locale_hint`` picks which separator wins the ambiguous
-single-separator cases; the default follows Italian KID printing.
+business. Separators follow Italian KID printing: a lone comma is decimal
+before one or two digits, and dots that split the digits into 3-digit
+groups are grouping.
 """
 from __future__ import annotations
 
@@ -75,19 +76,15 @@ def _grouped_ok(parts: list[str]) -> bool:
     return len(parts) >= 2 and all(len(p) == 3 for p in parts[1:])
 
 
-LOCALE_HINTS = ("it", "en")
-
-
-def normalize_number(text: str, locale_hint: str = "it") -> Optional[Decimal]:
-    """Parse a localized numeric string to an exact decimal; None when unparseable.
+def normalize_number(text: str) -> Optional[Decimal]:
+    """Parse a numeric string to an exact decimal; None when unparseable.
 
     Steps: currency stripping; sign normalization; then separator
     resolution. With both separators present the rightmost is the decimal
-    mark. With a single separator the ambiguous cases are resolved by
-    locale: under ``it`` a lone comma is decimal when followed by 1-2
-    digits, a lone dot is grouping when it partitions the digits into
-    exact 3-digit groups after the first; under ``en`` the two separators
-    swap those roles.
+    mark. With a single kind of separator, a lone comma is decimal when
+    followed by 1-2 digits and grouping otherwise; a dot is grouping when it
+    partitions the digits into exact 3-digit groups after the first, else a
+    lone dot is decimal.
     """
     if not any(map(str.isdigit, text)):  # the steps below never add a digit
         return None
@@ -111,23 +108,15 @@ def normalize_number(text: str, locale_hint: str = "it") -> Optional[Decimal]:
         if s.count(decimal_sep) != 1:
             return None
         s = s.replace(decimal_sep, ".")
-    elif has_dot or has_comma:
-        sep = "." if has_dot else ","
-        parts = s.split(sep)
-        # which separator plays the decimal role under this locale
-        decimal_role = (sep == ",") if locale_hint != "en" else (sep == ".")
-        if decimal_role:
-            if len(parts) == 2 and 1 <= len(parts[1]) <= 2:
-                s = parts[0] + "." + parts[1]
-            else:
-                s = "".join(parts)
-        else:
-            if _grouped_ok(parts):
-                s = "".join(parts)
-            elif len(parts) == 2:
-                s = parts[0] + "." + parts[1]
-            else:
-                return None
+    elif has_comma:
+        parts = s.split(",")
+        s = s.replace(",", "." if len(parts) == 2 and 1 <= len(parts[1]) <= 2 else "")
+    elif has_dot:
+        parts = s.split(".")
+        if _grouped_ok(parts):
+            s = s.replace(".", "")
+        elif len(parts) > 2:
+            return None
 
     try:
         value = Decimal(s)

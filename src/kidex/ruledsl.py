@@ -552,8 +552,9 @@ class AndPred:
         return all(p.may_pass(text) for p in self.preds)
 
 
-# instruction opcodes; programs are tuples of (op, a, b)
-OP_PRED, OP_SPLIT, OP_JMP, OP_GSTART, OP_GEND, OP_SETPOS, OP_PROGRESS, OP_MATCH = range(8)
+# instruction opcodes; programs are tuples of (op, a, b). OP_SETPOS saves the position
+# in a register: a named group's start, or a star loop's iteration start
+OP_PRED, OP_SPLIT, OP_JMP, OP_GEND, OP_SETPOS, OP_PROGRESS, OP_MATCH = range(7)
 
 
 # entries a pattern's first-token memo may hold before it is cleared
@@ -707,7 +708,7 @@ class _PatternCompiler:
             # not clobber each other's start, the last-closed capture wins
             reg = self.n_regs
             self.n_regs += 1
-            self.emit(OP_GSTART, reg)
+            self.emit(OP_SETPOS, reg)
             self._node(node.body)
             self.emit(OP_GEND, node.name, reg)
         elif isinstance(node, Repeat):

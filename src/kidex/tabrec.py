@@ -253,8 +253,7 @@ def _median(values: list) -> float:
     return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
-def group_rows(cells: list[Cell], cfg: TabConfig,
-               table_bbox: Optional[BBox] = None) -> RawTable:
+def group_rows(cells: list[Cell], cfg: TabConfig) -> RawTable:
     """Cluster cells into rows by top coordinate.
 
     The alignment factor is ``alignment_factor_ratio`` x the median cell
@@ -277,11 +276,7 @@ def group_rows(cells: list[Cell], cfg: TabConfig,
         else:
             rows.append([(left, top, right, i)])
             anchor_top = top
-    sorted_rows = tuple(tuple([cells[key[3]] for key in sorted(row)]) for row in rows)
-    if table_bbox is None:
-        lefts, tops, rights, bottoms = zip(*boxes)
-        table_bbox = BBox(min(lefts), min(tops), max(rights), max(bottoms))
-    return RawTable(table_bbox, sorted_rows)
+    return RawTable(tuple(tuple([cells[key[3]] for key in sorted(row)]) for row in rows))
 
 
 def _is_numericish(text: str) -> bool:
@@ -345,12 +340,12 @@ def extract_table(page: PageDetections, type_hint: Optional[TableType],
         ttype = identify_table(resolved, cfg)
         if ttype is None or (type_hint is not None and ttype is not type_hint):
             continue
-        table = group_rows(resolved, cfg, tables[idx].bbox)
+        table = group_rows(resolved, cfg)
         schema_labels = labels.all_labels(ttype)
         split_rows = [split_multiline(row, schema_labels) for row in table.rows]
         flat = [c for row in split_rows for c in row]
         if len(flat) != sum(len(r) for r in table.rows):
-            table = group_rows(flat, cfg, tables[idx].bbox)
+            table = group_rows(flat, cfg)
         return ttype, table
     return None
 
@@ -461,22 +456,20 @@ def _period_columns(table: RawTable, norm_rows: list[list[str]],
     return out
 
 
-def _numeric_cells(row: Iterable[Cell], cmap: ConfusionMap,
-                   locale_hint: str) -> list[tuple[Cell, Decimal, bool]]:
+def _numeric_cells(row: Iterable[Cell], cmap: ConfusionMap) -> list[tuple[Cell, Decimal, bool]]:
     out = []
     for cell in row:
         if not cell.text:
             continue
         repaired = fix_confusions(cell.text, cmap)
-        value = normalize_number(repaired, locale_hint)
+        value = normalize_number(repaired)
         if value is not None:
             out.append((cell, value, "%" in cell.text))
     return out
 
 
 def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
-                  cmap: Optional[ConfusionMap] = None,
-                  locale_hint: str = "it") -> tuple[Record, list[str]]:
+                  cmap: Optional[ConfusionMap] = None) -> tuple[Record, list[str]]:
     """Map a reconstructed grid onto its typed record; returns (record, warnings).
 
     Rows are matched by label cells; numeric cells go to periods by column
@@ -492,7 +485,7 @@ def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
     if ttype is TableType.COSTS_COMPOSITION:
         for row, norms in zip(table.rows, norm_rows):
             category = _row_label(norms, labels.categories)
-            numerics = _numeric_cells(row, cmap, locale_hint)
+            numerics = _numeric_cells(row, cmap)
             if category is None:
                 if numerics:
                     warnings.append(f"composition row unmatched: {[c.text for c in row]!r}")
@@ -517,7 +510,7 @@ def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
             if scenario is not None:
                 scenario_key = (scenario,)
             metric = _row_label(norms, metrics)
-            numerics = _numeric_cells(row, cmap, locale_hint)
+            numerics = _numeric_cells(row, cmap)
             if not numerics:
                 continue
             key = scenario_key if perf else (() if metric is not None else None)
@@ -556,17 +549,6 @@ def _row_is_header(norms: list[str], initial: re.Pattern) -> bool:
 # Tables JSONL output
 # ---------------------------------------------------------------------------
 
-def table_row_dict(doc_id: str, page: Optional[int], ttype: TableType,
-                   record: Optional[Record]) -> dict:
-    return {
-        "doc_id": doc_id,
-        "page": page,
-        "type": ttype.value,
-        "status": "extracted" if record is not None else "missing",
-        "record": record.to_dict() if record is not None else None,
-    }
-
-
 def parse_table_row(d: Mapping) -> tuple[str, TableType, Optional[Record]]:
     """The (doc_id, type, record) of one tables row; ``None`` for a missing table."""
     d = json_fields(d, "tables row", ("doc_id", "type", "status"))
@@ -590,8 +572,11 @@ def parse_table_row(d: Mapping) -> tuple[str, TableType, Optional[Record]]:
 
 def write_tables_jsonl(rows: Iterable[tuple], path: str | Path) -> None:
     """Write (doc_id, type, page, record) rows, ``None`` for a missing table."""
-    text = "".join(json.dumps(table_row_dict(doc_id, page, ttype, record), ensure_ascii=False)
-                   + "\n" for doc_id, ttype, page, record in rows)
+    text = "".join(json.dumps({"doc_id": doc_id, "page": page, "type": ttype.value,
+                               "status": "extracted" if record is not None else "missing",
+                               "record": record.to_dict() if record is not None else None},
+                              ensure_ascii=False) + "\n"
+                   for doc_id, ttype, page, record in rows)
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -198,7 +198,7 @@ def fix_confusions_oracle(text: str, cmap: Optional[ConfusionMap] = None) -> str
     return "".join(cmap.pairs.get(ch, ch) for ch in text)
 
 
-def normalize_number_oracle(text: str, locale_hint: str = "it") -> Optional[Decimal]:
+def normalize_number_oracle(text: str) -> Optional[Decimal]:
     s = strip_currency(text).replace("\u2212", "-").strip()
     if s.endswith("%"):
         s = s[:-1]
@@ -224,8 +224,7 @@ def normalize_number_oracle(text: str, locale_hint: str = "it") -> Optional[Deci
     elif has_dot or has_comma:
         sep = "." if has_dot else ","
         parts = s.split(sep)
-        decimal_role = (sep == ",") if locale_hint != "en" else (sep == ".")
-        if decimal_role:
+        if sep == ",":
             if len(parts) == 2 and 1 <= len(parts[1]) <= 2:
                 s = parts[0] + "." + parts[1]
             else:

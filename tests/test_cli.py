@@ -11,6 +11,7 @@ import pytest
 import kidex.cli
 import kidex.tabrec
 from kidex.cli import main
+from kidex.matcher import read_results_file
 from kidex.model import TableType
 
 
@@ -35,6 +36,68 @@ def test_annotate_end_to_end(corpus, tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("doc_id,field,value")
     assert len(lines) == 1 + 3 * 8
+
+
+def test_annotate_csv_and_jsonl_read_back_the_same_rows(corpus, tmp_path):
+    rows = {}
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"fields.{fmt}"
+        assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(out),
+                     "--format", fmt]) == 0
+        rows[fmt] = [{k: str(v) for k, v in row.items()} for row in read_results_file(out)]
+    assert len(rows["csv"]) == 3 * 8
+    assert rows["csv"] == rows["jsonl"]  # the same (doc_id, field, value) and token range
+
+
+def test_eval_report_is_the_same_for_csv_and_jsonl_predictions(corpus, tmp_path):
+    tables = tmp_path / "tables.jsonl"
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
+                 "--out", str(tables)]) == 0
+    reports = []
+    for fmt in ("csv", "jsonl"):
+        pred = tmp_path / fmt
+        pred.mkdir()
+        shutil.copy(tables, pred / "tables.jsonl")
+        assert main(["annotate", "--in", str(corpus / "docs"),
+                     "--out", str(pred / f"fields.{fmt}"), "--format", fmt]) == 0
+        assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
+        reports.append((pred / "eval_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["micro"]["precision"] == 1.0
+
+
+_PAGE_FILE = '{"doc_id": "kid%s", "pages": ["Cos\'è questo prodotto?\\nISIN: IT0001234567 fine"]}\n'
+
+
+@pytest.mark.parametrize("command", ["annotate", "tables", "config"])
+def test_lone_surrogate_escape_is_an_input_or_config_error(tmp_path, capsys, command):
+    docs, masks, out = tmp_path / "docs", tmp_path / "masks", tmp_path / "out"
+    docs.mkdir()
+    masks.mkdir()
+    page, cfg = docs / "kid1.pages.json", tmp_path / "cfg.json"
+    page.write_text(_PAGE_FILE % "\\ud800", encoding="utf-8")  # a config error comes first
+    cfg.write_text('{"labels": "\\udc00"}', encoding="utf-8")
+    argv = {"annotate": ["annotate", "--in", str(docs)],
+            "tables": ["tables", "--masks", str(masks), "--pages", str(docs)],
+            "config": ["--config", str(cfg), "tables", "--masks", str(masks),
+                       "--pages", str(docs)]}[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    if command == "config":
+        assert first == f"config error: {cfg}: a string holds a lone surrogate (\\udc00)"
+    else:
+        assert first == f"input error: {page}: a string holds a lone surrogate (\\ud800)"
+    assert not out.exists()
+
+
+def test_escaped_surrogate_pair_still_extracts(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "kid1.pages.json").write_text(_PAGE_FILE % "\\ud83d\\ude00", encoding="utf-8")
+    out = tmp_path / "fields.jsonl"
+    assert main(["annotate", "--in", str(docs), "--out", str(out), "--format", "jsonl"]) == 0
+    assert [(r["doc_id"], r["field"], r["value"]) for r in read_results_file(out)] == \
+        [("kid\U0001F600", "ISIN", "IT0001234567")]
 
 
 def test_annotate_bad_rules_exit_3(corpus, tmp_path):
@@ -817,9 +880,9 @@ def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, 
      "'confusions': confusion map must be acyclic: a target char cannot also be a source"),
     ({"confusions": {"numeric_context_only": "no"}},
      "'confusions': 'numeric_context_only': expected true or false"),
-    ({"locale_hint": 5}, "'locale_hint': expected one of 'it', 'en', got 5"),
+    ({"locale_hint": "it"}, "unknown key 'locale_hint'"),
 ], ids=["rules-a-number", "sections-a-list", "labels-a-number", "pairs-a-number",
-        "pair-target-a-number", "pairs-cyclic", "numeric-only-a-string", "locale-a-number"])
+        "pair-target-a-number", "pairs-cyclic", "numeric-only-a-string", "locale-hint-unknown"])
 def test_config_value_of_the_wrong_type_exit_1(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")

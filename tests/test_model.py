@@ -237,12 +237,28 @@ def test_confidence_range_enforced():
         Detection(DetectionClass.CELL, 1.5, BBox(0, 0, 1, 1))
 
 
+@pytest.mark.parametrize("text, surrogate", [
+    ('{"\\udfff": 1}', "\\udfff"),
+    ('{"a": [[{"b": "x\\ud800y"}]]}', "\\ud800"),
+    ('{"a": "\\ude00\\ud83d"}', "\\ude00"),
+    ('{"a": ' + "[" * 500 + '"\\udc00"' + "]" * 500 + "}", "\\udc00"),
+], ids=["key", "nested-value", "pair-in-wrong-order", "deep"])
+def test_parsed_json_with_a_lone_surrogate_is_a_schema_error(text, surrogate):
+    with pytest.raises(model.SchemaError) as e:
+        model.parse_json_object(text, "f.json")
+    assert str(e.value) == f"f.json: a string holds a lone surrogate ({surrogate})"
+
+
+def test_parsed_json_keeps_escaped_surrogate_pairs_and_backslashes():
+    text = '{"\\ud83d\\ude00": ["\\ud83d\\ude00", "\\\\ud800"]}'
+    assert model.parse_json_object(text, "f.json") == {"\U0001F600": ["\U0001F600", "\\ud800"]}
+
+
 def test_raw_table_round_trip_and_sorting():
     rows = ((Cell(BBox(0, 0, 10, 10), "a"), Cell(BBox(20, 0, 30, 10), "b")),)
-    RawTable(BBox(0, 0, 40, 12), rows)
+    RawTable(rows)
     with pytest.raises(ValueError):
-        RawTable(BBox(0, 0, 40, 12),
-                 ((Cell(BBox(20, 0, 30, 10), "b"), Cell(BBox(0, 0, 10, 10), "a")),))
+        RawTable(((Cell(BBox(20, 0, 30, 10), "b"), Cell(BBox(0, 0, 10, 10), "a")),))
 
 
 def test_records_round_trip():

@@ -53,13 +53,6 @@ def test_unicode_minus():
     assert normalize_number("−0,85%") == Decimal("-0.85")
 
 
-def test_en_locale_flips_single_separator_roles():
-    assert normalize_number("1.234", locale_hint="en") == Decimal("1234")
-    assert normalize_number("1,234", locale_hint="en") == Decimal("1234")
-    assert normalize_number("12.34", locale_hint="en") == Decimal("12.34")
-    assert normalize_number("12,34", locale_hint="en") == Decimal("12.34")
-
-
 def test_enumeration_oracle_every_format_up_to_seven_digits():
     # every (len1, len2, separator) shape with <= 7 digits, several digit fills
     fills = ["1234567", "9081726", "1000000"]
@@ -136,16 +129,13 @@ _digits = st.text("0123456789", max_size=8)
 
 @seed(20220604)
 @settings(max_examples=500, deadline=None, database=None)
-@given(d1=_digits, d2=_digits, sep=st.sampled_from([None, ".", ","]),
-       locale_hint=st.sampled_from(["it", "en"]))
-def test_single_separator_numerals_follow_the_decision_table(d1, d2, sep, locale_hint):
-    # the table is written for "it"; under "en" the two separators swap roles
+@given(d1=_digits, d2=_digits, sep=st.sampled_from([None, ".", ","]))
+def test_single_separator_numerals_follow_the_decision_table(d1, d2, sep):
     if sep is None:
         text, expected = d1 + d2, expected_number(d1 + d2, "", None)
     else:
-        role = sep if locale_hint == "it" else {".": ",", ",": "."}[sep]
-        text, expected = d1 + sep + d2, expected_number(d1, d2, role)
-    assert normalize_number(text, locale_hint) == expected
+        text, expected = d1 + sep + d2, expected_number(d1, d2, sep)
+    assert normalize_number(text) == expected
 
 
 # label-cell text with no digit, and numerals with Unicode digits and the
@@ -160,11 +150,10 @@ _numeric = st.text("0123456789²٣ .,%€$£+-/O\u2212EUR", max_size=12)
 @settings(max_examples=500, deadline=None, database=None)
 @given(text=st.one_of(_digit_free, st.sampled_from(["Possibile rimborso al netto dei costi",
                                                     "/ / /", "€ ./,", "²", "O/O"]), _numeric),
-       locale_hint=st.sampled_from(["it", "en"]),
        cmap=st.sampled_from([None, ConfusionMap(pairs={"O": "0", "/": "7"}),
                              ConfusionMap(pairs={"O": "0", "/": "7"},
                                           numeric_context_only=False)]))
-def test_digit_guard_changes_no_result(text, locale_hint, cmap):
-    assert normalize_number(text, locale_hint) == normalize_number_oracle(text, locale_hint)
+def test_digit_guard_changes_no_result(text, cmap):
+    assert normalize_number(text) == normalize_number_oracle(text)
     assert fix_confusions(text, cmap) == fix_confusions_oracle(text, cmap)
 

@@ -30,9 +30,8 @@ REPRS = [
     (model.Detection(DetectionClass.CELL, 0.5, BBox(1, 2, 3, 4)),
      "Detection(cls=<DetectionClass.CELL: 'cell'>, confidence=0.5, "
      "bbox=BBox(left=1, top=2, right=3, bottom=4))"),
-    (model.RawTable(BBox(1, 2, 3, 4), ((model.Cell(BBox(1, 2, 3, 4), "x"),),)),
-     "RawTable(table_bbox=BBox(left=1, top=2, right=3, bottom=4), "
-     "rows=((Cell(bbox=BBox(left=1, top=2, right=3, bottom=4), text='x'),),))"),
+    (model.RawTable(((model.Cell(BBox(1, 2, 3, 4), "x"),),)),
+     "RawTable(rows=((Cell(bbox=BBox(left=1, top=2, right=3, bottom=4), text='x'),),))"),
     (model.Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("1.5")}),
      "Record(ttype=<TableType.COSTS_COMPOSITION: 'costs_composition'>, "
      "values={(<CostCategory.ENTRY: 'entry'>,): Decimal('1.5')})"),
@@ -55,7 +54,7 @@ REPRS = [
     (cli.Config(tab=tabrec.TabConfig(anchors={})),
      "Config(rules=None, sections=None, labels=None, tab=TabConfig(confidence_threshold=0.6, "
      "alignment_factor_ratio=0.5, enlargement_ratio=0.05, ocr_iou_threshold=0.5, anchors={}), "
-     "confusions=ConfusionMap(pairs={'/': '7'}, numeric_context_only=True), locale_hint='it')"),
+     "confusions=ConfusionMap(pairs={'/': '7'}, numeric_context_only=True))"),
 ]
 
 

@@ -315,9 +315,7 @@ def test_split_three_lines_even_boxes():
 # --- map_to_record -----------------------------------------------------------
 
 def _one_row_table(cells):
-    box = BBox(min(c.bbox.left for c in cells), min(c.bbox.top for c in cells),
-               max(c.bbox.right for c in cells), max(c.bbox.bottom for c in cells))
-    return group_rows(cells, CFG, box)
+    return group_rows(cells, CFG)
 
 
 def test_map_performance_row_without_period_header():
