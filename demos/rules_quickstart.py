@@ -34,7 +34,7 @@ compiled = ruledsl.compile_rules(ruledsl.parse_rules(RULES, "demo"))
 
 doc = Document("demo-doc", textprep.normalize_text(TEXT))
 doc = annotate.tokenize_document(doc)
-print("tokens:", [t.text for t in doc.tokens][:12], "...")
+print("tokens:", list(doc.tokens)[:12], "...")
 
 # section annotations make the {SECTION:...} constraints satisfiable
 doc = annotate.annotate_sections(doc, annotate.default_section_config())

@@ -13,7 +13,7 @@ import re
 from functools import cached_property
 from pathlib import Path
 
-from .model import (DATA, Annotation, Document, SchemaError, Struct, Token, json_fields,
+from .model import (DATA, Annotation, Document, SchemaError, Struct, json_fields,
                     json_strings, parse_json_object, read_utf8)
 
 SECTION_KEY = "SECTION"
@@ -23,24 +23,19 @@ PUNCT_CHARS = set(".,:;!?()[]{}\"'«»%€")
 _NON_SPACE_RE = re.compile(r"\S+")
 
 
-def tokenize(text: str) -> tuple[Token, ...]:
-    tokens: list[Token] = []
-
-    def emit(chunk: str, begin: int) -> None:
-        tokens.append(Token(chunk, begin, begin + len(chunk), len(tokens)))
-
+def tokenize(text: str) -> tuple[str, ...]:
+    tokens: list[str] = []
     for m in _NON_SPACE_RE.finditer(text):
         i, j = m.span()
-        trailing: list[int] = []
+        trailing: list[str] = []
         while j - i > 1 and text[i] in PUNCT_CHARS:
-            emit(text[i], i)
+            tokens.append(text[i])
             i += 1
         while j - i > 1 and text[j - 1] in PUNCT_CHARS:
-            trailing.append(j - 1)
+            trailing.append(text[j - 1])
             j -= 1
-        emit(text[i:j], i)
-        for k in reversed(trailing):
-            emit(text[k], k)
+        tokens.append(text[i:j])
+        tokens.extend(reversed(trailing))
     return tuple(tokens)
 
 
@@ -106,8 +101,8 @@ def default_section_config() -> SectionConfig:
 
 
 def _header_key(pattern: str) -> tuple[str, ...]:
-    """Casefolded token texts of a header phrase, edge punctuation dropped."""
-    toks = [t.text.casefold() for t in tokenize(pattern)]
+    """Casefolded tokens of a header phrase, edge punctuation dropped."""
+    toks = [t.casefold() for t in tokenize(pattern)]
     while toks and all(c in PUNCT_CHARS for c in toks[0]):
         toks.pop(0)
     while toks and all(c in PUNCT_CHARS for c in toks[-1]):
@@ -123,7 +118,7 @@ def annotate_sections(doc: Document, cfg: SectionConfig) -> Document:
     The phrases are keyed by their first token once per config, so one
     pass over the tokens compares only the phrases that start at each one.
     """
-    texts = tuple(t.text.casefold() for t in doc.tokens)
+    texts = tuple(t.casefold() for t in doc.tokens)
     n = len(texts)
     index = cfg._header_index
     candidates: list[tuple[int, int, int, str]] = []  # (start, rank, end, name)

@@ -70,23 +70,20 @@ _columns = operator.attrgetter(*CSV_COLUMNS)
 
 
 class DocContext:
-    """Token texts plus a per-token annotation index the predicates query."""
+    """The tokens plus a per-token annotation index the predicates query."""
 
     def __init__(self, doc: Document):
         self.doc = doc
-        self.texts = [t.text for t in doc.tokens]
+        self.texts = doc.tokens
         self._index: dict[str, dict[int, list[str]]] = {}
         self._starts: dict[CompiledPattern, list[int]] = {}
         for ann in doc.annotations:
-            self._add_to_index(ann)
+            self.add_annotation(ann)
 
-    def _add_to_index(self, ann: Annotation) -> None:
+    def add_annotation(self, ann: Annotation) -> None:
         per_token = self._index.setdefault(ann.key, {})
         for i in range(ann.first, ann.last + 1):
             per_token.setdefault(i, []).append(ann.value)
-
-    def add_annotation(self, ann: Annotation) -> None:
-        self._add_to_index(ann)
 
     def ann_values(self, key: str, i: int) -> list[str]:
         return self._index.get(key, {}).get(i, [])

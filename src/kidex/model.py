@@ -1,4 +1,8 @@
-"""Shared domain types: tokens, annotations, boxes, detections and typed records.
+"""Shared domain types: documents, annotations, boxes, detections and typed records.
+
+A document's tokens are plain strings, in text order; a token is named by
+its position in ``Document.tokens``, which is the index annotations and
+extraction results hold.
 
 Everything here is immutable after construction. Geometry uses integer
 pixel coordinates with a top-left origin.
@@ -226,25 +230,6 @@ class Struct:
 # Text side
 # ---------------------------------------------------------------------------
 
-class Token(Struct):
-    """A whitespace/punctuation unit of the document text.
-
-    ``begin``/``end`` are character offsets into the source text,
-    end-exclusive. ``index`` is the token's ordinal position.
-    """
-    text: str
-    begin: int
-    end: int
-    index: int
-
-    def __init__(self, text: str, begin: int, end: int, index: int):
-        if not (0 <= begin < end):
-            raise ValueError(f"token span invalid: [{begin}, {end})")
-        if len(text) != end - begin:
-            raise ValueError("token text length disagrees with its span")
-        self.__dict__.update(text=text, begin=begin, end=end, index=index)
-
-
 class Annotation(Struct):
     """A key/value label over an inclusive token-index range."""
     key: str
@@ -261,16 +246,16 @@ class Annotation(Struct):
         self.__dict__.update(key=key, value=value, first=first, last=last, rule_id=rule_id)
 
 
-def _check_tokens(text: str, tokens: tuple[Token, ...]) -> None:
-    prev_end = -1
+def _check_tokens(text: str, tokens: tuple[str, ...]) -> None:
+    """Each token is a non-empty string found in ``text`` at or after the end of the one before."""
+    pos = 0
     for i, tok in enumerate(tokens):
-        if tok.index != i:
-            raise ValueError(f"token {i} carries index {tok.index}")
-        if tok.begin < prev_end:
-            raise ValueError(f"token {i} overlaps its predecessor")
-        if text[tok.begin:tok.end] != tok.text:
-            raise ValueError(f"token {i} text disagrees with source substring")
-        prev_end = tok.end
+        if not tok:
+            raise ValueError(f"token {i} is empty")
+        at = text.find(tok, pos)
+        if at < 0:
+            raise ValueError(f"token {i} does not occur in the text after the tokens before it")
+        pos = at + len(tok)
 
 
 def _check_annotations(annotations: tuple[Annotation, ...], n: int) -> None:
@@ -287,7 +272,7 @@ class Document(Struct):
     """
     doc_id: str
     text: str
-    tokens: tuple[Token, ...] = ()
+    tokens: tuple[str, ...] = ()
     annotations: tuple[Annotation, ...] = ()
     pages: Optional[tuple[int, ...]] = None
 
@@ -299,7 +284,7 @@ class Document(Struct):
                 if b <= a:
                     raise ValueError("page-break offsets must be strictly increasing")
 
-    def with_tokens(self, tokens: Iterable[Token]) -> "Document":
+    def with_tokens(self, tokens: Iterable[str]) -> "Document":
         return Document(self.doc_id, self.text, tuple(tokens), self.annotations, self.pages)
 
     def with_annotations(self, extra: Iterable[Annotation]) -> "Document":

@@ -2,9 +2,9 @@
 
 Numbers are returned as exact decimals; percents are returned as printed
 (``12,5%`` gives 12.5, not 0.125) and the percent flag is the caller's
-business. Separators follow Italian KID printing: a lone comma is decimal
-before one or two digits, and dots that split the digits into 3-digit
-groups are grouping.
+business. A dot and a comma follow one rule: separators of one kind that
+split the digits into 3-digit groups after the first are grouping, and a
+lone one that does not is the decimal mark.
 """
 from __future__ import annotations
 
@@ -81,10 +81,9 @@ def normalize_number(text: str) -> Optional[Decimal]:
 
     Steps: currency stripping; sign normalization; then separator
     resolution. With both separators present the rightmost is the decimal
-    mark. With a single kind of separator, a lone comma is decimal when
-    followed by 1-2 digits and grouping otherwise; a dot is grouping when it
-    partitions the digits into exact 3-digit groups after the first, else a
-    lone dot is decimal.
+    mark. With a single kind, dot or comma alike, the separators are
+    grouping when they partition the digits into exact 3-digit groups after
+    the first, else a lone separator is decimal, else the text is no number.
     """
     if not any(map(str.isdigit, text)):  # the steps below never add a digit
         return None
@@ -99,24 +98,21 @@ def normalize_number(text: str) -> Optional[Decimal]:
     if any(ch not in "0123456789.," for ch in s):
         return None
 
-    has_dot = "." in s
-    has_comma = "," in s
-    if has_dot and has_comma:
+    if "." in s and "," in s:
         decimal_sep = "." if s.rfind(".") > s.rfind(",") else ","
         grouping_sep = "," if decimal_sep == "." else "."
         s = s.replace(grouping_sep, "")
         if s.count(decimal_sep) != 1:
             return None
         s = s.replace(decimal_sep, ".")
-    elif has_comma:
-        parts = s.split(",")
-        s = s.replace(",", "." if len(parts) == 2 and 1 <= len(parts[1]) <= 2 else "")
-    elif has_dot:
-        parts = s.split(".")
+    else:  # at most one kind of separator, read alike
+        parts = s.replace(",", ".").split(".")
         if _grouped_ok(parts):
-            s = s.replace(".", "")
+            s = "".join(parts)
         elif len(parts) > 2:
             return None
+        else:
+            s = ".".join(parts)
 
     try:
         value = Decimal(s)

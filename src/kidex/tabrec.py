@@ -283,8 +283,8 @@ def _is_numericish(text: str) -> bool:
     return normalize_number(text) is not None
 
 
-def split_multiline(row: Iterable[Cell], schema_labels: Iterable[str]) -> list[Cell]:
-    """Split cells that wrongly merged vertically stacked fields.
+def split_multiline(cells: Iterable[Cell], schema_labels: Iterable[str]) -> list[Cell]:
+    """Split cells that wrongly merged vertically stacked fields, each cell on its own.
 
     A cell splits only when every newline-separated part is either a known
     field label (each a distinct one) or a numeric value; genuine
@@ -292,7 +292,7 @@ def split_multiline(row: Iterable[Cell], schema_labels: Iterable[str]) -> list[C
     """
     label_keys: Optional[set[str]] = None
     out: list[Cell] = []
-    for cell in row:
+    for cell in cells:
         parts = [p.strip() for p in cell.text.split("\n")] if cell.text else []
         if len(parts) < 2 or any(not p for p in parts):
             out.append(cell)
@@ -340,13 +340,7 @@ def extract_table(page: PageDetections, type_hint: Optional[TableType],
         ttype = identify_table(resolved, cfg)
         if ttype is None or (type_hint is not None and ttype is not type_hint):
             continue
-        table = group_rows(resolved, cfg)
-        schema_labels = labels.all_labels(ttype)
-        split_rows = [split_multiline(row, schema_labels) for row in table.rows]
-        flat = [c for row in split_rows for c in row]
-        if len(flat) != sum(len(r) for r in table.rows):
-            table = group_rows(flat, cfg)
-        return ttype, table
+        return ttype, group_rows(split_multiline(resolved, labels.all_labels(ttype)), cfg)
     return None
 
 

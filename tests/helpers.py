@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from kidex import ruledsl
-from kidex.model import Document, Token
+from kidex.model import Document
 
 ALPHABET = "abcd"
 
@@ -19,11 +19,7 @@ STD_BINDINGS = (
 
 def make_doc(texts, doc_id="doc") -> Document:
     """Document whose tokens are exactly ``texts``, single-space separated."""
-    tokens, pos = [], 0
-    for i, t in enumerate(texts):
-        tokens.append(Token(t, pos, pos + len(t), i))
-        pos += len(t) + 1
-    return Document(doc_id, " ".join(texts), tuple(tokens))
+    return Document(doc_id, " ".join(texts), tuple(texts))
 
 
 def rand_pattern(rng: random.Random, depth: int) -> ruledsl.PatternExpr:

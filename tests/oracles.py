@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 from kidex import ruledsl
 from kidex.annotate import PUNCT_CHARS, SECTION_KEY, tokenize
 from kidex.model import (Annotation, BBox, CostCategory, Detection, DetectionClass, OcrEntry,
-                         PageDetections, Period, Scenario, SchemaError, TableType, Token,
+                         PageDetections, Period, Scenario, SchemaError, TableType,
                          enum_member, iou, json_object)
 from kidex.normalize import ConfusionMap, strip_currency
 from kidex.ruledsl import (Alt, AnnotateAction, AttrSet, Constraint, NamedGroup, PatternExpr,
@@ -165,17 +165,12 @@ def cluster_rows_oracle(tops: list[int], factor: float) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def expected_number(d1: str, d2: str, sep: Optional[str]) -> Optional[Decimal]:
-    """Decision table for digit strings around at most one separator (it locale):
-    a comma is decimal iff followed by 1-2 digits; a dot is grouping iff the
-    groups after the first are exactly 3 digits; otherwise the other role."""
+    """Decision table for digit strings around at most one separator: a dot or
+    a comma is grouping iff the digits after it are exactly 3, else decimal."""
     if not (d1 + d2):
         return None
     if sep is None:
         return Decimal(d1)
-    if sep == ",":
-        if 1 <= len(d2) <= 2:
-            return Decimal((d1 or "0") + "." + d2)
-        return Decimal(d1 + d2)
     if len(d2) == 3:
         return Decimal(d1 + d2)
     if not d2:
@@ -224,18 +219,12 @@ def normalize_number_oracle(text: str) -> Optional[Decimal]:
     elif has_dot or has_comma:
         sep = "." if has_dot else ","
         parts = s.split(sep)
-        if sep == ",":
-            if len(parts) == 2 and 1 <= len(parts[1]) <= 2:
-                s = parts[0] + "." + parts[1]
-            else:
-                s = "".join(parts)
+        if len(parts) >= 2 and all(len(p) == 3 for p in parts[1:]):
+            s = "".join(parts)
+        elif len(parts) == 2:
+            s = parts[0] + "." + parts[1]
         else:
-            if len(parts) >= 2 and all(len(p) == 3 for p in parts[1:]):
-                s = "".join(parts)
-            elif len(parts) == 2:
-                s = parts[0] + "." + parts[1]
-            else:
-                return None
+            return None
 
     try:
         value = Decimal(s)
@@ -315,10 +304,7 @@ def tokenize_oracle(text: str, punct: set) -> tuple:
     characters from ``punct`` are peeled off a chunk as one-character tokens
     while at least one character is left."""
     tokens: list = []
-
-    def emit(chunk: str, begin: int) -> None:
-        tokens.append(Token(chunk, begin, begin + len(chunk), len(tokens)))
-
+    emit = tokens.append
     pos = 0
     n = len(text)
     while pos < n:
@@ -331,14 +317,14 @@ def tokenize_oracle(text: str, punct: set) -> tuple:
         i, j = pos, end
         trailing: list = []
         while j - i > 1 and text[i] in punct:
-            emit(text[i], i)
+            emit(text[i])
             i += 1
         while j - i > 1 and text[j - 1] in punct:
             trailing.append(j - 1)
             j -= 1
-        emit(text[i:j], i)
+        emit(text[i:j])
         for k in reversed(trailing):
-            emit(text[k], k)
+            emit(text[k])
         pos = end
     return tuple(tokens)
 
@@ -351,12 +337,12 @@ def sections_oracle(doc, cfg) -> tuple:
     candidate overlapping an earlier kept header is dropped, and each kept
     header's section runs to the token before the next one.
     """
-    texts = [t.text.casefold() for t in doc.tokens]
+    texts = [t.casefold() for t in doc.tokens]
     n = len(texts)
     candidates = []
     for rank, spec in enumerate(cfg.sections):
         for pattern in spec.header_patterns:
-            key = [t.text.casefold() for t in tokenize(pattern)]
+            key = [t.casefold() for t in tokenize(pattern)]
             while key and all(c in PUNCT_CHARS for c in key[0]):
                 key.pop(0)
             while key and all(c in PUNCT_CHARS for c in key[-1]):

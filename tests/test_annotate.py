@@ -14,7 +14,7 @@ from oracles import sections_oracle, tokenize_oracle
 
 
 def texts(tokens):
-    return [t.text for t in tokens]
+    return list(tokens)
 
 
 def test_isin_line_tokenization():
@@ -54,25 +54,17 @@ _token_chars = st.one_of(
 @settings(max_examples=500, deadline=None, database=None)
 @given(text=st.text(_token_chars, max_size=60))
 def test_tokenize_agrees_with_char_scan_reference(text):
-    tokens = tokenize(text)
-    assert tokens == tokenize_oracle(text, PUNCT_CHARS)
-    for t in tokens:
-        assert text[t.begin:t.end] == t.text
+    assert tokenize(text) == tokenize_oracle(text, PUNCT_CHARS)
 
 
-def test_offsets_faithful_and_partition():
+def test_tokens_partition_the_non_space_text():
     rng = random.Random(23)
     pieces = ["ISIN:", "(x)", "a,b", "«ciao»", "12,5%", "e'", "fine.", "-", "€5"]
     for _ in range(200):
         text = " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 10)))
         tokens = tokenize(text)
-        covered = set()
-        for tok in tokens:
-            assert text[tok.begin:tok.end] == tok.text
-            covered.update(range(tok.begin, tok.end))
-        non_ws = {i for i, ch in enumerate(text) if not ch.isspace()}
-        assert covered == non_ws
-        assert [t.index for t in tokens] == list(range(len(tokens)))
+        assert "".join(tokens) == "".join(text.split())
+        assert all(tokens)
 
 
 def _doc(text):
@@ -93,7 +85,7 @@ def test_sections_cover_until_next_header():
         assert ann.key == SECTION_KEY
         by_key[ann.value] = (ann.first, ann.last)
     # brute-force expectation: header tokens located by linear scan
-    toks = [t.text for t in doc.tokens]
+    toks = doc.tokens
     start_product = toks.index("Cos'è")
     start_risk = toks.index("Quali")
     assert by_key["SECTION_PRODUCT"] == (start_product, start_risk - 1)

@@ -205,7 +205,7 @@ def test_prefilter_tests_each_text_once_per_rule_across_documents(tmp_path, monk
     monkeypatch.setattr(ruledsl.TextRegexPred, "may_pass", counting)
     for doc in docs:
         run_rules(compiled, doc)
-    vocabulary = len({t.text for doc in docs for t in doc.tokens})
+    vocabulary = len({t for doc in docs for t in doc.tokens})
     tokens = sum(len(doc.tokens) for doc in docs)
     first_regexes = sum(_regex_preds(p) for rule in rules for p in rule.pattern.first_preds)
     assert 0 < calls <= vocabulary * first_regexes

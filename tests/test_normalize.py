@@ -37,6 +37,15 @@ def test_lone_comma_one_or_two_trailing_digits_is_decimal():
     assert normalize_number("1,234") == Decimal("1234")
 
 
+def test_comma_follows_the_dot_rule():
+    assert normalize_number("0,1234") == Decimal("0.1234")
+    assert normalize_number("1,2345") == Decimal("1.2345")
+    assert normalize_number("1,2,3") is None
+    assert normalize_number("1,234") == Decimal("1234")
+    assert normalize_number("12,5") == Decimal("12.5")
+    assert normalize_number("1,234,567") == Decimal("1234567")
+
+
 def test_multi_group_grouping():
     assert normalize_number("1.234.567") == Decimal("1234567")
     assert normalize_number("12.345.678") == Decimal("12345678")

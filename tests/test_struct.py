@@ -21,12 +21,10 @@ RULE = ruledsl.Rule(ruledsl.TokenRegex("a", (1, 2)), (ruledsl.AnnotateAction("g"
 
 # the repr each class printed as a dataclass, byte for byte
 REPRS = [
-    (model.Token("ab", 0, 2, 0), "Token(text='ab', begin=0, end=2, index=0)"),
     (model.Annotation("K", "v", 0, 1),
      "Annotation(key='K', value='v', first=0, last=1, rule_id='system')"),
-    (model.Document("d", "ab", (model.Token("ab", 0, 2, 0),)),
-     "Document(doc_id='d', text='ab', tokens=(Token(text='ab', begin=0, end=2, index=0),), "
-     "annotations=(), pages=None)"),
+    (model.Document("d", "ab", ("ab",)),
+     "Document(doc_id='d', text='ab', tokens=('ab',), annotations=(), pages=None)"),
     (model.Detection(DetectionClass.CELL, 0.5, BBox(1, 2, 3, 4)),
      "Detection(cls=<DetectionClass.CELL: 'cell'>, confidence=0.5, "
      "bbox=BBox(left=1, top=2, right=3, bottom=4))"),
@@ -71,10 +69,10 @@ def test_default_tab_config_repr_lists_the_default_anchors():
 
 
 def test_equality_needs_the_same_class_and_equal_compared_fields():
-    token = model.Token("ab", 0, 2, 0)
-    assert token == model.Token("ab", 0, 2, 0)
-    assert token != model.Token("ab", 0, 2, 1)
-    assert token.__eq__(("ab", 0, 2, 0)) is NotImplemented
+    ann = model.Annotation("K", "v", 0, 1)
+    assert ann == model.Annotation("K", "v", 0, 1)
+    assert ann != model.Annotation("K", "v", 0, 2)
+    assert ann.__eq__(("K", "v", 0, 1, "system")) is NotImplemented
     a = ruledsl.TokenRegex("a")
     assert ruledsl.Seq((a,)) != ruledsl.Alt((a,))  # equal fields, other class
     assert evalkit.FieldScore(1, 2, 3) == evalkit.FieldScore(1, 2, 3)
@@ -92,7 +90,7 @@ def test_pos_and_rule_id_do_not_count():
 
 
 def test_hash_is_the_hash_of_the_compared_fields():
-    assert hash(model.Token("ab", 0, 2, 0)) == hash(("ab", 0, 2, 0))
+    assert hash(model.Annotation("K", "v", 0, 1)) == hash(("K", "v", 0, 1, "system"))
     assert hash(ruledsl.TokenRegex("a", (1, 2))) == hash(("a",))
     assert hash(RULE) == hash((RULE.pattern, RULE.actions, RULE.stage))
     assert hash(tabrec.AnchorSet(("a",), ("b",))) == hash((("a",), ("b",)))
@@ -102,7 +100,7 @@ def test_hash_is_the_hash_of_the_compared_fields():
 
 
 @pytest.mark.parametrize("obj, name", [
-    (model.Token("ab", 0, 2, 0), "text"), (model.Record(TableType.COSTS_COMPOSITION), "values"),
+    (model.Document("d", "ab", ("ab",)), "text"), (model.Record(TableType.COSTS_COMPOSITION), "values"),
     (RULE, "pos"), (tabrec.TabConfig(), "anchors"), (evalkit.FieldScore(0, 0, 0), "tp"),
     (matcher.Match("r", 0, 1, {}), "extra"), (annotate.SectionSpec("S", ("h",)), "name"),
     (normalize.ConfusionMap(), "pairs"), (cli.Config(), "tab")])
@@ -141,7 +139,7 @@ def test_generic_init_takes_defaults_keywords_and_checks():
                                         lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("obj", [
-    model.Document("d", "ab", (model.Token("ab", 0, 2, 0),), (model.Annotation("K", "v", 0, 0),)),
+    model.Document("d", "ab", ("ab",), (model.Annotation("K", "v", 0, 0),)),
     model.Record(TableType.COSTS_COMPOSITION, {(CostCategory.ENTRY,): Decimal("1.5")}),
     RULE, tabrec.TabConfig(), evalkit.FieldScore(1, 2, 3),
     matcher.ExtractionResult("d", "f", "v", "t", 0, 1, "r"),
@@ -181,6 +179,10 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_statistics_or_importlib_
                "tabrec", "textprep")),
     ("tabrec", ("ruledsl", "matcher", "evalkit")),
     ("corpusgen", ("ruledsl", "matcher", "evalkit", "textprep")),
+    ("annotate", ("cli", "corpusgen", "evalkit", "matcher", "normalize", "ruledsl", "tabrec",
+                  "textprep")),
+    ("textprep", ("annotate", "cli", "corpusgen", "evalkit", "matcher", "normalize", "ruledsl",
+                  "tabrec")),
 ])
 def test_importing_a_module_loads_only_the_kidex_modules_it_imports(module, absent):
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kidex.{module}; "

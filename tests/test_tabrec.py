@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from kidex import tabrec
 from kidex.model import (BBox, Cell, CostCategory, Detection, DetectionClass, OcrEntry,
-                         PageDetections, Period, Scenario, SchemaError, iou)
+                         PageDetections, Period, RawTable, Scenario, SchemaError, iou)
 from kidex.tabrec import (AmbiguousTableError, LabelsConfig, TabConfig, TableType, assign_cells,
                           cell_text, default_labels_config, enlarge_bbox, extract_table,
                           filter_detections, group_rows, identify_pages, identify_table,
@@ -366,6 +366,38 @@ def test_map_applies_confusion_repair():
                             cell(110, 0, 200, 20, "0,/5%")])
     record, _ = map_to_record(TableType.COSTS_COMPOSITION, table, LABELS)
     assert record.values[(CostCategory.ENTRY,)] == Decimal("0.75")
+
+
+def _grid(*rows):
+    """A RawTable with one 100x20 cell per text, rows 40 px and columns 110 px apart."""
+    return RawTable(tuple(tuple(cell(110 * j, 40 * i, 110 * j + 100, 40 * i + 20, text)
+                                for j, text in enumerate(row)) for i, row in enumerate(rows)))
+
+
+NO_HEADER = "no period header readable; assigning by column order"
+
+
+@pytest.mark.parametrize("ttype, rows, values, warnings", [
+    (TableType.COSTS_COMPOSITION, [["Costi di ingresso", "0,50%", "0,70%"]],
+     {(CostCategory.ENTRY,): Decimal("0.50")},
+     ["composition row entry: extra numeric cells ignored"]),
+    (TableType.PERFORMANCE_SCENARIOS,
+     [["Altro", "€ 100,00"], ["Scenario di stress", "€ 9.915,45"]],
+     {(Scenario.STRESS, Period.INITIAL, "refund"): Decimal("9915.45")},
+     [NO_HEADER, "performance row unmatched: ['Altro', '€ 100,00']"]),
+    (TableType.COSTS_EVOLUTION, [["Costi totali", "€ 120,00"], ["Altro", "€ 5,00"]],
+     {(Period.INITIAL, "total_cost"): Decimal("120.00")},
+     [NO_HEADER, "evolution row unmatched: ['Altro', '€ 5,00']"]),
+    (TableType.COSTS_EVOLUTION, [["Costi totali", "1,00", "2,00", "3,00", "4,00"]],
+     {(Period.INITIAL, "total_cost"): Decimal("1.00"),
+      (Period.INTERMEDIATE, "total_cost"): Decimal("2.00"),
+      (Period.RECOMMENDED, "total_cost"): Decimal("3.00")},
+     [NO_HEADER, "more numeric cells than periods: '4,00' ignored"]),
+], ids=["extra-numeric", "performance-unmatched", "evolution-unmatched", "too-many-numerics"])
+def test_map_warns_of_each_row_it_cannot_use(ttype, rows, values, warnings):
+    record, got = map_to_record(ttype, _grid(*rows), LABELS)
+    assert got == warnings
+    assert {k: v for k, v in record.values.items() if v is not None} == values
 
 
 def _composition_keys(texts, labels=LABELS):
