@@ -347,8 +347,10 @@ def iou(a: BBox, b: BBox) -> float:
     """Intersection area over union area; 0.0 for disjoint boxes."""
     al, at, ar, ab = a
     bl, bt, br, bb = b
-    iw = min(ar, br) - max(al, bl)
-    ih = min(ab, bb) - max(at, bt)
+    # min(ar, br) - max(al, bl) and its vertical twin; each conditional returns the
+    # operand the builtin would, without the call
+    iw = (br if br < ar else ar) - (bl if bl > al else al)
+    ih = (bb if bb < ab else ab) - (bt if bt > at else at)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
@@ -368,7 +370,10 @@ class DetectionClass(str, Enum):
 _STRINGS = frozenset((str,))
 _BBOX = operator.itemgetter("bbox")
 _TEXT = operator.itemgetter("text")
+_CLASS = operator.itemgetter("class")
+_CONFIDENCE = operator.itemgetter("confidence")
 _EDGES = operator.itemgetter(*BBox._fields)
+_CLASSES = {member.value: member for member in DetectionClass}
 
 
 def _json_box(value, where: str) -> BBox:
@@ -395,6 +400,22 @@ def _json_list(d: Mapping, key: str) -> list:
     return value
 
 
+def _boxes_fit(edges: list, width, height) -> bool:
+    """Whether every 4-tuple of edges is JSON numbers giving a non-degenerate box
+    inside the page: ``lt`` is false for NaN, so NaN edges fail, and the page
+    bounds stop infinite ones."""
+    lefts, tops, rights, bottoms = zip(*edges) if edges else ((),) * 4
+    return (_NUMBERS.issuperset(map(type, chain(lefts, tops, rights, bottoms)))
+            and all(map(operator.lt, lefts, rights)) and all(map(operator.lt, tops, bottoms))
+            and min(lefts, default=0) >= 0 and min(tops, default=0) >= 0
+            and max(rights, default=0) <= width and max(bottoms, default=0) <= height)
+
+
+def _boxes(edges: list):
+    """BBox tuples of edges ``_boxes_fit`` passed, built with no Python call per box."""
+    return map(tuple.__new__, repeat(BBox), edges)
+
+
 class Detection(Struct):
     cls: DetectionClass
     confidence: float
@@ -417,6 +438,37 @@ class Detection(Struct):
         return cls(kind, confidence, _json_box(d["bbox"], where))
 
 
+def _detections(raw: list, width, height) -> tuple[Detection, ...]:
+    """A page's detections, checked and built with no Python call per detection.
+
+    Each needs a known ``class``, a number ``confidence`` in [0, 1], as
+    ``json_number`` reads it, and a box that fits the page. When a check
+    fails, one pass of ``Detection.from_dict`` over the entries names the
+    first bad one.
+    """
+    try:
+        edges = list(map(_EDGES, map(_BBOX, raw)))
+        kinds = list(map(_CLASSES.__getitem__, map(_CLASS, raw)))
+        confidences = list(map(_CONFIDENCE, raw))
+        ok = _NUMBERS.issuperset(map(type, confidences))
+        if ok:
+            confidences = list(map(float, confidences))
+            ok = (all(map(operator.le, repeat(0.0), confidences))
+                  and all(map(operator.ge, repeat(1.0), confidences))
+                  and _boxes_fit(edges, width, height))
+    except (KeyError, TypeError, OverflowError):  # no object, no key, unknown class, huge number
+        ok = False
+    if not ok:
+        for i, entry in enumerate(raw):
+            where = f"detections[{i}]"
+            _check_bounds(Detection.from_dict(entry, where).bbox, where, width, height)
+        raise AssertionError("the bulk detection check failed but every entry passes alone")
+    detections = tuple(map(object.__new__, repeat(Detection, len(edges))))
+    fields = map(zip, repeat(Detection._fields), zip(kinds, confidences, _boxes(edges)))
+    any(map(dict.update, map(vars, detections), fields))  # update returns None: runs for all
+    return detections
+
+
 class OcrEntry(namedtuple("OcrEntry", "bbox text")):
     """One OCR text box; a tuple subclass like ``BBox``."""
     __slots__ = ()
@@ -425,20 +477,13 @@ class OcrEntry(namedtuple("OcrEntry", "bbox text")):
 def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
     """A page's OcrEntry tuples, checked and built with no Python call per entry.
 
-    Each entry needs a string ``text`` and a ``bbox`` whose edges are JSON
-    numbers, non-degenerate and inside the page: ``lt`` is false for NaN, so
-    NaN edges fail, and the page bounds stop infinite ones. When a check
-    fails, one pass over the entries names the first bad one.
+    Each entry needs a string ``text`` and a ``bbox`` that fits the page.
+    When a check fails, one pass over the entries names the first bad one.
     """
     try:
         edges = list(map(_EDGES, map(_BBOX, raw)))
         texts = list(map(_TEXT, raw))
-        lefts, tops, rights, bottoms = zip(*edges) if edges else ((),) * 4
-        ok = (_STRINGS.issuperset(map(type, texts))
-              and _NUMBERS.issuperset(map(type, chain(lefts, tops, rights, bottoms)))
-              and all(map(operator.lt, lefts, rights)) and all(map(operator.lt, tops, bottoms))
-              and min(lefts, default=0) >= 0 and min(tops, default=0) >= 0
-              and max(rights, default=0) <= width and max(bottoms, default=0) <= height)
+        ok = _STRINGS.issuperset(map(type, texts)) and _boxes_fit(edges, width, height)
     except (KeyError, TypeError):  # an entry or bbox that is not an object, or lacks a key
         ok = False
     if not ok:
@@ -449,8 +494,7 @@ def _ocr_entries(raw: list, width, height) -> tuple[OcrEntry, ...]:
                 raise SchemaError(f"{where}: 'text' must be a string, got {entry['text']!r}")
             _check_bounds(_json_box(entry["bbox"], where), where, width, height)
         raise AssertionError("the bulk OCR check failed but every entry passes alone")
-    boxes = map(tuple.__new__, repeat(BBox), edges)
-    return tuple(map(tuple.__new__, repeat(OcrEntry), zip(boxes, texts)))
+    return tuple(map(tuple.__new__, repeat(OcrEntry), zip(_boxes(edges), texts)))
 
 
 class PageDetections(Struct):
@@ -483,16 +527,12 @@ class PageDetections(Struct):
         for name, size in (("page_width", width), ("page_height", height)):
             if not (type(size) is int or type(size) is float and math.isfinite(size)):
                 raise SchemaError(f"{name}: must be a finite number, got {size!r}")
-        detections = []
-        for i, raw in enumerate(_json_list(d, "detections")):
-            det = Detection.from_dict(raw, f"detections[{i}]")
-            _check_bounds(det.bbox, f"detections[{i}]", width, height)
-            detections.append(det)
+        detections = _detections(_json_list(d, "detections"), width, height)
         ocr = _ocr_entries(_json_list(d, "ocr"), width, height)
         # every check of _check ran above, once per entry
         out = object.__new__(cls)
         out.__dict__.update(doc_id=doc_id, page=page, page_width=width, page_height=height,
-                            detections=tuple(detections), ocr=ocr)
+                            detections=detections, ocr=ocr)
         return out
 
 

@@ -17,8 +17,10 @@ from .model import Factory, SchemaError, Struct, json_fields, json_object
 _CURRENCY_RE = re.compile(r"[€$£]|(?i:\b(?:EUR|USD|GBP|CHF)\b)")
 _MULTISPACE_RE = re.compile(r" {2,}")
 
-# chars ignored when deciding whether a string is "mostly digits"
-_SEPARATOR_CHARS = set(" \t.,%€$£+-")
+# deletes the chars ignored when deciding whether a string is "mostly digits"
+_DROP_SEPARATORS = str.maketrans("", "", " \t.,%€$£+-")
+# deletes the chars a number may hold once sign, percent and spaces are gone
+_DROP_NUMERIC = str.maketrans("", "", "0123456789.,")
 
 
 class ConfusionMap(Struct):
@@ -29,6 +31,8 @@ class ConfusionMap(Struct):
     def _check(self):
         if set(self.pairs.values()) & set(self.pairs.keys()):
             raise ValueError("confusion map must be acyclic: a target char cannot also be a source")
+        # not a field: the pairs as the str.translate table fix_confusions applies
+        self.__dict__["_table"] = str.maketrans(self.pairs)
 
     @classmethod
     def from_dict(cls, d, where: str) -> "ConfusionMap":
@@ -53,17 +57,16 @@ def fix_confusions(text: str, cmap: Optional[ConfusionMap] = None) -> str:
     if cmap.numeric_context_only:
         if not any(map(str.isdigit, text)):  # most label cells: nothing is numeric
             return text
-        core = [ch for ch in text if ch not in _SEPARATOR_CHARS]
-        digits = sum(ch.isdigit() for ch in core)
-        if not core or 2 * digits < len(core):
+        core = text.translate(_DROP_SEPARATORS)
+        if not core or 2 * sum(map(str.isdigit, core)) < len(core):
             return text
-    return "".join(cmap.pairs.get(ch, ch) for ch in text)
+    return text.translate(cmap._table)
 
 
 def strip_currency(text: str) -> str:
     """Drop currency symbols and ISO codes (word-bounded), collapsing double spaces."""
     out = _CURRENCY_RE.sub("", text)
-    return _MULTISPACE_RE.sub(" ", out).strip()
+    return (_MULTISPACE_RE.sub(" ", out) if "  " in out else out).strip()
 
 
 def _grouped_ok(parts: list[str]) -> bool:
@@ -90,12 +93,12 @@ def normalize_number(text: str) -> Optional[Decimal]:
     s = strip_currency(text).replace("\u2212", "-").strip()
     if s.endswith("%"):
         s = s[:-1]
-    s = re.sub(r"\s+", "", s)
+    s = "".join(s.split())
     negative = False
     if s[:1] in ("+", "-"):
         negative = s[0] == "-"
         s = s[1:]
-    if any(ch not in "0123456789.," for ch in s):
+    if s.translate(_DROP_NUMERIC):
         return None
 
     if "." in s and "," in s:

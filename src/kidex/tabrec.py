@@ -77,6 +77,10 @@ class TabConfig(Struct):
         for ttype, anchors in self.anchors.items():
             if not anchors.page_strings or not anchors.table_strings:
                 raise ValueError(f"{ttype.value}: needs at least one page and one table anchor")
+            for name in AnchorSet._fields:
+                for anchor in getattr(anchors, name):
+                    if not _norm_ws(anchor):  # an empty needle occurs in every text
+                        raise ValueError(f"{ttype.value}: {name} holds a blank anchor {anchor!r}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TabConfig":
@@ -99,11 +103,10 @@ class TabConfig(Struct):
             raise SchemaError(f"tab config: {e}") from None
 
 
-_WS_RE = re.compile(r"\s+")
-
-
 def _norm_ws(s: str) -> str:
-    return _WS_RE.sub(" ", s).strip().casefold()
+    """Text comparison key: case insensitive, each run of whitespace one space, none at
+    either end."""
+    return " ".join(s.split()).casefold()
 
 
 _PUNCT_STRIP_RE = re.compile("[" + re.escape("".join(sorted(PUNCT_CHARS))) + "]")
@@ -166,7 +169,8 @@ def assign_cells(tables: list[Detection], cells: list[Detection]) -> dict[int, l
                    if l2 <= cx2 <= r2 and t2 <= cy2 <= b2]
         if not holders:
             continue
-        best = max(holders, key=lambda i: (iou(box, boxes[i]), -i))
+        best = (holders[0] if len(holders) == 1
+                else max(holders, key=lambda i: (iou(box, boxes[i]), -i)))
         out[best].append(cell)
     return out
 
@@ -177,14 +181,13 @@ def enlarge_bbox(cell: BBox, cfg: TabConfig, page_w: int, page_h: int) -> BBox:
     Fractional pads round outward (floor the mins, ceil the maxes) so
     enlargement never loses a pixel to rounding.
     """
-    dx = cfg.enlargement_ratio * cell.width
-    dy = cfg.enlargement_ratio * cell.height
-    return BBox(
-        left=max(0, math.floor(cell.left - dx)),
-        top=max(0, math.floor(cell.top - dy)),
-        right=min(page_w, math.ceil(cell.right + dx)),
-        bottom=min(page_h, math.ceil(cell.bottom + dy)),
-    )
+    left, top, right, bottom = cell
+    dx = cfg.enlargement_ratio * (right - left)
+    dy = cfg.enlargement_ratio * (bottom - top)
+    left, top = math.floor(left - dx), math.floor(top - dy)
+    right, bottom = math.ceil(right + dx), math.ceil(bottom + dy)
+    return BBox(left if left > 0 else 0, top if top > 0 else 0,
+                right if right < page_w else page_w, bottom if bottom < page_h else page_h)
 
 
 class OcrIndex(NamedTuple):
@@ -223,22 +226,21 @@ def cell_text(cell: BBox, ocr: OcrIndex, cfg: TabConfig, page_w: int, page_h: in
     reach = math.ceil((bottom - top) / threshold) + 1
     lo = bisect.bisect_left(ocr.tops, top - reach)
     hi = bisect.bisect_left(ocr.tops, bottom, lo)
-    best = max(((iou(enlarged, box), -index, text)
-                for index, (box, text) in ocr.entries[lo:hi]
-                if box.left < right and box.right > left), default=None)
-    if best is not None and best[0] >= threshold:
-        return best[2]
-    return None
+    best_score, best_index, best_text = -1.0, 0, None
+    for index, (box, text) in ocr.entries[lo:hi]:
+        if box.left < right and box.right > left:
+            score = iou(enlarged, box)
+            if score > best_score or score == best_score and index < best_index:
+                best_score, best_index, best_text = score, index, text
+    return best_text if best_score >= threshold else None
 
 
 def identify_table(cells_with_text: Iterable[Cell], cfg: TabConfig) -> Optional[TableType]:
     """The unique table type whose anchors occur in some cell text; None if none."""
-    texts = [_norm_ws(c.text) for c in cells_with_text if c.text]
-    matched = []
-    for ttype, anchors in cfg.anchors.items():
-        needles = [_norm_ws(s) for s in anchors.table_strings]
-        if any(needle in text for text in texts for needle in needles):
-            matched.append(ttype)
+    # no needle holds a newline, so none matches across two cells
+    texts = "\n".join([_norm_ws(c.text) for c in cells_with_text if c.text])
+    matched = [ttype for ttype, anchors in cfg.anchors.items()
+               if any(_norm_ws(s) in texts for s in anchors.table_strings)]
     if not matched:
         return None
     if len(matched) > 1:
@@ -413,9 +415,10 @@ def _row_label(norms: list[str], pools: Mapping) -> Optional[object]:
     The first matching cell in row order decides; within it, the first
     pool in config order.
     """
+    searches = [(key, _pool_re(tuple(labels)).search) for key, labels in pools.items()]
     for norm in norms:
-        for key, labels in pools.items():
-            if _pool_re(tuple(labels)).search(norm):
+        for key, search in searches:
+            if search(norm):
                 return key
     return None
 

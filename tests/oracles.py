@@ -240,7 +240,7 @@ def normalize_number_oracle(text: str) -> Optional[Decimal]:
 _LABEL_PUNCT_RE = re.compile(r"[.,:;!?()\[\]{}\"'«»%€]")
 
 
-def _label_key(s: str) -> str:
+def label_key_oracle(s: str) -> str:
     return re.sub(r"\s+", " ", _LABEL_PUNCT_RE.sub(" ", s)).strip().casefold()
 
 
@@ -248,12 +248,12 @@ def label_pool_oracle(text: str, pools: dict) -> Optional[object]:
     """Key of the first pool with a label in the text, one label at a time:
     both sides fold case, whitespace and punctuation, the label must sit at
     word boundaries, and a label that folds to nothing never matches."""
-    hay = _label_key(text)
+    hay = label_key_oracle(text)
     if not hay:
         return None
     for key, labels in pools.items():
         for label in labels:
-            needle = _label_key(label)
+            needle = label_key_oracle(label)
             if needle and re.search(r"(?<!\w)" + re.escape(needle) + r"(?!\w)", hay):
                 return key
     return None

@@ -390,9 +390,15 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
     ({"confidence_threshold": "0.7"}, "'confidence_threshold' must be a number, got '0.7'"),
     ({"ocr_iou_threshold": True}, "'ocr_iou_threshold' must be a number, got True"),
     ({"enlargement_ratio": 10 ** 400}, "'enlargement_ratio' must be a number, got 1" + "0" * 400),
+    # a blank anchor folds to "", which occurs in every page and cell text
+    ({"anchors": {"costs_evolution": {"page_strings": [""], "table_strings": ["Total costs"]}}},
+     "costs_evolution: page_strings holds a blank anchor ''"),
+    ({"anchors": {"costs_evolution": {"page_strings": ["Costs over time"],
+                                      "table_strings": ["Total costs", " \t"]}}},
+     "costs_evolution: table_strings holds a blank anchor ' \\t'"),
 ], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type",
         "anchors-a-list", "anchor-spec-a-string", "threshold-a-numeric-string",
-        "threshold-a-bool", "ratio-past-float-range"])
+        "threshold-a-bool", "ratio-past-float-range", "page-anchor-blank", "table-anchor-blank"])
 @pytest.mark.parametrize("command", ["gen", "tables"])
 def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, command):
     cfg = tmp_path / "cfg.json"

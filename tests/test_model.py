@@ -533,6 +533,8 @@ def test_loader_agrees_with_per_entry_reference_on_mutated_pages(page):
     loaded = PageDetections.from_dict(page)
     assert loaded == expected
     assert all(type(e) is OcrEntry and type(e.bbox) is BBox for e in loaded.ocr)
+    assert all(type(d) is Detection and type(d.bbox) is BBox and type(d.confidence) is float
+               for d in loaded.detections)
 
 
 def _valid_page():
@@ -619,6 +621,6 @@ def test_loading_a_dense_page_makes_no_python_call_per_ocr_entry(monkeypatch):
         monkeypatch.setattr(cls, "__new__", counting(f"{cls.__name__}.__new__", cls.__new__))
     page = PageDetections.from_dict(raw)
     assert len(page.ocr) == 400 and page.ocr[7].text == "w7"
-    assert calls == ["BBox.__new__"]  # the one detection box
+    assert calls == []  # detection boxes are built in bulk too
     monkeypatch.undo()
     assert page == page_detections_oracle(raw)

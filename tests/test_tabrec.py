@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from kidex import tabrec
+from kidex.annotate import PUNCT_CHARS
 from kidex.model import (BBox, Cell, CostCategory, Detection, DetectionClass, OcrEntry,
                          PageDetections, Period, RawTable, Scenario, SchemaError, iou)
 from kidex.tabrec import (AmbiguousTableError, LabelsConfig, TabConfig, TableType, assign_cells,
                           cell_text, default_labels_config, enlarge_bbox, extract_table,
                           filter_detections, group_rows, identify_pages, identify_table,
                           index_ocr, map_to_record, parse_table_row, split_multiline)
-from oracles import cluster_rows_oracle, label_pool_oracle, ocr_association_oracle
+from oracles import (cluster_rows_oracle, label_key_oracle, label_pool_oracle,
+                     ocr_association_oracle)
 
 CFG = TabConfig()
 LABELS = default_labels_config()
@@ -166,6 +168,13 @@ def test_cell_text_identical_boxes_first_in_page_order_wins():
     entries = [OcrEntry(BBox(50, 50, 60, 60), "far"), OcrEntry(box, "first"),
                OcrEntry(box, "second")]
     assert cell_text(box, index_ocr(entries), CFG, BIG, BIG) == "first"
+
+
+def test_cell_text_equal_iou_from_different_boxes_first_in_page_order_wins():
+    # both entries score 1/3; "B" has the lower top edge, "A" comes first on the page
+    cfg = TabConfig(enlargement_ratio=0.0, ocr_iou_threshold=0.3)
+    entries = [OcrEntry(BBox(0, 15, 10, 25), "A"), OcrEntry(BBox(0, 5, 10, 15), "B")]
+    assert cell_text(BBox(0, 10, 10, 20), index_ocr(entries), cfg, BIG, BIG) == "A"
 
 
 def test_cell_text_finds_tall_entry_starting_well_above_the_cell():
@@ -446,6 +455,21 @@ def test_label_that_normalizes_to_empty_never_matches():
                           CostCategory.EXIT: ("Costi di uscita",)})
     assert _composition_keys(["-", "Costi di uscita"], labels) == [CostCategory.EXIT]
     assert _composition_keys(["-"], labels) == []
+
+
+# whitespace by str.isspace and by re's \s alike (the file and unit separators, NEL,
+# no-break, line separator, ideographic space), a zero-width space, which is neither,
+# letters whose casefold differs from their lowercase, and the label punctuation
+_KEY_CHARS = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u200b" "aZßẞİ1-"
+              + "".join(sorted(PUNCT_CHARS)))
+
+
+@seed(20220609)
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=st.text(st.sampled_from(_KEY_CHARS), max_size=12))
+def test_text_keys_agree_with_their_regex_forms(text):
+    assert tabrec._norm_ws(text) == re.sub(r"\s+", " ", text).strip().casefold()
+    assert tabrec._norm_label(text) == label_key_oracle(text)
 
 
 _WORDS = ["costi", "Costi", "di", "ingresso", "uscita", "1", "21", "anno", "stress", "RIY", "ß",
