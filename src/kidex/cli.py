@@ -50,9 +50,6 @@ _ERRORS = {
 
 
 class Config(Struct):
-    rules: Optional[str] = None
-    sections: Optional[str] = None
-    labels: Optional[str] = None
     tab: tabrec.TabConfig = Factory(tabrec.TabConfig)
     confusions: ConfusionMap = Factory(ConfusionMap)
 
@@ -61,23 +58,8 @@ class Config(Struct):
         if not path:
             return cls()
         data = json_fields(parse_json_object(read_utf8(path), path), path, optional=cls._fields)
-        tab = data.get("tab", {})
-        if isinstance(tab, str):  # a path to a separate tab-config JSON
-            if not Path(tab).exists():
-                raise FileNotFoundError(tab)
-            tab = parse_json_object(read_utf8(tab), tab)
-        data["tab"] = tabrec.TabConfig.from_dict(json_object(tab, f"{path}: 'tab'"))
-        confusions = data.get("confusions")  # null, like no key, means the default map
-        data["confusions"] = ConfusionMap.from_dict({} if confusions is None else confusions,
-                                                    f"{path}: 'confusions'")
-        cfg = cls(**data)
-        for name in ("rules", "sections", "labels"):
-            value = getattr(cfg, name)
-            if value is not None and not isinstance(value, str):
-                raise SchemaError(f"{path}: {name!r}: expected a file path, got {value!r}")
-            if value and not Path(value).exists():
-                raise FileNotFoundError(value)
-        return cfg
+        return cls(tabrec.TabConfig.from_dict(json_object(data.get("tab", {}), f"{path}: 'tab'")),
+                   ConfusionMap.from_dict(data.get("confusions", {}), f"{path}: 'confusions'"))
 
 
 def _files(directory: Path, keep) -> list[Path]:
@@ -116,12 +98,10 @@ def _load_documents(paths: list[Path]):
 # ---------------------------------------------------------------------------
 
 def cmd_annotate(args, config: Config) -> int:
-    rules_path = args.rules or config.rules
-    source = read_utf8(rules_path or DATA / "default_rules.tre")
-    rule_file = ruledsl.parse_rules(source, rules_path or "default_rules.tre")
+    source = read_utf8(args.rules or DATA / "default_rules.tre")
+    rule_file = ruledsl.parse_rules(source, args.rules or "default_rules.tre")
     compiled = ruledsl.compile_rules(rule_file)
-    section_cfg = annotate_mod.load_section_config(args.sections or config.sections
-                                                   or DATA / "sections.json")
+    section_cfg = annotate_mod.load_section_config(args.sections or DATA / "sections.json")
     docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
 
     results: list[matcher.ExtractionResult] = []
@@ -143,7 +123,7 @@ def cmd_annotate(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args, config: Config) -> int:
-    labels = tabrec.load_labels_config(args.labels or config.labels or DATA / "labels.json")
+    labels = tabrec.load_labels_config(args.labels or DATA / "labels.json")
 
     # mask file paths by the doc_id and page their names give, which a mask's content must
     # repeat; a document's files are read with its page file, so one document's are held
@@ -245,7 +225,8 @@ def cmd_gen(args, config: Config) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kidex",
                                      description="Key-information-document extraction toolkit")
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--config",
+                        help="JSON config file holding the 'tab' and 'confusions' objects")
     parser.add_argument("--strict", action="store_true",
                         help="fail on malformed inputs instead of skipping")
     sub = parser.add_subparsers(dest="command", required=True)

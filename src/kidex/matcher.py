@@ -254,5 +254,8 @@ def read_results_file(path: str | Path) -> list[dict]:
     """Read back an exported results file (either format) as dicts."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return [dict(row) for row in csv.DictReader(io.StringIO(read_utf8(path), newline=""))]
+        text = read_utf8(path)
+        # no field is longer than the file's text; the limit is process-wide, so only raised
+        csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+        return [dict(row) for row in csv.DictReader(io.StringIO(text, newline=""))]
     return [row for _lineno, row in read_jsonl(path)]

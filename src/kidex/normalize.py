@@ -26,7 +26,6 @@ _DROP_NUMERIC = str.maketrans("", "", "0123456789.,")
 class ConfusionMap(Struct):
     """Char-for-char OCR repairs, by default the slash-for-seven confusion."""
     pairs: dict = Factory(lambda: {"/": "7"})
-    numeric_context_only: bool = True
 
     def _check(self):
         if set(self.pairs.values()) & set(self.pairs.keys()):
@@ -43,8 +42,6 @@ class ConfusionMap(Struct):
             if len(source) != 1 or not isinstance(target, str) or len(target) != 1:
                 raise SchemaError(f"{where}: 'pairs': expected one character for one character, "
                                   f"got {source!r}: {target!r}")
-        if not isinstance(d.get("numeric_context_only", True), bool):
-            raise SchemaError(f"{where}: 'numeric_context_only': expected true or false")
         try:
             return cls(**d)
         except ValueError as e:
@@ -52,15 +49,13 @@ class ConfusionMap(Struct):
 
 
 def fix_confusions(text: str, cmap: Optional[ConfusionMap] = None) -> str:
-    """Apply the confusion map; in numeric-context mode only to digit-heavy strings."""
-    cmap = cmap or ConfusionMap()
-    if cmap.numeric_context_only:
-        if not any(map(str.isdigit, text)):  # most label cells: nothing is numeric
-            return text
-        core = text.translate(_DROP_SEPARATORS)
-        if not core or 2 * sum(map(str.isdigit, core)) < len(core):
-            return text
-    return text.translate(cmap._table)
+    """Apply the confusion map to a digit-heavy string; return any other unchanged."""
+    if not any(map(str.isdigit, text)):  # most label cells: nothing is numeric
+        return text
+    core = text.translate(_DROP_SEPARATORS)
+    if not core or 2 * sum(map(str.isdigit, core)) < len(core):
+        return text
+    return text.translate((cmap or ConfusionMap())._table)
 
 
 def strip_currency(text: str) -> str:

@@ -781,8 +781,9 @@ def compile_pattern(node: PatternExpr, bindings: Iterable[Binding] = ()) -> Comp
 
 
 def compile_rules(rules: RuleFile) -> CompiledRules:
-    """Compile every rule; total on valid rule files except malformed char regexes,
-    patterns nested past MAX_NESTING once bindings are expanded and programs past
+    """Compile every rule, then every binding on its own, so one that no rule uses is
+    checked too; total on valid rule files except malformed char regexes, patterns
+    nested past MAX_NESTING once bindings are expanded and programs past
     MAX_PROGRAM_SIZE."""
     env = rules.binding_map()
     by_stage: dict[int, list[CompiledRule]] = {}
@@ -790,5 +791,7 @@ def compile_rules(rules: RuleFile) -> CompiledRules:
         pattern = _PatternCompiler(env, rule.pos).compile(rule.pattern)
         by_stage.setdefault(rule.stage, []).append(
             CompiledRule(rule.rule_id, rule.stage, pattern, rule.actions))
+    for binding in rules.bindings:
+        _PatternCompiler(env, binding.pos).compile(VarRef(binding.name, pos=binding.pos))
     stages = tuple((stage, tuple(by_stage[stage])) for stage in sorted(by_stage))
     return CompiledRules(stages)

@@ -426,7 +426,7 @@ def _row_label(norms: list[str], pools: Mapping) -> Optional[object]:
 def _period_columns(table: RawTable, norm_rows: list[list[str]],
                     initial: re.Pattern) -> list[tuple[int, Period]]:
     """(column center x, period) pairs discovered from header-like cells."""
-    found: list[tuple[int, int]] = []  # (center_x, years)
+    found: list[tuple[int, Decimal]] = []  # (center_x, years)
     for row, norms in zip(table.rows, norm_rows):
         for cell, norm in zip(row, norms):
             left, _, right, _ = cell.bbox
@@ -436,7 +436,7 @@ def _period_columns(table: RawTable, norm_rows: list[list[str]],
                 continue
             m = _PERIOD_RE.search(norm)
             if m:
-                found.append((center, int(m.group(1))))
+                found.append((center, Decimal(m.group(1))))  # int() stops at 4,300 digits
     if not found:
         return []
     years = sorted({y for _, y in found})

@@ -185,11 +185,10 @@ _SEPARATOR_CHARS = set(" \t.,%€$£+-")
 
 def fix_confusions_oracle(text: str, cmap: Optional[ConfusionMap] = None) -> str:
     cmap = cmap or ConfusionMap()
-    if cmap.numeric_context_only:
-        core = [ch for ch in text if ch not in _SEPARATOR_CHARS]
-        digits = sum(ch.isdigit() for ch in core)
-        if not core or 2 * digits < len(core):
-            return text
+    core = [ch for ch in text if ch not in _SEPARATOR_CHARS]
+    digits = sum(ch.isdigit() for ch in core)
+    if not core or 2 * digits < len(core):
+        return text
     return "".join(cmap.pairs.get(ch, ch) for ch in text)
 
 

@@ -100,6 +100,45 @@ def test_escaped_surrogate_pair_still_extracts(tmp_path):
         [("kid\U0001F600", "ISIN", "IT0001234567")]
 
 
+def test_eval_reads_a_csv_field_longer_than_the_csv_modules_default_limit(tmp_path):
+    docs, pred = tmp_path / "docs", tmp_path / "pred"
+    docs.mkdir()
+    pred.mkdir()
+    text = "Cos'è questo prodotto?\nProdotto : " + "parola " * 30000 + "\nISIN : IT0001234567 fine\n"
+    (docs / "kid1.pages.json").write_text(json.dumps({"pages": [text]}), encoding="utf-8")
+    for fmt in ("jsonl", "csv"):
+        assert main(["annotate", "--in", str(docs), "--out", str(pred / f"fields.{fmt}"),
+                     "--format", fmt]) == 0
+    rows = read_results_file(pred / "fields.csv")
+    assert rows == [{k: str(v) for k, v in row.items()}
+                    for row in read_results_file(pred / "fields.jsonl")]
+    assert max(len(r["value"]) for r in rows) > 131072  # the csv module's default field limit
+    (pred / "fields.jsonl").unlink()
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    for name in ("fields.jsonl", "tables.jsonl"):
+        (gold / name).write_text("", encoding="utf-8")
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
+
+
+@pytest.mark.parametrize("command", ["annotate", "tables"])
+@pytest.mark.parametrize("page_file, message", [
+    ({"doc_id": "kid1", "pages": "abc"}, "field 'pages' must be a list of strings"),
+    ({"doc_id": 5, "pages": ["abc"]}, "field 'doc_id' must be a string"),
+], ids=["pages-a-string", "doc-id-a-number"])
+def test_malformed_page_file_is_input_error(tmp_path, capsys, page_file, message, command):
+    docs, masks, out = tmp_path / "docs", tmp_path / "masks", tmp_path / "out"
+    docs.mkdir()
+    masks.mkdir()
+    page = docs / "kid1.pages.json"
+    page.write_text(json.dumps(page_file), encoding="utf-8")
+    argv = {"annotate": ["annotate", "--in", str(docs)],
+            "tables": ["tables", "--masks", str(masks), "--pages", str(docs)]}[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"input error: {page}: {message}\n"
+    assert not out.exists()
+
+
 def test_annotate_bad_rules_exit_3(corpus, tmp_path):
     bad = tmp_path / "bad.tre"
     bad.write_text("$X = (/a/", encoding="utf-8")
@@ -130,8 +169,19 @@ def _chain(n, body):
      "line 1, column 1: pattern compiles to more than 10000 instructions"),
     (_chain(19, "$b{0} $b{0}"),
      "line 20, column 1: pattern compiles to more than 10000 instructions"),
+    ('$x = "abc"\n' + _RULE % ("/a/", ""),
+     'line 1, column 6: a string binding must hold a "/char-regex/"'),
+    # bindings that no rule uses
+    ('$bad = "/[/"\n' + _RULE % ("/a/", ""),
+     "line 1, column 1: invalid character regex /[/: unterminated character set at position 0"),
+    ("$p = ( /a/ /[/ )\n" + _RULE % ("/a/", ""),
+     "line 1, column 12: invalid character regex /[/: unterminated character set at position 0"),
+    ('$w = "/[[a]/"\n' + _RULE % ("/a/", ""),
+     "line 1, column 1: invalid character regex /[[a]/: Possible nested set at position 1"),
 ], ids=["non-ascii-stage", "non-ascii-bound", "long-stage", "long-bound", "deep-parens",
-        "binding-chain", "regex-overflow", "repeat-size", "doubling-bindings"])
+        "binding-chain", "regex-overflow", "repeat-size", "doubling-bindings",
+        "string-binding-no-slashes", "unused-regex-binding", "unused-pattern-binding",
+        "unused-binding-re-warns"])
 def test_annotate_malformed_rules_is_rule_error(corpus, tmp_path, capsys, source, message):
     rules = tmp_path / "bad.tre"
     rules.write_text(source, encoding="utf-8")
@@ -396,9 +446,12 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
     ({"anchors": {"costs_evolution": {"page_strings": ["Costs over time"],
                                       "table_strings": ["Total costs", " \t"]}}},
      "costs_evolution: table_strings holds a blank anchor ' \\t'"),
+    ({"anchors": {"costs_evolution": {"page_strings": [], "table_strings": ["Total costs"]}}},
+     "costs_evolution: needs at least one page and one table anchor"),
 ], ids=["threshold-out-of-range", "ratio-not-a-number", "anchors-a-string", "unknown-type",
         "anchors-a-list", "anchor-spec-a-string", "threshold-a-numeric-string",
-        "threshold-a-bool", "ratio-past-float-range", "page-anchor-blank", "table-anchor-blank"])
+        "threshold-a-bool", "ratio-past-float-range", "page-anchor-blank", "table-anchor-blank",
+        "page-anchors-empty"])
 @pytest.mark.parametrize("command", ["gen", "tables"])
 def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, command):
     cfg = tmp_path / "cfg.json"
@@ -412,6 +465,21 @@ def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, co
     assert err.startswith("config error: tab config: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
+
+
+def test_period_header_past_the_int_digit_limit_is_read(corpus, tmp_path):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    mask = masks / "kid00001.p3.json"
+    header = "5 anni (periodo di detenzione raccomandato)"
+    text = mask.read_text(encoding="utf-8")
+    assert header in text
+    mask.write_text(text.replace(header, "9" * 5000 + header[1:]), encoding="utf-8")
+    outs = []
+    for masks_dir in (corpus / "masks", masks):
+        outs.append(tmp_path / f"tables{len(outs)}.jsonl")
+        assert main(["tables", "--masks", str(masks_dir), "--pages", str(corpus / "docs"),
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_missing_page_makes_type_missing(corpus, tmp_path):
@@ -716,25 +784,6 @@ def test_gen_into_a_non_empty_tree_is_gen_error(tmp_path, capsys, layout_dir):
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
-def test_config_tab_as_separate_file(tmp_path, corpus):
-    tab = tmp_path / "tab.json"
-    tab.write_text(json.dumps({"confidence_threshold": 0.99}), encoding="utf-8")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tab": str(tab)}), encoding="utf-8")
-    out = tmp_path / "tables.jsonl"
-    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
-                 "--pages", str(corpus / "docs"), "--out", str(out)]) == 0
-    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-    assert all(r["status"] == "missing" for r in rows)
-
-
-def test_config_missing_referenced_file_exit_1(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rules": str(tmp_path / "nope.tre")}), encoding="utf-8")
-    assert main(["--config", str(cfg), "gen", "--n", "1", "--seed", "1",
-                 "--out", str(tmp_path / "x")]) == 1
-
-
 NOT_UTF8 = b'{"x": "\xff\xfe"}\n'  # the first undecodable byte is at offset 7
 
 
@@ -756,21 +805,16 @@ def _eval_argv(corpus, tmp_path):
     ("bad.json", lambda c, t: ["--config", str(t / "bad.json"), "gen", "--n", "1", "--seed", "1",
                                "--out", str(t / "x")],
      "config error: "),
-    ("tab.json", lambda c, t: ["--config", str(t / "cfg.json"), "gen", "--n", "1", "--seed", "1",
-                               "--out", str(t / "x")],
-     "config error: "),
     ("gold/fields.jsonl", _eval_argv, "input error: "),
     ("gold/tables.jsonl", _eval_argv, "input error: "),
     ("pred/fields.jsonl", _eval_argv, "input error: "),
     ("pred/fields.csv", _eval_argv, "input error: "),
     ("pred/tables.jsonl", _eval_argv, "input error: "),
-], ids=["sections", "rules", "labels", "config", "tab-file", "gold-fields", "gold-tables",
+], ids=["sections", "rules", "labels", "config", "gold-fields", "gold-tables",
         "pred-fields-jsonl", "pred-fields-csv", "pred-tables"])
 def test_input_not_utf8_exit_1(corpus, tmp_path, capsys, bad_file, argv, prefix):
     shutil.copytree(corpus / "gold", tmp_path / "gold")
     (tmp_path / "pred").mkdir()
-    (tmp_path / "cfg.json").write_text(json.dumps({"tab": str(tmp_path / "tab.json")}),
-                                       encoding="utf-8")
     bad = tmp_path / bad_file
     bad.write_bytes(NOT_UTF8)
     assert main(argv(corpus, tmp_path)) == 1
@@ -796,7 +840,10 @@ def test_tables_mask_not_utf8_is_malformed(corpus, tmp_path, capsys, strict):
     ({"tab": {"ocr_iou_treshold": 0.9}},
      "config error: tab config: unknown key 'ocr_iou_treshold'"),
     ({"confusions": 5}, "config error: {cfg}: 'confusions': expected a JSON object"),
+    ({"confusions": None}, "config error: {cfg}: 'confusions': expected a JSON object"),
     ({"tab": 3}, "config error: {cfg}: 'tab': expected a JSON object"),
+    ({"tab": None}, "config error: {cfg}: 'tab': expected a JSON object"),
+    ({"tab": "tab.json"}, "config error: {cfg}: 'tab': expected a JSON object"),
     ({"lables": "labels.json"}, "config error: {cfg}: unknown key 'lables'"),
     ({"confusions": {"pairs": {"/": "7"}, "numeric_only": False}},
      "config error: {cfg}: 'confusions': unknown key 'numeric_only'"),
@@ -804,8 +851,8 @@ def test_tables_mask_not_utf8_is_malformed(corpus, tmp_path, capsys, strict):
                                               "table_strings": ["Costi totali"],
                                               "tabel_strings": ["Costi"]}}}},
      "config error: tab config: 'anchors.costs_evolution': unknown key 'tabel_strings'"),
-], ids=["tab-key-typo", "confusions-a-number", "tab-a-number", "unknown-top-level-key",
-        "confusions-key-typo", "anchor-spec-typo"])
+], ids=["tab-key-typo", "confusions-a-number", "confusions-null", "tab-a-number", "tab-null",
+        "tab-a-file-path", "unknown-top-level-key", "confusions-key-typo", "anchor-spec-typo"])
 def test_config_typo_or_wrong_shape_exit_1(corpus, tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -850,13 +897,15 @@ def _drop(path):
      "detections[3]: 'confidence' must be a number in [0, 1], got '0.9'"),
     (_set(("detections", 3, "confidence"), True),
      "detections[3]: 'confidence' must be a number in [0, 1], got True"),
+    (_set(("detections", 3, "confidence"), 1.5),
+     "detections[3]: 'confidence' must be a number in [0, 1], got 1.5"),
     (_set(("ocr",), 5), "ocr: expected a list, got 5"),
     (_set(("page",), "3"), "page: must be a 1-based page number"),
     (_set(("ocr", 2, "text"), 7), "ocr[2]: 'text' must be a string, got 7"),
     (_drop(("ocr", 2, "bbox", "left")), "ocr[2]: 'bbox': missing field 'left'"),
 ], ids=["ocr-no-bbox", "detection-no-bbox", "bbox-a-list", "entry-a-string", "degenerate-box",
         "coordinate-a-string", "confidence-abc", "confidence-nan", "confidence-a-numeric-string",
-        "confidence-a-bool", "ocr-a-number",
+        "confidence-a-bool", "confidence-past-one", "ocr-a-number",
         "page-a-string", "text-a-number", "bbox-no-left"])
 def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, message):
     masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
@@ -876,16 +925,17 @@ def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, 
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"rules": 5}, "'rules': expected a file path, got 5"),
-    ({"sections": ["x"]}, "'sections': expected a file path, got ['x']"),
-    ({"labels": 5}, "'labels': expected a file path, got 5"),
+    # the files a flag names are no config keys
+    ({"rules": 5}, "unknown key 'rules'"),
+    ({"sections": ["x"]}, "unknown key 'sections'"),
+    ({"labels": 5}, "unknown key 'labels'"),
     ({"confusions": {"pairs": 5}}, "'confusions': 'pairs': expected a JSON object"),
     ({"confusions": {"pairs": {"/": 7}}},
      "'confusions': 'pairs': expected one character for one character, got '/': 7"),
     ({"confusions": {"pairs": {"/": "7", "7": "/"}}},
      "'confusions': confusion map must be acyclic: a target char cannot also be a source"),
     ({"confusions": {"numeric_context_only": "no"}},
-     "'confusions': 'numeric_context_only': expected true or false"),
+     "'confusions': unknown key 'numeric_context_only'"),
     ({"locale_hint": "it"}, "unknown key 'locale_hint'"),
 ], ids=["rules-a-number", "sections-a-list", "labels-a-number", "pairs-a-number",
         "pair-target-a-number", "pairs-cyclic", "numeric-only-a-string", "locale-hint-unknown"])
@@ -1026,6 +1076,10 @@ def _policy_case(corpus, tmp_path, row):
     if row == "rule-error":
         (tmp_path / "bad.tre").write_text("$X = (/a/", encoding="utf-8")
         return ["annotate", "--rules", str(tmp_path / "bad.tre"), "--in", docs, "--out", out]
+    if row == "rule-error-unused-binding":
+        (tmp_path / "bad.tre").write_text('$bad = "/[/"\n' + _RULE % ("/a/", ""),
+                                          encoding="utf-8")
+        return ["annotate", "--rules", str(tmp_path / "bad.tre"), "--in", docs, "--out", out]
     if row == "rule-error-backtracking":
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "d.txt").write_text("a " * 40, encoding="utf-8")
@@ -1067,6 +1121,7 @@ def _policy_case(corpus, tmp_path, row):
 # one case per row of the error table in README.md: stderr prefix and exit code
 _POLICY_ROWS = {
     "rule-error": ("rule error: line 1, column 10: ", 3),
+    "rule-error-unused-binding": ("rule error: line 1, column 1: invalid character regex /[/", 3),
     "rule-error-backtracking": ("rule error: rule ", 3),
     "input-error": ("input error: not a directory: ", 1),
     "duplicate-doc-id": ("input error: docs/kid00001.pages.json: doc_id 'kid00001' repeats "

@@ -105,9 +105,10 @@ def test_context_guard_counts_non_separator_chars():
     assert fix_confusions("€ 9./15,45") == "€ 9.715,45"
 
 
-def test_custom_map_and_context_off():
-    cmap = ConfusionMap(pairs={"O": "0"}, numeric_context_only=False)
-    assert fix_confusions("O K", cmap) == "0 K"
+def test_custom_map_only_in_numeric_context():
+    cmap = ConfusionMap(pairs={"O": "0"})
+    assert fix_confusions("1O5", cmap) == "105"
+    assert fix_confusions("O K", cmap) == "O K"
 
 
 def test_confusion_map_rejects_cycles():
@@ -159,9 +160,7 @@ _numeric = st.text("0123456789²٣ .,%€$£+-/O\u2212EUR", max_size=12)
 @settings(max_examples=500, deadline=None, database=None)
 @given(text=st.one_of(_digit_free, st.sampled_from(["Possibile rimborso al netto dei costi",
                                                     "/ / /", "€ ./,", "²", "O/O"]), _numeric),
-       cmap=st.sampled_from([None, ConfusionMap(pairs={"O": "0", "/": "7"}),
-                             ConfusionMap(pairs={"O": "0", "/": "7"},
-                                          numeric_context_only=False)]))
+       cmap=st.sampled_from([None, ConfusionMap(pairs={"O": "0", "/": "7"})]))
 def test_digit_guard_changes_no_result(text, cmap):
     assert normalize_number(text) == normalize_number_oracle(text)
     assert fix_confusions(text, cmap) == fix_confusions_oracle(text, cmap)

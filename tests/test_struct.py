@@ -48,11 +48,11 @@ REPRS = [
      "ExtractionResult(doc_id='d', field='f', value='v', tag='t', first_token=0, "
      "last_token=1, rule_id='r')"),
     (annotate.SectionSpec("S", ("h",)), "SectionSpec(name='S', header_patterns=('h',))"),
-    (normalize.ConfusionMap(), "ConfusionMap(pairs={'/': '7'}, numeric_context_only=True)"),
+    (normalize.ConfusionMap(), "ConfusionMap(pairs={'/': '7'})"),
     (cli.Config(tab=tabrec.TabConfig(anchors={})),
-     "Config(rules=None, sections=None, labels=None, tab=TabConfig(confidence_threshold=0.6, "
-     "alignment_factor_ratio=0.5, enlargement_ratio=0.05, ocr_iou_threshold=0.5, anchors={}), "
-     "confusions=ConfusionMap(pairs={'/': '7'}, numeric_context_only=True))"),
+     "Config(tab=TabConfig(confidence_threshold=0.6, alignment_factor_ratio=0.5, "
+     "enlargement_ratio=0.05, ocr_iou_threshold=0.5, anchors={}), "
+     "confusions=ConfusionMap(pairs={'/': '7'}))"),
 ]
 
 
@@ -78,7 +78,8 @@ def test_equality_needs_the_same_class_and_equal_compared_fields():
     assert evalkit.FieldScore(1, 2, 3) == evalkit.FieldScore(1, 2, 3)
     assert evalkit.FieldScore(1, 2, 3) != evalkit.TableScore(1, 2, 3)
     assert annotate.SectionSpec("S", ("h",)) != annotate.SectionSpec("S", ("h", "i"))
-    assert cli.Config(rules="r") == cli.Config(rules="r") != cli.Config()
+    assert (cli.Config(confusions=normalize.ConfusionMap({"O": "0"}))
+            == cli.Config(confusions=normalize.ConfusionMap({"O": "0"})) != cli.Config())
 
 
 def test_pos_and_rule_id_do_not_count():
