@@ -14,11 +14,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from . import annotate as annotate_mod
-from . import evalkit, matcher, ruledsl, tabrec, textprep
+from . import annotate, evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
-from .model import (DATA, Factory, SchemaError, Struct, json_fields, json_object,
-                    load_page_detections, parse_json_object, read_utf8)
+from .model import (DATA, Factory, PageDetections, SchemaError, Struct, json_fields,
+                    json_object, load_page_detections, parse_json_object, read_utf8)
 from .normalize import ConfusionMap
 
 EXIT_OK = 0
@@ -55,7 +54,7 @@ class Config(Struct):
 
     @classmethod
     def load(cls, path: Optional[str]) -> "Config":
-        if not path:
+        if path is None:
             return cls()
         data = json_fields(parse_json_object(read_utf8(path), path), path, optional=cls._fields)
         return cls(tabrec.TabConfig.from_dict(json_object(data.get("tab", {}), f"{path}: 'tab'")),
@@ -98,19 +97,13 @@ def _load_documents(paths: list[Path]):
 # ---------------------------------------------------------------------------
 
 def cmd_annotate(args, config: Config) -> int:
-    source = read_utf8(args.rules or DATA / "default_rules.tre")
-    rule_file = ruledsl.parse_rules(source, args.rules or "default_rules.tre")
-    compiled = ruledsl.compile_rules(rule_file)
-    section_cfg = annotate_mod.load_section_config(args.sections or DATA / "sections.json")
+    name = "default_rules.tre" if args.rules is None else args.rules  # rule_ids start with it
+    source = read_utf8(DATA / name if args.rules is None else name)
+    compiled = ruledsl.compile_rules(ruledsl.parse_rules(source, name))
+    sections = annotate.load_section_config(args.sections)
     docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
-
-    results: list[matcher.ExtractionResult] = []
-    for doc in _load_documents(docs):
-        doc = annotate_mod.tokenize_document(doc)
-        doc = annotate_mod.annotate_sections(doc, section_cfg)
-        _doc, found = matcher.run_rules(compiled, doc)
-        results.extend(found)
-
+    results = [r for doc in _load_documents(docs)
+               for r in matcher.annotate_doc(doc, compiled, sections)]
     results.sort(key=lambda r: (r.doc_id, r.field, r.first_token, r.last_token, r.rule_id))
     with _writing():
         matcher.export_results(results, args.format, args.out)
@@ -123,7 +116,7 @@ def cmd_annotate(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args, config: Config) -> int:
-    labels = tabrec.load_labels_config(args.labels or DATA / "labels.json")
+    labels = tabrec.load_labels_config(args.labels)
 
     # mask file paths by the doc_id and page their names give, which a mask's content must
     # repeat; a document's files are read with its page file, so one document's are held
@@ -141,7 +134,7 @@ def cmd_tables(args, config: Config) -> int:
     page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
     rows = []  # (doc_id, type, page, record or None)
     for doc in _load_documents(page_files):
-        masks: dict[int, object] = {}
+        masks: dict[int, PageDetections] = {}
         skipped = False
         for named_page, path in mask_files.pop(doc.doc_id, ()):
             try:
@@ -157,21 +150,10 @@ def cmd_tables(args, config: Config) -> int:
                 skipped = True
         if skipped:
             continue
-        page_map = tabrec.identify_pages(doc.page_texts(), config.tab)
-        for ttype in tabrec.TableType:
-            pageno = page_map.get(ttype)
-            record = None
-            if pageno in masks:
-                page = masks[pageno]
-                try:
-                    hit = tabrec.extract_table(page, ttype, config.tab, labels)
-                except tabrec.AmbiguousTableError as e:
-                    print(f"warning: {doc.doc_id} p{pageno}: {e}", file=sys.stderr)
-                    hit = None
-                if hit is not None:
-                    record, warnings = tabrec.map_to_record(*hit, labels, config.confusions)
-                    for w in warnings:
-                        print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
+        for ttype, pageno, record, warnings in tabrec.tables_doc(doc, masks, config.tab, labels,
+                                                                 config.confusions):
+            for w in warnings:
+                print(f"warning: {doc.doc_id} p{pageno}: {w}", file=sys.stderr)
             rows.append((doc.doc_id, ttype, pageno, record))
 
     # the mask files of each doc_id that no page file holds, unread
@@ -203,7 +185,8 @@ def cmd_eval(args, config: Config) -> int:
     fields, tables = evalkit.load_predictions(args.pred)
     report = evalkit.evaluate(gold, fields, tables)
     sys.stdout.write(evalkit.format_report(report))
-    report_path = Path(args.report) if args.report else Path(args.pred) / "eval_report.json"
+    report_path = (Path(args.pred) / "eval_report.json" if args.report is None
+                   else Path(args.report))
     with _writing():
         report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"report -> {report_path}")
@@ -233,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="run extraction rules over documents")
     p.add_argument("--rules", help="rule file (.tre); defaults to the packaged ruleset")
-    p.add_argument("--sections", help="section config JSON; defaults packaged")
+    p.add_argument("--sections", default=DATA / "sections.json",
+                   help="section config JSON; defaults packaged")
     p.add_argument("--in", dest="in_dir", required=True, help="directory of .txt / page .json docs")
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -242,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="reconstruct typed tables from detection masks")
     p.add_argument("--masks", required=True, help="directory of page-detections JSON files")
     p.add_argument("--pages", required=True, help="page-text file or directory of them")
-    p.add_argument("--labels", help="labels config JSON; defaults packaged")
+    p.add_argument("--labels", default=DATA / "labels.json",
+                   help="labels config JSON; defaults packaged")
     p.add_argument("--out", required=True, help="output tables JSONL")
     p.set_defaults(func=cmd_tables)
 

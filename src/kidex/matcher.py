@@ -17,6 +17,7 @@ from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from . import annotate
 from .model import Annotation, Document, Struct, read_jsonl, read_utf8
 from .ruledsl import (OP_GEND, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS, OP_SETPOS, OP_SPLIT,
                       CompiledPattern, CompiledRule, CompiledRules)
@@ -225,6 +226,13 @@ def run_rules(compiled: CompiledRules, doc: Document) -> tuple[Document, list[Ex
         seen.add(key)
         deduped.append(r)
     return doc.with_annotations(new_annotations), deduped
+
+
+def annotate_doc(doc: Document, compiled: CompiledRules,
+                 sections: annotate.SectionConfig) -> list[ExtractionResult]:
+    """Tokenize ``doc``, annotate its sections and return what ``compiled`` extracts."""
+    doc = annotate.annotate_sections(annotate.tokenize_document(doc), sections)
+    return run_rules(compiled, doc)[1]
 
 
 def render_results_csv(results: Iterable[ExtractionResult]) -> str:

@@ -18,20 +18,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .annotate import PUNCT_CHARS
-from .model import (DATA, RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Factory,
-                    OcrEntry, PageDetections, Period, RawTable, Record, Scenario, SchemaError,
-                    Struct, TableType, enum_member, iou, json_fields, json_number, json_object,
-                    json_strings, parse_json_object, read_jsonl, read_utf8)
+from .model import (DATA, RECORD_SCHEMAS, BBox, Cell, CostCategory, Detection, Document,
+                    Factory, OcrEntry, PageDetections, Period, RawTable, Record, Scenario,
+                    SchemaError, Struct, TableType, enum_member, iou, json_fields, json_number,
+                    json_object, json_strings, parse_json_object, read_jsonl, read_utf8)
 from .normalize import ConfusionMap, fix_confusions, normalize_number
 
 
 class AmbiguousTableError(ValueError):
     """Anchor strings for two different table types matched the same table."""
-
-    def __init__(self, matched: Iterable[TableType]):
-        self.matched = tuple(matched)
-        names = ", ".join(t.value for t in self.matched)
-        super().__init__(f"table matches anchors of multiple types: {names}")
 
 
 class AnchorSet(Struct):
@@ -244,7 +239,8 @@ def identify_table(cells_with_text: Iterable[Cell], cfg: TabConfig) -> Optional[
     if not matched:
         return None
     if len(matched) > 1:
-        raise AmbiguousTableError(matched)
+        raise AmbiguousTableError("table matches anchors of multiple types: "
+                                  + ", ".join(t.value for t in matched))
     return matched[0]
 
 
@@ -540,6 +536,29 @@ def map_to_record(ttype: TableType, table: RawTable, labels: LabelsConfig,
 def _row_is_header(norms: list[str], initial: re.Pattern) -> bool:
     """Heuristic: a row whose only numerics sit in period-label cells."""
     return any(_PERIOD_RE.search(norm) or initial.search(norm) for norm in norms)
+
+
+def tables_doc(doc: Document, pages: Mapping[int, PageDetections], cfg: TabConfig,
+               labels: LabelsConfig, cmap: Optional[ConfusionMap] = None
+               ) -> list[tuple[TableType, Optional[int], Optional[Record], list[str]]]:
+    """(type, page, record or None, warnings) per table type of ``doc``, in enum order.
+
+    ``page`` holds the type's page anchors, or is None; ``pages`` maps a page number to its
+    detections. Anchors of two types on one table are a warning, not an error."""
+    page_map = identify_pages(doc.page_texts(), cfg)
+    out = []
+    for ttype in TableType:
+        pageno = page_map.get(ttype)
+        record, warnings = None, []
+        if pageno in pages:
+            try:
+                hit = extract_table(pages[pageno], ttype, cfg, labels)
+            except AmbiguousTableError as e:
+                hit, warnings = None, [str(e)]
+            if hit is not None:
+                record, warnings = map_to_record(*hit, labels, cmap)
+        out.append((ttype, pageno, record, warnings))
+    return out
 
 
 # ---------------------------------------------------------------------------

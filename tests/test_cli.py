@@ -216,6 +216,30 @@ def test_tables_end_to_end(corpus, tmp_path, capsys):
     assert "Missing" in summary and "Extracted" in summary
 
 
+def _mask_with_two_types_of_table_anchor(masks):
+    """kid00001's composition table also holds an evolution table anchor."""
+    mask = masks / "kid00001.p5.json"
+    text = mask.read_text(encoding="utf-8")
+    assert '"text": "Costi di uscita"' in text
+    mask.write_text(text.replace("Costi di uscita", "Costi totali"), encoding="utf-8")
+
+
+def test_tables_ambiguous_table_anchors_warn_and_leave_the_table_missing(corpus, tmp_path,
+                                                                         capsys):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    _mask_with_two_types_of_table_anchor(masks)
+    out = tmp_path / "tables.jsonl"
+    assert main(["tables", "--masks", str(masks), "--pages", str(corpus / "docs"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: kid00001 p5: table matches anchors of multiple "
+                                       "types: costs_evolution, costs_composition\n")
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    missing = [r for r in rows if r["status"] == "missing"]
+    assert missing == [{"doc_id": "kid00001", "page": 5, "type": "costs_composition",
+                        "status": "missing", "record": None}]
+    assert len(rows) == 9
+
+
 def test_tables_single_page_file(corpus, tmp_path):
     out = tmp_path / "one.jsonl"
     one = sorted((corpus / "docs").iterdir())[0]
@@ -425,6 +449,25 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["--config", "", "gen", "--n", "1", "--seed", "1", "--out", "c"], "config error: "),
+    (["annotate", "--rules", "", "--in", "{docs}", "--out", "o.csv"], "input error: "),
+    (["annotate", "--sections", "", "--in", "{docs}", "--out", "o.csv"], "input error: "),
+    (["tables", "--labels", "", "--masks", "{masks}", "--pages", "{docs}", "--out", "t.jsonl"],
+     "input error: "),
+    (["eval", "--gold", "{gold}", "--pred", "pred", "--report", ""], "cannot write output: "),
+], ids=["config", "rules", "sections", "labels", "report"])
+def test_an_empty_path_is_an_error_not_the_default(corpus, tmp_path, monkeypatch, capsys, argv,
+                                                   prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pred").mkdir()
+    dirs = {name: str(corpus / name) for name in ("docs", "masks", "gold")}
+    assert main([arg.format(**dirs) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.rglob("*")] == ["pred"]  # nothing written
 
 
 @pytest.mark.parametrize("tab, named", [
@@ -1111,6 +1154,9 @@ def _policy_case(corpus, tmp_path, row):
     if row.startswith("mask-skipped"):
         (bad_masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
         return strict + ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
+    if row == "ambiguous-table":
+        _mask_with_two_types_of_table_anchor(bad_masks)
+        return ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
     assert row == "table-warning"
     mask = bad_masks / "kid00001.p5.json"
     mask.write_text(mask.read_text(encoding="utf-8").replace("Costi di ingresso", "Costi ignoti"),
@@ -1131,6 +1177,8 @@ _POLICY_ROWS = {
     "gen-error": ("gen error: n must be >= 1", 1),
     "mask-skipped": ("warning: skipping malformed mask file kid00001.p3.json: ", 0),
     "mask-skipped-strict": ("warning: skipping malformed mask file kid00001.p3.json: ", 1),
+    "ambiguous-table": ("warning: kid00001 p5: table matches anchors of multiple types: "
+                        "costs_evolution, costs_composition", 0),
     "table-warning": ("warning: kid00001 p5: composition row unmatched: ", 0),
     "orphan-masks": ("warning: no page file holds kid00003; ignoring its mask files ", 0),
     "orphan-masks-strict": ("warning: no page file holds kid00003; ignoring its mask files ", 1),

@@ -5,9 +5,10 @@ import pytest
 
 from helpers import ALPHABET, STD_BINDINGS, make_doc, rand_pattern, rand_tokens
 from kidex import annotate, corpusgen, matcher, ruledsl, textprep
-from kidex.matcher import (DocContext, ExtractionResult, RuleComplexityError, export_results,
-                           find_matches, read_results_file, render_results_csv, run_rules)
-from kidex.model import Annotation, Document
+from kidex.matcher import (DocContext, ExtractionResult, RuleComplexityError, annotate_doc,
+                           export_results, find_matches, read_results_file, render_results_csv,
+                           run_rules)
+from kidex.model import DATA, Annotation, Document, read_utf8
 from oracles import TokenListCtx, brute_find, print_pattern
 
 
@@ -381,10 +382,24 @@ def test_two_isin_occurrences_two_results():
     text = ("Cos'è questo prodotto?\n"
             "ISIN: CH0524993752 della classe A.\n"
             "Codice del Prodotto : LU1234567890 per la classe B.\n")
-    doc = annotate.tokenize_document(Document("d", textprep.normalize_text(text)))
-    doc = annotate.annotate_sections(doc, annotate.default_section_config())
     compiled = ruledsl.compile_rules(ruledsl.parse_rules(ISIN_RULE, "isin"))
-    _, results = run_rules(compiled, doc)
+    results = annotate_doc(Document("d", textprep.normalize_text(text)), compiled,
+                           annotate.default_section_config())
     assert [r.value for r in results] == ["CH0524993752", "LU1234567890"]
     spans = [(r.first_token, r.last_token) for r in results]
     assert spans == sorted(spans)
+
+
+def test_annotate_doc_is_tokenize_then_sections_then_rules(tmp_path):
+    corpusgen.gen_corpus(20, 42, 0.1, tmp_path)
+    compiled = ruledsl.compile_rules(ruledsl.parse_rules(
+        read_utf8(DATA / "default_rules.tre"), "default_rules.tre"))
+    sections = annotate.default_section_config()
+    found = 0
+    for path in sorted((tmp_path / "docs").iterdir()):
+        doc = textprep.load_document(path.stem, path)
+        steps = annotate.annotate_sections(annotate.tokenize_document(doc), sections)
+        results = annotate_doc(doc, compiled, sections)
+        assert results == run_rules(compiled, steps)[1]
+        found += len(results)
+    assert found == 20 * 8

@@ -184,6 +184,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_statistics_or_importlib_
                   "textprep")),
     ("textprep", ("annotate", "cli", "corpusgen", "evalkit", "matcher", "normalize", "ruledsl",
                   "tabrec")),
+    ("matcher", ("cli", "corpusgen", "evalkit", "normalize", "tabrec", "textprep")),
 ])
 def test_importing_a_module_loads_only_the_kidex_modules_it_imports(module, absent):
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kidex.{module}; "

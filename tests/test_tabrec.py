@@ -6,14 +6,18 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kidex import tabrec
+from kidex import corpusgen, tabrec, textprep
 from kidex.annotate import PUNCT_CHARS
+from kidex.cli import main
 from kidex.model import (BBox, Cell, CostCategory, Detection, DetectionClass, OcrEntry,
-                         PageDetections, Period, RawTable, Scenario, SchemaError, iou)
+                         PageDetections, Period, RawTable, Scenario, SchemaError, iou,
+                         load_page_detections)
+from kidex.normalize import ConfusionMap
 from kidex.tabrec import (AmbiguousTableError, LabelsConfig, TabConfig, TableType, assign_cells,
                           cell_text, default_labels_config, enlarge_bbox, extract_table,
                           filter_detections, group_rows, identify_pages, identify_table,
-                          index_ocr, map_to_record, parse_table_row, split_multiline)
+                          index_ocr, map_to_record, parse_table_row, split_multiline, tables_doc,
+                          write_tables_jsonl)
 from oracles import (cluster_rows_oracle, label_key_oracle, label_pool_oracle,
                      ocr_association_oracle)
 
@@ -738,6 +742,61 @@ _tied_box = st.tuples(st.sampled_from([0, 5, 10]), st.sampled_from([0, 1, 2, 20,
 def test_group_rows_orders_tied_cells_as_stable_sorts_do(boxes, ratio):
     cells = [Cell(box, str(i)) for i, box in enumerate(boxes)]
     cfg = TabConfig(alignment_factor_ratio=ratio)
-    factor = ratio * statistics.median(box.height for box in boxes)
+    factor = ratio * statistics.median(box.bottom - box.top for box in boxes)
     table = group_rows(cells, cfg)
     assert [[c.text for c in row] for row in table.rows] == _rows_by_stable_sorts(cells, factor)
+
+
+@pytest.fixture(scope="module")
+def noisy_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("noisy")
+    corpusgen.gen_corpus(20, 42, 0.1, root)
+    return root
+
+
+def _doc_and_pages(corpus, doc_id):
+    """A document of ``corpus`` and its mask pages by page number."""
+    doc = textprep.load_document(doc_id, corpus / "docs" / f"{doc_id}.pages.json")
+    masks = sorted((corpus / "masks").glob(f"{doc_id}.p*.json"))
+    return doc, {page.page: page for page in map(load_page_detections, masks)}
+
+
+def test_tables_doc_rows_rebuild_the_cli_tables_jsonl(noisy_corpus, tmp_path, capsys):
+    assert main(["tables", "--masks", str(noisy_corpus / "masks"),
+                 "--pages", str(noisy_corpus / "docs"), "--out", str(tmp_path / "cli.jsonl")]) == 0
+    cli_err = capsys.readouterr().err
+    rows, err = [], ""
+    for path in sorted((noisy_corpus / "docs").iterdir()):
+        doc, pages = _doc_and_pages(noisy_corpus, path.name.split(".")[0])
+        for ttype, page, record, warnings in tables_doc(doc, pages, CFG, LABELS, ConfusionMap()):
+            rows.append((doc.doc_id, ttype, page, record))
+            err += "".join(f"warning: {doc.doc_id} p{page}: {w}\n" for w in warnings)
+    assert [ttype for _doc_id, ttype, _page, _record in rows[:3]] == list(TableType)
+    assert any(record is None for *_rest, record in rows)  # noise leaves some tables Missing
+    rows.sort(key=lambda row: (row[0], row[1].value))
+    write_tables_jsonl(rows, tmp_path / "lib.jsonl")
+    assert (tmp_path / "lib.jsonl").read_bytes() == (tmp_path / "cli.jsonl").read_bytes()
+    assert err == cli_err
+
+
+@pytest.mark.parametrize("old, new, warning, missing", [
+    ("Costi di ingresso", "Costi ignoti", "composition row unmatched: ['Costi ignoti', ", False),
+    ("Costi di uscita", "Costi totali",
+     "table matches anchors of multiple types: costs_evolution, costs_composition", True),
+], ids=["table-warning", "ambiguous"])
+def test_tables_doc_returns_warnings_as_data(noisy_corpus, capsys, old, new, warning, missing):
+    doc, pages = _doc_and_pages(noisy_corpus, "kid00001")
+    before = tables_doc(doc, pages, CFG, LABELS)
+    ttype, pageno, record, warnings = before[2]
+    assert (ttype, warnings) == (TableType.COSTS_COMPOSITION, []) and record is not None
+    page = pages[pageno]
+    assert any(text == old for _box, text in page.ocr)
+    ocr = tuple(OcrEntry(box, new if text == old else text) for box, text in page.ocr)
+    pages[pageno] = PageDetections(page.doc_id, page.page, page.page_width, page.page_height,
+                                   page.detections, ocr)
+    after = tables_doc(doc, pages, CFG, LABELS)
+    assert after[:2] == before[:2]
+    ttype, page_after, record, warnings = after[2]
+    assert (page_after, record is None, len(warnings)) == (pageno, missing, 1)
+    assert warnings[0].startswith(warning)
+    assert capsys.readouterr() == ("", "")
