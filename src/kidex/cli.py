@@ -97,9 +97,9 @@ def _load_documents(paths: list[Path]):
 # ---------------------------------------------------------------------------
 
 def cmd_annotate(args, config: Config) -> int:
-    name = "default_rules.tre" if args.rules is None else args.rules  # rule_ids start with it
-    source = read_utf8(DATA / name if args.rules is None else name)
-    compiled = ruledsl.compile_rules(ruledsl.parse_rules(source, name))
+    path, name = ((DATA / "default_rules.tre", "default_rules.tre") if args.rules is None
+                  else (args.rules, args.rules))  # rule_ids start with name
+    compiled = ruledsl.compile_rules(ruledsl.parse_rules(read_utf8(path), name))
     sections = annotate.load_section_config(args.sections)
     docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
     results = [r for doc in _load_documents(docs)

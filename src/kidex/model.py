@@ -330,6 +330,18 @@ class BBox(namedtuple("BBox", "left top right bottom")):
     def _make(cls, iterable) -> "BBox":
         return cls(*iterable)
 
+    @property
+    def width(self) -> int:
+        return self.right - self.left
+
+    @property
+    def height(self) -> int:
+        return self.bottom - self.top
+
+    @property
+    def area(self) -> int:
+        return self.width * self.height
+
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection area over union area; 0.0 for disjoint boxes."""

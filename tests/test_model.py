@@ -447,6 +447,7 @@ def test_geometry_repr_and_hash_match_the_frozen_dataclass_values():
     assert repr(entry) == "OcrEntry(bbox=BBox(left=1, top=2, right=3, bottom=4), text='x')"
     assert hash(box) == hash((1, 2, 3, 4))
     assert hash(entry) == hash(((1, 2, 3, 4), "x"))
+    assert (box.width, box.height, box.area) == (2, 2, 4)
 
 
 @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy,

@@ -742,7 +742,7 @@ _tied_box = st.tuples(st.sampled_from([0, 5, 10]), st.sampled_from([0, 1, 2, 20,
 def test_group_rows_orders_tied_cells_as_stable_sorts_do(boxes, ratio):
     cells = [Cell(box, str(i)) for i, box in enumerate(boxes)]
     cfg = TabConfig(alignment_factor_ratio=ratio)
-    factor = ratio * statistics.median(box.bottom - box.top for box in boxes)
+    factor = ratio * statistics.median(box.height for box in boxes)
     table = group_rows(cells, cfg)
     assert [[c.text for c in row] for row in table.rows] == _rows_by_stable_sorts(cells, factor)
 
