@@ -12,7 +12,6 @@ import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
 
 from . import annotate, evalkit, matcher, ruledsl, tabrec, textprep
 from .corpusgen import gen_corpus
@@ -25,21 +24,32 @@ EXIT_IO = 1
 EXIT_RULES = 3  # usage errors keep argparse's 2
 
 
+class ConfigError(Exception):
+    """The --config file is unreadable or breaks its format; the message is the cause's."""
+
+
+class GenError(Exception):
+    """gen cannot write its corpus; the message is the cause's."""
+
+
 class OutputError(Exception):
     """Writing an output file failed; the message is the OSError's."""
 
 
 @contextmanager
-def _writing():
+def _raising(error: type[Exception], *caught: type[Exception]):
+    """Re-raise an OSError, or one of ``caught``, from the block as ``error``."""
     try:
         yield
-    except OSError as e:
-        raise OutputError(e) from None
+    except (OSError, *caught) as e:
+        raise error(e) from None
 
 
-# The error policy of annotate, tables and eval: the stderr prefix and exit code per
-# exception class. Config errors, tables warnings and gen errors are reported where they occur.
+# The error policy of every command: the stderr prefix and exit code per exception class,
+# the first class that matches. Warnings are the only lines printed where they occur.
 _ERRORS = {
+    ConfigError: ("config error", EXIT_IO),
+    GenError: ("gen error", EXIT_IO),
     OutputError: ("cannot write output", EXIT_IO),
     ruledsl.RuleError: ("rule error", EXIT_RULES),
     matcher.RuleComplexityError: ("rule error", EXIT_RULES),
@@ -48,14 +58,19 @@ _ERRORS = {
 }
 
 
+def _path(value: str | Path, option: str) -> Path:
+    """The path an option names; an empty one names no file, though ``Path("")`` is ``.``."""
+    if value == "":
+        raise OSError(f"{option}: the path is empty")
+    return Path(value)
+
+
 class Config(Struct):
     tab: tabrec.TabConfig = Factory(tabrec.TabConfig)
     confusions: ConfusionMap = Factory(ConfusionMap)
 
     @classmethod
-    def load(cls, path: Optional[str]) -> "Config":
-        if path is None:
-            return cls()
+    def load(cls, path: Path) -> "Config":
         data = json_fields(parse_json_object(read_utf8(path), path), path, optional=cls._fields)
         return cls(tabrec.TabConfig.from_dict(json_object(data.get("tab", {}), f"{path}: 'tab'")),
                    ConfusionMap.from_dict(data.get("confusions", {}), f"{path}: 'confusions'"))
@@ -76,16 +91,11 @@ def _warn_malformed_mask(path: Path, reason) -> None:
     print(f"warning: skipping malformed mask file {path.name}: {reason}", file=sys.stderr)
 
 
-def _doc_id_for(path: Path) -> str:
-    stem = path.stem
-    return stem[:-6] if stem.endswith(".pages") else stem
-
-
 def _load_documents(paths: list[Path]):
     """The document of each file; a doc_id that an earlier file holds is an input error."""
     first: dict[str, Path] = {}
     for path in paths:
-        doc = textprep.load_document(_doc_id_for(path), path)
+        doc = textprep.load_document(path.stem.removesuffix(".pages"), path)
         earlier = first.setdefault(doc.doc_id, path)
         if earlier != path:
             raise SchemaError(f"{path}: doc_id {doc.doc_id!r} repeats {earlier}")
@@ -96,17 +106,17 @@ def _load_documents(paths: list[Path]):
 # annotate
 # ---------------------------------------------------------------------------
 
-def cmd_annotate(args, config: Config) -> int:
+def cmd_annotate(args) -> int:
     path, name = ((DATA / "default_rules.tre", "default_rules.tre") if args.rules is None
-                  else (args.rules, args.rules))  # rule_ids start with name
+                  else (_path(args.rules, "--rules"), args.rules))  # rule_ids start with name
     compiled = ruledsl.compile_rules(ruledsl.parse_rules(read_utf8(path), name))
-    sections = annotate.load_section_config(args.sections)
-    docs = _files(Path(args.in_dir), lambda p: p.suffix.lower() in (".txt", ".json"))
+    sections = annotate.load_section_config(_path(args.sections, "--sections"))
+    docs = _files(_path(args.in_dir, "--in"), lambda p: p.suffix.lower() in (".txt", ".json"))
     results = [r for doc in _load_documents(docs)
                for r in matcher.annotate_doc(doc, compiled, sections)]
     results.sort(key=lambda r: (r.doc_id, r.field, r.first_token, r.last_token, r.rule_id))
-    with _writing():
-        matcher.export_results(results, args.format, args.out)
+    with _raising(OutputError):
+        matcher.export_results(results, args.format, _path(args.out, "--out"))
     print(f"annotate: {len(docs)} documents, {len(results)} extractions -> {args.out}")
     return EXIT_OK
 
@@ -115,27 +125,29 @@ def cmd_annotate(args, config: Config) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def cmd_tables(args, config: Config) -> int:
-    labels = tabrec.load_labels_config(args.labels)
+def cmd_tables(args) -> int:
+    with _raising(ConfigError, SchemaError):  # read before any input file
+        config = Config() if args.config is None else Config.load(_path(args.config, "--config"))
+    labels = tabrec.load_labels_config(_path(args.labels, "--labels"))
+    skipped = False  # a malformed mask file was skipped
 
     # mask file paths by the doc_id and page their names give, which a mask's content must
     # repeat; a document's files are read with its page file, so one document's are held
     mask_files: dict[str, list[tuple[str, Path]]] = {}
-    for path in _files(Path(args.masks), lambda p: p.suffix == ".json"):
+    for path in _files(_path(args.masks, "--masks"), lambda p: p.suffix == ".json"):
         named = _MASK_NAME_RE.fullmatch(path.name)
         if named is None:
             _warn_malformed_mask(path, "the name is not <doc_id>.p<page>.json")
-            if args.strict:
-                return EXIT_IO
+            skipped = True
             continue
         mask_files.setdefault(named[1], []).append((named[2], path))
 
-    pages = Path(args.pages)
+    pages = _path(args.pages, "--pages")
     page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
     rows = []  # (doc_id, type, page, record or None)
     for doc in _load_documents(page_files):
         masks: dict[int, PageDetections] = {}
-        skipped = False
+        malformed = False
         for named_page, path in mask_files.pop(doc.doc_id, ()):
             try:
                 page = load_page_detections(path)
@@ -145,10 +157,8 @@ def cmd_tables(args, config: Config) -> int:
                 masks[page.page] = page
             except (SchemaError, OSError) as e:
                 _warn_malformed_mask(path, e)
-                if args.strict:
-                    return EXIT_IO
-                skipped = True
-        if skipped:
+                malformed = skipped = True
+        if malformed:
             continue
         for ttype, pageno, record, warnings in tabrec.tables_doc(doc, masks, config.tab, labels,
                                                                  config.confusions):
@@ -161,12 +171,12 @@ def cmd_tables(args, config: Config) -> int:
         names = ", ".join(path.name for _page, path in sorted(files, key=lambda f: int(f[0])))
         print(f"warning: no page file holds {doc_id}; ignoring its mask files {names}",
               file=sys.stderr)
-    if mask_files and args.strict:
+    if args.strict and (skipped or mask_files):  # every skip warning is printed, nothing written
         return EXIT_IO
 
     rows.sort(key=lambda r: (r[0], r[1].value))
-    with _writing():
-        tabrec.write_tables_jsonl(rows, args.out)
+    with _raising(OutputError):
+        tabrec.write_tables_jsonl(rows, _path(args.out, "--out"))
 
     print(f"{'table type':<24} {'Extracted':>10} {'Missing':>10}")
     for ttype in tabrec.TableType:
@@ -180,38 +190,30 @@ def cmd_tables(args, config: Config) -> int:
 # eval and gen
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args, config: Config) -> int:
-    gold = evalkit.load_gold_set(Path(args.gold))
-    fields, tables = evalkit.load_predictions(args.pred)
+def cmd_eval(args) -> int:
+    gold = evalkit.load_gold_set(_path(args.gold, "--gold"))
+    pred = _path(args.pred, "--pred")
+    fields, tables = evalkit.load_predictions(pred)
     report = evalkit.evaluate(gold, fields, tables)
-    sys.stdout.write(evalkit.format_report(report))
-    report_path = (Path(args.pred) / "eval_report.json" if args.report is None
-                   else Path(args.report))
-    with _writing():
+    with _raising(OutputError):
+        report_path = (pred / "eval_report.json" if args.report is None
+                       else _path(args.report, "--report"))
         report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    sys.stdout.write(evalkit.format_report(report))
     print(f"report -> {report_path}")
     return EXIT_OK
 
 
-def cmd_gen(args, config: Config) -> int:
-    try:
-        out = gen_corpus(args.n, args.seed, args.noise, args.out)
-    except (OSError, ValueError) as e:
-        print(f"gen error: {e}", file=sys.stderr)
-        return EXIT_IO
+def cmd_gen(args) -> int:
+    with _raising(GenError, ValueError):
+        out = gen_corpus(args.n, args.seed, args.noise, _path(args.out, "--out"))
     print(f"gen: {args.n} documents (seed {args.seed}, noise {args.noise}) -> {out}")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kidex",
                                      description="Key-information-document extraction toolkit")
-    parser.add_argument("--config",
-                        help="JSON config file holding the 'tab' and 'confusions' objects")
-    parser.add_argument("--strict", action="store_true",
-                        help="fail on malformed inputs instead of skipping")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("annotate", help="run extraction rules over documents")
@@ -228,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pages", required=True, help="page-text file or directory of them")
     p.add_argument("--labels", default=DATA / "labels.json",
                    help="labels config JSON; defaults packaged")
+    p.add_argument("--config", help="JSON config file: the 'tab' and 'confusions' objects")
+    p.add_argument("--strict", action="store_true", help="exit 1 if a mask file is skipped")
     p.add_argument("--out", required=True, help="output tables JSONL")
     p.set_defaults(func=cmd_tables)
 
@@ -246,15 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = Config.load(args.config)
-    except (OSError, SchemaError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return args.func(args, config)
+        return args.func(args)
     except tuple(_ERRORS) as e:
         prefix, code = next(_ERRORS[cls] for cls in _ERRORS if isinstance(e, cls))
         print(f"{prefix}: {e}", file=sys.stderr)

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -79,7 +82,7 @@ def test_lone_surrogate_escape_is_an_input_or_config_error(tmp_path, capsys, com
     cfg.write_text('{"labels": "\\udc00"}', encoding="utf-8")
     argv = {"annotate": ["annotate", "--in", str(docs)],
             "tables": ["tables", "--masks", str(masks), "--pages", str(docs)],
-            "config": ["--config", str(cfg), "tables", "--masks", str(masks),
+            "config": ["tables", "--config", str(cfg), "--masks", str(masks),
                        "--pages", str(docs)]}[command]
     assert main(argv + ["--out", str(out)]) == 1
     first = capsys.readouterr().err.splitlines()[0]
@@ -287,8 +290,8 @@ def test_tables_warns_of_masks_no_page_file_holds(corpus, tmp_path, capsys, stri
     pages.mkdir()
     shutil.copy(corpus / "docs" / "kid00001.pages.json", pages)
     out = tmp_path / "tables.jsonl"
-    code = main(["--strict"] * strict + ["tables", "--masks", str(corpus / "masks"),
-                                         "--pages", str(pages), "--out", str(out)])
+    code = main(["tables", "--masks", str(corpus / "masks"), "--pages", str(pages),
+                 "--out", str(out)] + ["--strict"] * strict)
     assert code == (1 if strict else 0)
     assert capsys.readouterr().err.splitlines() == [
         f"warning: no page file holds {doc_id}; ignoring its mask files "
@@ -336,8 +339,25 @@ def test_tables_strict_malformed_exit_1(corpus, tmp_path):
     masks = tmp_path / "masks"
     masks.mkdir()
     (masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
-    assert main(["--strict", "tables", "--masks", str(masks),
+    assert main(["tables", "--strict", "--masks", str(masks),
                  "--pages", str(corpus / "docs"), "--out", str(tmp_path / "t.jsonl")]) == 1
+
+
+def test_tables_strict_prints_every_skip_warning_and_writes_nothing(corpus, tmp_path, capsys):
+    masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
+    (masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
+    shutil.copy(masks / "kid00002.p4.json", masks / "kid00002.p4.bak.json")
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    for doc_id in ("kid00001", "kid00002"):
+        shutil.copy(corpus / "docs" / f"{doc_id}.pages.json", pages)
+    argv = ["tables", "--masks", str(masks), "--pages", str(pages)]
+    assert main(argv + ["--out", str(tmp_path / "t.jsonl")]) == 0
+    warned = capsys.readouterr().err
+    assert warned.count("\n") == 3  # the bad name, the malformed mask, kid00003's orphan masks
+    assert main(argv + ["--out", str(tmp_path / "strict.jsonl"), "--strict"]) == 1
+    assert capsys.readouterr() == ("", warned)
+    assert not (tmp_path / "strict.jsonl").exists()
 
 
 def _packaged_labels() -> dict:
@@ -451,22 +471,34 @@ def test_tables_missing_labels_file_is_input_error(corpus, tmp_path, capsys):
     assert str(missing) in err
 
 
+_TABLES = ["tables", "--masks", "{masks}", "--pages", "{docs}", "--out", "t.jsonl"]
+
+
 @pytest.mark.parametrize("argv, prefix", [
-    (["--config", "", "gen", "--n", "1", "--seed", "1", "--out", "c"], "config error: "),
+    (_TABLES + ["--config", ""], "config error: "),
     (["annotate", "--rules", "", "--in", "{docs}", "--out", "o.csv"], "input error: "),
     (["annotate", "--sections", "", "--in", "{docs}", "--out", "o.csv"], "input error: "),
-    (["tables", "--labels", "", "--masks", "{masks}", "--pages", "{docs}", "--out", "t.jsonl"],
-     "input error: "),
+    (_TABLES + ["--labels", ""], "input error: "),
     (["eval", "--gold", "{gold}", "--pred", "pred", "--report", ""], "cannot write output: "),
-], ids=["config", "rules", "sections", "labels", "report"])
+    # the working directory, which Path("") names, is tmp_path: it holds only pred/
+    (["annotate", "--in", "", "--out", "o.csv"], "input error: "),
+    (_TABLES + ["--masks", ""], "input error: "),
+    (_TABLES + ["--pages", ""], "input error: "),
+    (["eval", "--gold", "", "--pred", "pred"], "input error: "),
+    (["eval", "--gold", "{gold}", "--pred", ""], "input error: "),
+    (["annotate", "--in", "{docs}", "--out", ""], "cannot write output: "),
+    (_TABLES + ["--out", ""], "cannot write output: "),
+    (["gen", "--n", "1", "--seed", "1", "--out", ""], "gen error: "),
+], ids=["config", "rules", "sections", "labels", "report", "in", "masks", "pages", "gold",
+        "pred", "annotate-out", "tables-out", "gen-out"])
 def test_an_empty_path_is_an_error_not_the_default(corpus, tmp_path, monkeypatch, capsys, argv,
                                                    prefix):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pred").mkdir()
     dirs = {name: str(corpus / name) for name in ("docs", "masks", "gold")}
     assert main([arg.format(**dirs) for arg in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(prefix) and err.count("\n") == 1, err
+    option = argv[argv.index("") - 1]
+    assert capsys.readouterr() == ("", f"{prefix}{option}: the path is empty\n")
     assert [p.name for p in tmp_path.rglob("*")] == ["pred"]  # nothing written
 
 
@@ -495,15 +527,18 @@ def test_an_empty_path_is_an_error_not_the_default(corpus, tmp_path, monkeypatch
         "anchors-a-list", "anchor-spec-a-string", "threshold-a-numeric-string",
         "threshold-a-bool", "ratio-past-float-range", "page-anchor-blank", "table-anchor-blank",
         "page-anchors-empty"])
-@pytest.mark.parametrize("command", ["gen", "tables"])
-def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, command):
+@pytest.mark.parametrize("inputs", ["no-input", "tables"])
+def test_bad_tab_config_is_config_error(corpus, tmp_path, capsys, tab, named, inputs):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tab": tab}), encoding="utf-8")
     out = tmp_path / "out"
-    argv = {"gen": ["gen", "--n", "1", "--seed", "1", "--out", str(out)],
-            "tables": ["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
-                       "--out", str(out)]}[command]
-    assert main(["--config", str(cfg), *argv]) == 1
+    argv = ["tables", "--config", str(cfg), "--out", str(out)]
+    if inputs == "tables":
+        argv += ["--masks", str(corpus / "masks"), "--pages", str(corpus / "docs")]
+    else:  # no input file exists: tables reads its config first, so the config error comes first
+        nope = str(tmp_path / "nope")
+        argv += ["--masks", nope, "--pages", nope, "--labels", nope]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: tab config: ") and err.count("\n") == 1
     assert named in err
@@ -798,11 +833,24 @@ def test_workers_flag_rejected(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_every_option_is_read_by_its_command():
+    # a flag that no code reads does nothing: each option is read as args.<dest> by its command
+    parser = kidex.cli.build_parser()
+    assert [a.option_strings for a in parser._actions if a.option_strings] == [["-h", "--help"]]
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        tree = ast.parse(inspect.getsource(sub.get_default("func")))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        options = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        assert options <= read, (name, options - read)
+
+
 def test_config_file_overrides(tmp_path, corpus):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tab": {"confidence_threshold": 0.99}}), encoding="utf-8")
     out = tmp_path / "tables.jsonl"
-    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
+    assert main(["tables", "--config", str(cfg), "--masks", str(corpus / "masks"),
                  "--pages", str(corpus / "docs"), "--out", str(out)]) == 0
     rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     # threshold 0.99 kills most detections: nothing should be extracted
@@ -845,8 +893,9 @@ def _eval_argv(corpus, tmp_path):
                                str(c / "masks"), "--pages", str(c / "docs"),
                                "--out", str(t / "t.jsonl")],
      "input error: "),
-    ("bad.json", lambda c, t: ["--config", str(t / "bad.json"), "gen", "--n", "1", "--seed", "1",
-                               "--out", str(t / "x")],
+    ("bad.json", lambda c, t: ["tables", "--config", str(t / "bad.json"), "--masks",
+                               str(c / "masks"), "--pages", str(c / "docs"),
+                               "--out", str(t / "t.jsonl")],
      "config error: "),
     ("gold/fields.jsonl", _eval_argv, "input error: "),
     ("gold/tables.jsonl", _eval_argv, "input error: "),
@@ -870,7 +919,7 @@ def test_tables_mask_not_utf8_is_malformed(corpus, tmp_path, capsys, strict):
     (masks / "kid00001.p3.json").write_bytes(NOT_UTF8)
     out = tmp_path / "tables.jsonl"
     argv = ["tables", "--masks", str(masks), "--pages", str(corpus / "docs"), "--out", str(out)]
-    assert main(["--strict"] * strict + argv) == (1 if strict else 0)
+    assert main(argv + ["--strict"] * strict) == (1 if strict else 0)
     err = capsys.readouterr().err
     assert err.startswith("warning: skipping malformed mask file kid00001.p3.json: "
                           f"{masks / 'kid00001.p3.json'}: invalid UTF-8 at byte offset 7\n")
@@ -900,7 +949,7 @@ def test_config_typo_or_wrong_shape_exit_1(corpus, tmp_path, capsys, config, mes
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "t.jsonl"
-    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
+    assert main(["tables", "--config", str(cfg), "--masks", str(corpus / "masks"),
                  "--pages", str(corpus / "docs"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
     assert not out.exists()
@@ -964,7 +1013,7 @@ def test_tables_malformed_mask_value_is_skipped(corpus, tmp_path, capsys, edit, 
     assert err.count("\n") == 1
     rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     assert sorted({r["doc_id"] for r in rows}) == ["kid00001", "kid00003"]
-    assert main(["--strict"] + argv) == 1
+    assert main(argv + ["--strict"]) == 1
 
 
 @pytest.mark.parametrize("config, message", [
@@ -986,7 +1035,7 @@ def test_config_value_of_the_wrong_type_exit_1(corpus, tmp_path, capsys, config,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "t.jsonl"
-    assert main(["--config", str(cfg), "tables", "--masks", str(corpus / "masks"),
+    assert main(["tables", "--config", str(cfg), "--masks", str(corpus / "masks"),
                  "--pages", str(corpus / "docs"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     assert not out.exists()
@@ -1015,7 +1064,7 @@ def test_tables_mask_past_json_parser_limits_is_malformed(corpus, tmp_path, caps
                                        f"{bad}: not valid JSON ({why})\n")
     rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     assert sorted({r["doc_id"] for r in rows}) == ["kid00001", "kid00003"]
-    assert main(["--strict"] + argv) == 1
+    assert main(argv + ["--strict"]) == 1
 
 
 @pytest.mark.parametrize("text, why", _PAST_PARSER_LIMITS.values(), ids=_PAST_PARSER_LIMITS)
@@ -1026,8 +1075,9 @@ def test_tables_mask_past_json_parser_limits_is_malformed(corpus, tmp_path, caps
                                str(c / "masks"), "--pages", str(c / "docs"),
                                "--out", str(t / "t.jsonl")],
      "input error: ", ""),
-    ("bad.json", lambda c, t: ["--config", str(t / "bad.json"), "gen", "--n", "1", "--seed", "1",
-                               "--out", str(t / "x")],
+    ("bad.json", lambda c, t: ["tables", "--config", str(t / "bad.json"), "--masks",
+                               str(c / "masks"), "--pages", str(c / "docs"),
+                               "--out", str(t / "t.jsonl")],
      "config error: ", ""),
 ], ids=["gold-tables", "pred-tables", "labels", "config"])
 def test_json_past_parser_limits_exit_1(corpus, tmp_path, capsys, bad_file, argv, prefix, where,
@@ -1052,6 +1102,22 @@ def test_missing_input_directory_is_an_input_error(corpus, tmp_path, capsys, fla
     assert main(list(map(str, argv))) == 1
     assert capsys.readouterr().err == f"input error: not a directory: {missing}\n"
     assert not out.exists()
+
+
+def test_eval_writes_the_report_before_it_prints_it(corpus, tmp_path, capsys):
+    (tmp_path / "pred").mkdir()
+    report = tmp_path / "no" / "report.json"
+    argv = ["eval", "--gold", str(corpus / "gold"), "--pred", str(tmp_path / "pred"),
+            "--report", str(report)]
+    assert main(argv) == 1  # report's directory does not exist
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    report.parent.mkdir()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("field ") and out.endswith(f"report -> {report}\n"), out
+    assert err == "" and json.loads(report.read_text(encoding="utf-8"))["micro"]
 
 
 def test_eval_empty_pred_directory_is_scored(corpus, tmp_path, capsys):
@@ -1089,7 +1155,7 @@ def test_tables_mask_name_must_agree_with_its_content(corpus, tmp_path, capsys, 
     name, why, kept = edit(masks)
     out = tmp_path / "tables.jsonl"
     argv = ["tables", "--masks", str(masks), "--pages", str(corpus / "docs"), "--out", str(out)]
-    assert main(["--strict"] * strict + argv) == (1 if strict else 0)
+    assert main(argv + ["--strict"] * strict) == (1 if strict else 0)
     assert capsys.readouterr().err == f"warning: skipping malformed mask file {name}: {why}\n"
     if strict:
         assert not out.exists()
@@ -1133,8 +1199,11 @@ def _policy_case(corpus, tmp_path, row):
     if row == "input-error":
         return ["eval", "--gold", gold, "--pred", str(tmp_path / "nope")]
     if row == "config-error":
-        return ["--config", str(tmp_path / "nope.json"), "gen", "--n", "1", "--seed", "1",
-                "--out", str(tmp_path / "c")]
+        return ["tables", "--config", str(tmp_path / "nope.json"), "--masks", masks,
+                "--pages", docs, "--out", out]
+    if row == "usage-config-before-command":
+        return ["--config", str(tmp_path / "nope.json"), "tables", "--masks", masks,
+                "--pages", docs, "--out", out]
     if row == "cannot-write-output":
         return ["tables", "--masks", masks, "--pages", docs, "--out", str(tmp_path / "no" / "t")]
     if row == "gen-error":
@@ -1149,11 +1218,11 @@ def _policy_case(corpus, tmp_path, row):
         pages.mkdir()
         for doc_id in ("kid00001", "kid00002"):
             shutil.copy(corpus / "docs" / f"{doc_id}.pages.json", pages)
-        return strict + ["tables", "--masks", masks, "--pages", str(pages), "--out", out]
+        return ["tables", "--masks", masks, "--pages", str(pages), "--out", out] + strict
     bad_masks = shutil.copytree(corpus / "masks", tmp_path / "masks")
     if row.startswith("mask-skipped"):
         (bad_masks / "kid00001.p3.json").write_text("{broken", encoding="utf-8")
-        return strict + ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
+        return ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out] + strict
     if row == "ambiguous-table":
         _mask_with_two_types_of_table_anchor(bad_masks)
         return ["tables", "--masks", str(bad_masks), "--pages", docs, "--out", out]
@@ -1183,6 +1252,7 @@ _POLICY_ROWS = {
     "orphan-masks": ("warning: no page file holds kid00003; ignoring its mask files ", 0),
     "orphan-masks-strict": ("warning: no page file holds kid00003; ignoring its mask files ", 1),
     "usage": ("usage: kidex ", 2),
+    "usage-config-before-command": ("usage: kidex ", 2),
 }
 
 
@@ -1197,4 +1267,4 @@ def test_error_policy_table(corpus, tmp_path, row):
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr[:len(prefix)]) == (code, prefix), proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 or row == "usage"
+    assert proc.stderr.count("\n") == 1 or row.startswith("usage")
