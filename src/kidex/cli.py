@@ -83,6 +83,14 @@ def _files(directory: Path, keep) -> list[Path]:
     return sorted(p for p in directory.iterdir() if keep(p) and p.is_file())
 
 
+def _page_files(path: Path) -> list[Path]:
+    """The page-text files of ``--in`` or ``--pages``: a file is read as itself, and a
+    directory gives its files whose suffix, in any case, is .json or .txt."""
+    if path.is_file():
+        return [path]
+    return _files(path, lambda p: p.suffix.lower() in (".json", ".txt"))
+
+
 # mask files are named <doc_id>.p<page>.json
 _MASK_NAME_RE = re.compile(r"(.+)\.p(\d+)\.json")
 
@@ -111,12 +119,12 @@ def cmd_annotate(args) -> int:
                   else (_path(args.rules, "--rules"), args.rules))  # rule_ids start with name
     compiled = ruledsl.compile_rules(ruledsl.parse_rules(read_utf8(path), name))
     sections = annotate.load_section_config(_path(args.sections, "--sections"))
-    docs = _files(_path(args.in_dir, "--in"), lambda p: p.suffix.lower() in (".txt", ".json"))
+    docs = _page_files(_path(args.in_dir, "--in"))
     results = [r for doc in _load_documents(docs)
                for r in matcher.annotate_doc(doc, compiled, sections)]
     results.sort(key=lambda r: (r.doc_id, r.field, r.first_token, r.last_token, r.rule_id))
     with _raising(OutputError):
-        matcher.export_results(results, args.format, _path(args.out, "--out"))
+        matcher.export_results(results, _path(args.out, "--out"))
     print(f"annotate: {len(docs)} documents, {len(results)} extractions -> {args.out}")
     return EXIT_OK
 
@@ -142,10 +150,8 @@ def cmd_tables(args) -> int:
             continue
         mask_files.setdefault(named[1], []).append((named[2], path))
 
-    pages = _path(args.pages, "--pages")
-    page_files = [pages] if pages.is_file() else _files(pages, lambda p: p.name.endswith(".json"))
     rows = []  # (doc_id, type, page, record or None)
-    for doc in _load_documents(page_files):
+    for doc in _load_documents(_page_files(_path(args.pages, "--pages"))):
         masks: dict[int, PageDetections] = {}
         malformed = False
         for named_page, path in mask_files.pop(doc.doc_id, ()):
@@ -220,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", help="rule file (.tre); defaults to the packaged ruleset")
     p.add_argument("--sections", default=DATA / "sections.json",
                    help="section config JSON; defaults packaged")
-    p.add_argument("--in", dest="in_dir", required=True, help="directory of .txt / page .json docs")
-    p.add_argument("--out", required=True, help="output file")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("--in", dest="in_dir", required=True, help="page-text file or directory of them")
+    p.add_argument("--out", required=True, help="output file: JSONL if it ends in .jsonl, else CSV")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("tables", help="reconstruct typed tables from detection masks")

@@ -247,23 +247,25 @@ def render_results_jsonl(results: Iterable[ExtractionResult]) -> str:
     return "".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in results)
 
 
-def export_results(results: Iterable[ExtractionResult], format: str,
-                   dest: str | Path) -> Path:
-    """Write results as CSV (RFC 4180) or JSONL with identical keys."""
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown export format {format!r}")
-    text = render_results_csv(results) if format == "csv" else render_results_jsonl(results)
+def _is_jsonl(path: Path) -> bool:
+    """A ``.jsonl`` suffix, in any case, names JSON lines; every other path names CSV."""
+    return path.suffix.lower() == ".jsonl"
+
+
+def export_results(results: Iterable[ExtractionResult], dest: str | Path) -> Path:
+    """Write results as JSONL if ``dest`` ends in ``.jsonl``, else as CSV, with the same keys."""
     dest = Path(dest)
+    text = render_results_jsonl(results) if _is_jsonl(dest) else render_results_csv(results)
     dest.write_text(text, encoding="utf-8", newline="")
     return dest
 
 
 def read_results_file(path: str | Path) -> list[dict]:
-    """Read back an exported results file (either format) as dicts."""
+    """Read back an exported results file, in the format its suffix names, as dicts."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        text = read_utf8(path)
-        # no field is longer than the file's text; the limit is process-wide, so only raised
-        csv.field_size_limit(max(csv.field_size_limit(), len(text)))
-        return [dict(row) for row in csv.DictReader(io.StringIO(text, newline=""))]
-    return [row for _lineno, row in read_jsonl(path)]
+    if _is_jsonl(path):
+        return [row for _lineno, row in read_jsonl(path)]
+    text = read_utf8(path)
+    # no field is longer than the file's text; the limit is process-wide, so only raised
+    csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+    return [dict(row) for row in csv.DictReader(io.StringIO(text, newline=""))]

@@ -267,22 +267,21 @@ def _check_annotations(annotations: tuple[Annotation, ...], n: int) -> None:
 class Document(Struct):
     """Source text plus its token layer and annotation store.
 
-    ``pages``, when present, holds the character offsets at which pages
-    2..k begin (strictly increasing); ``None`` means no page structure.
+    ``pages`` holds the character offsets at which pages 2..k begin
+    (strictly increasing); a one-page document has none.
     """
     doc_id: str
     text: str
     tokens: tuple[str, ...] = ()
     annotations: tuple[Annotation, ...] = ()
-    pages: Optional[tuple[int, ...]] = None
+    pages: tuple[int, ...] = ()
 
     def _check(self):
         _check_tokens(self.text, self.tokens)
         _check_annotations(self.annotations, len(self.tokens))
-        if self.pages is not None:
-            for a, b in zip(self.pages, self.pages[1:]):
-                if b <= a:
-                    raise ValueError("page-break offsets must be strictly increasing")
+        for a, b in zip(self.pages, self.pages[1:]):
+            if b <= a:
+                raise ValueError("page-break offsets must be strictly increasing")
 
     def with_tokens(self, tokens: Iterable[str]) -> "Document":
         return Document(self.doc_id, self.text, tuple(tokens), self.annotations, self.pages)
@@ -297,8 +296,6 @@ class Document(Struct):
 
     def page_texts(self) -> list[str]:
         """Per-page text; the single-newline page separators are dropped."""
-        if self.pages is None:
-            return [self.text]
         starts = [0, *self.pages]
         out = []
         for i, s in enumerate(starts):

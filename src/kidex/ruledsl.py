@@ -473,83 +473,33 @@ def parse_pattern(source: str, bindings: Iterable[Binding] = ()) -> PatternExpr:
 # Predicates and compiled form
 # ---------------------------------------------------------------------------
 
-# Every predicate has ``test(ctx, i)`` and ``may_pass(text)``: the latter is
-# False only if no token with this text can pass ``test``, whatever its
-# annotations, so the matcher can memoise it per distinct token text.
+class TokenPred(NamedTuple):
+    """The one token test: the text fullmatches every regex of ``texts`` and, for each
+    ``(key, regex)`` of ``anns``, a ``key`` annotation value of the token fullmatches ``regex``.
+    ``/*/`` is the empty test; a ``"literal"`` is the regex matching only itself. ``may_pass``
+    tests ``texts`` only, so it is False only if no token with this text can pass, and the
+    matcher memoises it per text. Both are plain loops: they run on every candidate token."""
+    texts: tuple
+    anns: tuple
 
-class AnyPred:
     def test(self, ctx, i: int) -> bool:
+        text = ctx.texts[i]
+        for rx in self.texts:
+            if rx.fullmatch(text) is None:
+                return False
+        for key, rx in self.anns:
+            for value in ctx.ann_values(key, i):
+                if rx.fullmatch(value) is not None:
+                    break
+            else:
+                return False
         return True
 
     def may_pass(self, text: str) -> bool:
+        for rx in self.texts:
+            if rx.fullmatch(text) is None:
+                return False
         return True
-
-
-class TextRegexPred:
-    __slots__ = ("rx",)
-
-    def __init__(self, rx: re.Pattern):
-        self.rx = rx
-
-    def test(self, ctx, i: int) -> bool:
-        return self.rx.fullmatch(ctx.texts[i]) is not None
-
-    def may_pass(self, text: str) -> bool:
-        return self.rx.fullmatch(text) is not None
-
-
-class TextEqPred:
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        self.value = value
-
-    def test(self, ctx, i: int) -> bool:
-        return ctx.texts[i] == self.value
-
-    def may_pass(self, text: str) -> bool:
-        return text == self.value
-
-
-class AnnEqPred:
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str, value: str):
-        self.key = key
-        self.value = value
-
-    def test(self, ctx, i: int) -> bool:
-        return self.value in ctx.ann_values(self.key, i)
-
-    def may_pass(self, text: str) -> bool:
-        return True
-
-
-class AnnRegexPred:
-    __slots__ = ("key", "rx")
-
-    def __init__(self, key: str, rx: re.Pattern):
-        self.key = key
-        self.rx = rx
-
-    def test(self, ctx, i: int) -> bool:
-        return any(self.rx.fullmatch(v) for v in ctx.ann_values(self.key, i))
-
-    def may_pass(self, text: str) -> bool:
-        return True
-
-
-class AndPred:
-    __slots__ = ("preds",)
-
-    def __init__(self, preds: tuple):
-        self.preds = preds
-
-    def test(self, ctx, i: int) -> bool:
-        return all(p.test(ctx, i) for p in self.preds)
-
-    def may_pass(self, text: str) -> bool:
-        return all(p.may_pass(text) for p in self.preds)
 
 
 # instruction opcodes; programs are tuples of (op, a, b). OP_SETPOS saves the position
@@ -622,7 +572,7 @@ class _RuleRegex(str):
 
     ``re`` keys its cache of compiled patterns by the pattern's type, and
     warns only while it really compiles. A pattern of this type is cached
-    only by ``_PatternCompiler._regex``, which turns warnings into errors,
+    only by ``_PatternCompiler._pred``, which turns warnings into errors,
     so one that warns is never cached and warns on every compile, whoever
     compiled the same string before.
     """
@@ -649,20 +599,22 @@ class _PatternCompiler:
         instrs = tuple(tuple(ins) for ins in self.instrs)
         return CompiledPattern(instrs, _first_preds(instrs))
 
-    def _regex(self, body: str, pos) -> re.Pattern:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # e.g. FutureWarning: Possible nested set
-                return re.compile(_RuleRegex(body))
-        except (re.error, OverflowError, RecursionError, Warning) as e:
-            line, col = pos or (None, None)
-            raise RuleCompileError(f"invalid character regex /{body}/: {e}", line, col) from None
-
-    def _constraint_pred(self, c: Constraint):
-        if c.kind == "lit":
-            return TextEqPred(c.value) if c.key == "word" else AnnEqPred(c.key, c.value)
-        rx = self._regex(self.env[c.value].regex if c.kind == "ref" else c.value, c.pos)
-        return TextRegexPred(rx) if c.key == "word" else AnnRegexPred(c.key, rx)
+    def _pred(self, constraints: Iterable[Constraint]) -> TokenPred:
+        """The test of a conjunction of ``constraints``: every regex a rule holds, a literal's
+        included, is compiled here, and an invalid one is an error at its constraint."""
+        tests = []  # (key, compiled regex)
+        for c in constraints:
+            body = (re.escape(c.value) if c.kind == "lit"
+                    else self.env[c.value].regex if c.kind == "ref" else c.value)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # e.g. FutureWarning: Possible nested set
+                    tests.append((c.key, re.compile(_RuleRegex(body))))
+            except (re.error, OverflowError, RecursionError, Warning) as e:
+                raise RuleCompileError(f"invalid character regex /{body}/: {e}",
+                                       *c.pos or ()) from None
+        return TokenPred(tuple(rx for key, rx in tests if key == "word"),
+                         tuple(test for test in tests if test[0] != "word"))
 
     def _node(self, node: PatternExpr, outer: int = 0) -> None:
         # the depth counts group levels as a source writes them, bindings expanded: a level
@@ -675,18 +627,18 @@ class _PatternCompiler:
             if self.depth == MAX_NESTING:
                 raise RuleCompileError("pattern nested too deeply", *self.pos)
             self.depth += 1
+        # a /regex/ atom is {word:/regex/}, and a regex binding's $name is {word:$name}
         if isinstance(node, TokenRegex):
-            pred = AnyPred() if node.wildcard else TextRegexPred(self._regex(node.body, node.pos))
-            self.emit(OP_PRED, pred)
+            self.emit(OP_PRED, self._pred(
+                () if node.wildcard else (Constraint("word", "regex", node.body, node.pos),)))
         elif isinstance(node, AttrSet):
-            preds = tuple(self._constraint_pred(c) for c in node.constraints)
-            self.emit(OP_PRED, preds[0] if len(preds) == 1 else AndPred(preds))
+            self.emit(OP_PRED, self._pred(node.constraints))
         elif isinstance(node, VarRef):
             binding = self.env[node.name]
             if binding.pattern is not None:
                 self._node(binding.pattern)
             else:
-                self.emit(OP_PRED, TextRegexPred(self._regex(binding.regex, node.pos)))
+                self.emit(OP_PRED, self._pred((Constraint("word", "ref", node.name, node.pos),)))
         elif isinstance(node, Seq):
             for item in node.items:
                 self._node(item, rank)

@@ -45,8 +45,7 @@ def test_annotate_csv_and_jsonl_read_back_the_same_rows(corpus, tmp_path):
     rows = {}
     for fmt in ("csv", "jsonl"):
         out = tmp_path / f"fields.{fmt}"
-        assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(out),
-                     "--format", fmt]) == 0
+        assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(out)]) == 0
         rows[fmt] = [{k: str(v) for k, v in row.items()} for row in read_results_file(out)]
     assert len(rows["csv"]) == 3 * 8
     assert rows["csv"] == rows["jsonl"]  # the same (doc_id, field, value) and token range
@@ -62,11 +61,48 @@ def test_eval_report_is_the_same_for_csv_and_jsonl_predictions(corpus, tmp_path)
         pred.mkdir()
         shutil.copy(tables, pred / "tables.jsonl")
         assert main(["annotate", "--in", str(corpus / "docs"),
-                     "--out", str(pred / f"fields.{fmt}"), "--format", fmt]) == 0
+                     "--out", str(pred / f"fields.{fmt}")]) == 0
         assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
         reports.append((pred / "eval_report.json").read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["micro"]["precision"] == 1.0
+
+
+def test_annotate_out_suffix_names_the_format(corpus, tmp_path):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(pred / "fields.jsonl")]) == 0
+    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
+    assert json.loads((pred / "eval_report.json").read_bytes())["micro"]["precision"] == 1.0
+    for name in ("x.csv", "x.txt"):
+        assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "x.txt").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["annotate", "--format", "csv", "--in", str(corpus / "docs"),
+              "--out", str(tmp_path / "y.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("form", [".JSON", ".txt", "file"])
+def test_annotate_and_tables_read_the_same_page_files(corpus, tmp_path, form):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for src in sorted((corpus / "docs").iterdir()):
+        doc_id = src.name.removesuffix(".pages.json")
+        if form == ".txt":
+            pages = json.loads(src.read_text(encoding="utf-8"))["pages"]
+            (docs / f"{doc_id}.txt").write_text("\n".join(pages), encoding="utf-8")
+        else:
+            shutil.copy(src, docs / f"{doc_id}.pages{form.replace('file', '.json')}")
+    pages = sorted(docs.iterdir())[0] if form == "file" else docs
+    fields, tables = tmp_path / "fields.csv", tmp_path / "tables.jsonl"
+    assert main(["annotate", "--in", str(pages), "--out", str(fields)]) == 0
+    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(pages),
+                 "--out", str(tables)]) == 0
+    annotated = {row["doc_id"] for row in read_results_file(fields)}
+    tabled = {json.loads(line)["doc_id"] for line in tables.read_text(encoding="utf-8").splitlines()}
+    assert annotated == tabled == ({"kid00001"} if form == "file"
+                                   else {"kid00001", "kid00002", "kid00003"})
 
 
 _PAGE_FILE = '{"doc_id": "kid%s", "pages": ["Cos\'è questo prodotto?\\nISIN: IT0001234567 fine"]}\n'
@@ -98,7 +134,7 @@ def test_escaped_surrogate_pair_still_extracts(tmp_path):
     docs.mkdir()
     (docs / "kid1.pages.json").write_text(_PAGE_FILE % "\\ud83d\\ude00", encoding="utf-8")
     out = tmp_path / "fields.jsonl"
-    assert main(["annotate", "--in", str(docs), "--out", str(out), "--format", "jsonl"]) == 0
+    assert main(["annotate", "--in", str(docs), "--out", str(out)]) == 0
     assert [(r["doc_id"], r["field"], r["value"]) for r in read_results_file(out)] == \
         [("kid\U0001F600", "ISIN", "IT0001234567")]
 
@@ -110,8 +146,7 @@ def test_eval_reads_a_csv_field_longer_than_the_csv_modules_default_limit(tmp_pa
     text = "Cos'è questo prodotto?\nProdotto : " + "parola " * 30000 + "\nISIN : IT0001234567 fine\n"
     (docs / "kid1.pages.json").write_text(json.dumps({"pages": [text]}), encoding="utf-8")
     for fmt in ("jsonl", "csv"):
-        assert main(["annotate", "--in", str(docs), "--out", str(pred / f"fields.{fmt}"),
-                     "--format", fmt]) == 0
+        assert main(["annotate", "--in", str(docs), "--out", str(pred / f"fields.{fmt}")]) == 0
     rows = read_results_file(pred / "fields.csv")
     assert rows == [{k: str(v) for k, v in row.items()}
                     for row in read_results_file(pred / "fields.jsonl")]

@@ -2,6 +2,7 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from helpers import ALPHABET, STD_BINDINGS, make_doc, rand_pattern, rand_tokens
 from kidex import annotate, corpusgen, matcher, ruledsl, textprep
@@ -156,6 +157,47 @@ def test_pattern_compiled_once_agrees_with_oracle_across_documents(monkeypatch):
                 assert attempted == [s for s in passing if start <= s <= last]
 
 
+# regex metacharacters plus two letters: a literal that holds them must match only itself
+_META_TEXTS = st.text(".*+?()[]{}|\\^$ab", min_size=1, max_size=3)
+
+
+@st.composite
+def _literal_case(draw):
+    """Token texts, K annotations and a sequence of literal conjunctions over ``word`` and
+    ``K``, drawn from one small pool of texts, so a literal often meets a text it is a
+    regex for but not equal to (``a.`` and ``ab``)."""
+    pool = draw(st.lists(_META_TEXTS, min_size=1, max_size=4))
+    texts = draw(st.lists(st.sampled_from(pool), max_size=6))
+    spans = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.sampled_from(pool)),
+                          max_size=3))
+    anns = [Annotation("K", value, first, min(first + width, len(texts) - 1))
+            for first, width, value in spans if first < len(texts)]
+    atoms = draw(st.lists(st.lists(st.tuples(st.sampled_from(("word", "K")),
+                                             st.sampled_from(pool)), min_size=1, max_size=2),
+                          min_size=1, max_size=3))
+    pattern = ruledsl.Seq(tuple(
+        ruledsl.AttrSet(tuple(ruledsl.Constraint(key, "lit", value) for key, value in atom))
+        for atom in atoms))
+    return texts, anns, pattern
+
+
+@seed(20221021)
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=_literal_case())
+def test_literals_holding_regex_metacharacters_agree_with_oracle(case):
+    texts, anns, pattern = case
+    index = {}
+    for ann in anns:
+        for i in range(ann.first, ann.last + 1):
+            index.setdefault(i, []).append(ann.value)
+    compiled = ruledsl.compile_pattern(pattern)
+    ctx = DocContext(make_doc(texts).with_annotations(anns))
+    for start in range(len(texts) + 1):
+        expected = brute_find(pattern, TokenListCtx(texts, {"K": index}), start)
+        m = find_matches(compiled, ctx, start)
+        assert (None if m is None else (m.start, m.end, dict(m.captures))) == expected
+
+
 def test_later_stage_first_token_needs_earlier_stage_annotation():
     # stage 0 tags "a" tokens inside section S1; the stage-1 rule must start
     # on a tagged "a". Both documents have the same text, so only their
@@ -180,12 +222,6 @@ def test_later_stage_first_token_needs_earlier_stage_annotation():
         assert fields(doc) == expected[doc.doc_id]
 
 
-def _regex_preds(pred):
-    if isinstance(pred, ruledsl.AndPred):
-        return sum(_regex_preds(p) for p in pred.preds)
-    return isinstance(pred, ruledsl.TextRegexPred)
-
-
 def test_prefilter_tests_each_text_once_per_rule_across_documents(tmp_path, monkeypatch):
     source = resources.files("kidex.data").joinpath("default_rules.tre").read_text(encoding="utf-8")
     compiled = ruledsl.compile_rules(ruledsl.parse_rules(source))
@@ -196,19 +232,19 @@ def test_prefilter_tests_each_text_once_per_rule_across_documents(tmp_path, monk
                 annotate.tokenize_document(textprep.load_document(path.stem, path)), sections)
             for path in sorted((tmp_path / "docs").iterdir())]
     calls = 0
-    may_pass = ruledsl.TextRegexPred.may_pass
+    may_pass = ruledsl.TokenPred.may_pass
 
-    def counting(self, text):
+    def counting(self, text):  # counts the tests that hold a text regex
         nonlocal calls
-        calls += 1
+        calls += bool(self.texts)
         return may_pass(self, text)
 
-    monkeypatch.setattr(ruledsl.TextRegexPred, "may_pass", counting)
+    monkeypatch.setattr(ruledsl.TokenPred, "may_pass", counting)
     for doc in docs:
         run_rules(compiled, doc)
     vocabulary = len({t for doc in docs for t in doc.tokens})
     tokens = sum(len(doc.tokens) for doc in docs)
-    first_regexes = sum(_regex_preds(p) for rule in rules for p in rule.pattern.first_preds)
+    first_regexes = sum(bool(p.texts) for rule in rules for p in rule.pattern.first_preds)
     assert 0 < calls <= vocabulary * first_regexes
     assert vocabulary * first_regexes * 4 < tokens * len(rules)
 
@@ -308,14 +344,14 @@ def _result(**kw):
 
 
 def test_csv_columns_and_header(tmp_path):
-    out = export_results([_result()], "csv", tmp_path / "out.csv")
+    out = export_results([_result()], tmp_path / "out.csv")
     lines = out.read_bytes().split(b"\r\n")  # RFC 4180 line endings
     assert lines[0] == b"doc_id,field,value,tag,first_token,last_token,rule_id"
     assert lines[1] == b"d1,ISIN,CH0524993752,ISIN,2,2,r:1"
 
 
 def test_empty_results_header_only(tmp_path):
-    out = export_results([], "csv", tmp_path / "out.csv")
+    out = export_results([], tmp_path / "out.csv")
     assert out.read_bytes() == b"doc_id,field,value,tag,first_token,last_token,rule_id\r\n"
 
 
@@ -326,21 +362,16 @@ def test_rfc4180_quoting():
 
 def test_jsonl_round_trip(tmp_path):
     rows = [_result(), _result(field="PRODUCT_NAME", value="Fondo Alfa")]
-    out = export_results(rows, "jsonl", tmp_path / "out.jsonl")
+    out = export_results(rows, tmp_path / "out.jsonl")
     back = read_results_file(out)
     assert [r["field"] for r in back] == ["ISIN", "PRODUCT_NAME"]
     assert back[0]["first_token"] == 2
 
 
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        export_results([], "xml", tmp_path / "x")
-
-
 def test_deterministic_exports(tmp_path):
     rows = [_result(), _result(field="B")]
-    a = export_results(rows, "csv", tmp_path / "a.csv").read_bytes()
-    b = export_results(rows, "csv", tmp_path / "b.csv").read_bytes()
+    a = export_results(rows, tmp_path / "a.csv").read_bytes()
+    b = export_results(rows, tmp_path / "b.csv").read_bytes()
     assert a == b
 
 

@@ -24,7 +24,7 @@ REPRS = [
     (model.Annotation("K", "v", 0, 1),
      "Annotation(key='K', value='v', first=0, last=1, rule_id='system')"),
     (model.Document("d", "ab", ("ab",)),
-     "Document(doc_id='d', text='ab', tokens=('ab',), annotations=(), pages=None)"),
+     "Document(doc_id='d', text='ab', tokens=('ab',), annotations=(), pages=())"),
     (model.Detection(DetectionClass.CELL, 0.5, BBox(1, 2, 3, 4)),
      "Detection(cls=<DetectionClass.CELL: 'cell'>, confidence=0.5, "
      "bbox=BBox(left=1, top=2, right=3, bottom=4))"),
@@ -162,7 +162,7 @@ def test_compiled_pattern_is_equal_only_to_itself():
     assert pattern.may_start("a") and not pattern.may_start("b")
     assert pattern.first_text_memo == {"a": True, "b": False}
     assert "first_text_memo" not in repr(pattern)
-    assert repr(pattern).startswith("CompiledPattern(instrs=((0, <kidex.ruledsl.TextRegexPred ")
+    assert repr(pattern).startswith("CompiledPattern(instrs=((0, TokenPred(texts=(re.compile(")
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_statistics_or_importlib_resources():

@@ -65,7 +65,7 @@ def test_load_plain_text_document(tmp_path):
     doc = load_document("doc1", path)
     assert doc.doc_id == "doc1"
     assert doc.text == "ISIN: CH0524993752"
-    assert doc.pages is None
+    assert doc.pages == ()
     assert doc.tokens == ()
 
 
