@@ -1,11 +1,13 @@
 r"""Tokenization and system annotations (document sections).
 
-Tokens split on whitespace: one ``\S+`` regex scan finds each maximal run
-of characters for which ``str.isspace()`` is false (in ``str`` patterns
-``\s`` is exactly that set). Leading/trailing punctuation is then peeled off
-as single-character tokens so cues like ``ISIN :`` and ``12,5 %`` become
+Tokens split on whitespace: each maximal run of characters for which
+``str.isspace()`` is false (in ``str`` patterns ``\s`` is exactly that set)
+is a chunk. Leading/trailing punctuation is peeled off a chunk as
+single-character tokens so cues like ``ISIN :`` and ``12,5 %`` become
 separate tokens while interior punctuation (``1.234,56``, ``CH0524993752``)
-stays put.
+stays put. One regex scan does both: a token is one punctuation character,
+or a run of non-space characters that starts and ends with a character that
+is neither space nor punctuation.
 """
 from __future__ import annotations
 
@@ -20,23 +22,12 @@ SECTION_KEY = "SECTION"
 
 PUNCT_CHARS = set(".,:;!?()[]{}\"'«»%€")
 
-_NON_SPACE_RE = re.compile(r"\S+")
+_PUNCT = re.escape("".join(sorted(PUNCT_CHARS)))
+_TOKEN_RE = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
-    tokens: list[str] = []
-    for m in _NON_SPACE_RE.finditer(text):
-        i, j = m.span()
-        trailing: list[str] = []
-        while j - i > 1 and text[i] in PUNCT_CHARS:
-            tokens.append(text[i])
-            i += 1
-        while j - i > 1 and text[j - 1] in PUNCT_CHARS:
-            trailing.append(text[j - 1])
-            j -= 1
-        tokens.append(text[i:j])
-        tokens.extend(reversed(trailing))
-    return tuple(tokens)
+    return tuple(_TOKEN_RE.findall(text))
 
 
 def tokenize_document(doc: Document) -> Document:

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sections", default=DATA / "sections.json",
                    help="section config JSON; defaults packaged")
     p.add_argument("--in", dest="in_dir", required=True, help="page-text file or directory of them")
-    p.add_argument("--out", required=True, help="output file: JSONL if it ends in .jsonl, else CSV")
+    p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("tables", help="reconstruct typed tables from detection masks")

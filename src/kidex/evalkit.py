@@ -79,14 +79,13 @@ def load_gold_set(gold_dir: str | Path) -> GoldSet:
 
 
 def load_predictions(pred_dir: str | Path) -> tuple[list[Triple], Tables]:
-    """The field triples of ``fields.jsonl``, else ``fields.csv``, and the tables of
-    ``tables.jsonl`` in a result directory; each file may be absent."""
+    """The field triples of ``fields.csv`` and the tables of ``tables.jsonl`` in a
+    result directory; each file may be absent."""
     pred_dir = Path(pred_dir)
     if not pred_dir.is_dir():
         raise NotADirectoryError(f"not a directory: {pred_dir}")
-    path = next((p for p in (pred_dir / "fields.jsonl", pred_dir / "fields.csv") if p.is_file()),
-                None)
-    rows = matcher.read_results_file(path) if path is not None else []
+    path = pred_dir / "fields.csv"
+    rows = matcher.read_results_file(path) if path.is_file() else []
     fields = [_field_triple(row, f"{path}: row {i}") for i, row in enumerate(rows, 1)]
     tables_path = pred_dir / "tables.jsonl"
     return fields, load_gold_tables(tables_path) if tables_path.is_file() else {}

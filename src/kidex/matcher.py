@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import operator
 from bisect import bisect_left
 from itertools import compress, islice
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from . import annotate
-from .model import Annotation, Document, Struct, read_jsonl, read_utf8
+from .model import Annotation, Document, Struct, read_utf8
 from .ruledsl import (OP_GEND, OP_JMP, OP_MATCH, OP_PRED, OP_PROGRESS, OP_SETPOS, OP_SPLIT,
                       CompiledPattern, CompiledRule, CompiledRules)
 
@@ -61,11 +60,8 @@ class ExtractionResult(Struct):
         self.__dict__.update(doc_id=doc_id, field=field, value=value, tag=tag,
                              first_token=first_token, last_token=last_token, rule_id=rule_id)
 
-    def to_dict(self) -> dict:
-        return dict(zip(CSV_COLUMNS, _columns(self)))
 
-
-# the columns of both export formats, in order
+# the columns of the results CSV, in order
 CSV_COLUMNS = ExtractionResult._fields
 _columns = operator.attrgetter(*CSV_COLUMNS)
 
@@ -243,28 +239,15 @@ def render_results_csv(results: Iterable[ExtractionResult]) -> str:
     return buf.getvalue()
 
 
-def render_results_jsonl(results: Iterable[ExtractionResult]) -> str:
-    return "".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in results)
-
-
-def _is_jsonl(path: Path) -> bool:
-    """A ``.jsonl`` suffix, in any case, names JSON lines; every other path names CSV."""
-    return path.suffix.lower() == ".jsonl"
-
-
 def export_results(results: Iterable[ExtractionResult], dest: str | Path) -> Path:
-    """Write results as JSONL if ``dest`` ends in ``.jsonl``, else as CSV, with the same keys."""
+    """Write results to ``dest`` as CSV, whatever its suffix."""
     dest = Path(dest)
-    text = render_results_jsonl(results) if _is_jsonl(dest) else render_results_csv(results)
-    dest.write_text(text, encoding="utf-8", newline="")
+    dest.write_text(render_results_csv(results), encoding="utf-8", newline="")
     return dest
 
 
 def read_results_file(path: str | Path) -> list[dict]:
-    """Read back an exported results file, in the format its suffix names, as dicts."""
-    path = Path(path)
-    if _is_jsonl(path):
-        return [row for _lineno, row in read_jsonl(path)]
+    """Read back an exported results CSV file as dicts of strings."""
     text = read_utf8(path)
     # no field is longer than the file's text; the limit is process-wide, so only raised
     csv.field_size_limit(max(csv.field_size_limit(), len(text)))

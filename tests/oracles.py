@@ -7,7 +7,8 @@ direct decision table for single-separator numerals, the number parser
 and confusion repair oracles are the full parser and map without their
 early return for digit-free text, the OCR association oracle scores every
 OCR entry on the page, the tokenizer oracle scans the text one character
-at a time, the sections oracle compares every header phrase at every token
+at a time and the tokenizer reference peels each whitespace-split chunk in
+a loop, the sections oracle compares every header phrase at every token
 position, the page detections oracle builds every box and entry one at a
 time, the page dict is the JSON object the mask page writer must lay out,
 the record oracle parses tables rows with one hand-written class per
@@ -325,6 +326,27 @@ def tokenize_oracle(text: str, punct: set) -> tuple:
         for k in reversed(trailing):
             emit(text[k])
         pos = end
+    return tuple(tokens)
+
+
+_NON_SPACE_RE = re.compile(r"\S+")
+
+
+def tokenize_reference(text: str) -> tuple:
+    """The tokenizer as a loop: one ``\\S+`` scan, then edge characters of
+    ``PUNCT_CHARS`` peeled off each chunk while more than one is left."""
+    tokens: list = []
+    for m in _NON_SPACE_RE.finditer(text):
+        i, j = m.span()
+        trailing: list = []
+        while j - i > 1 and text[i] in PUNCT_CHARS:
+            tokens.append(text[i])
+            i += 1
+        while j - i > 1 and text[j - 1] in PUNCT_CHARS:
+            trailing.append(text[j - 1])
+            j -= 1
+        tokens.append(text[i:j])
+        tokens.extend(reversed(trailing))
     return tuple(tokens)
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from kidex.annotate import (PUNCT_CHARS, SECTION_KEY, SectionConfig, SectionSpec
                             tokenize, tokenize_document)
 from kidex.cli import main
 from kidex.corpusgen import gen_corpus
+from kidex.matcher import read_results_file
 from kidex.model import Document
-from oracles import sections_oracle, tokenize_oracle
+from oracles import sections_oracle, tokenize_oracle, tokenize_reference
 
 
 def texts(tokens):
@@ -55,6 +57,13 @@ _token_chars = st.one_of(
 @given(text=st.text(_token_chars, max_size=60))
 def test_tokenize_agrees_with_char_scan_reference(text):
     assert tokenize(text) == tokenize_oracle(text, PUNCT_CHARS)
+
+
+@seed(20261021)
+@settings(max_examples=500, deadline=None, database=None)
+@given(text=st.text(_token_chars, max_size=60))
+def test_tokenize_agrees_with_chunk_peeling_reference(text):
+    assert tokenize(text) == tokenize_reference(text)
 
 
 def test_tokens_partition_the_non_space_text():
@@ -213,3 +222,20 @@ def test_annotate_tokenizes_each_header_phrase_once_per_run(tmp_path, monkeypatc
     phrases = [p for spec in default_section_config().sections for p in spec.header_patterns]
     assert len(texts) == 4 + len(phrases)
     assert sorted(set(texts) & set(phrases)) == sorted(set(phrases))
+
+
+@pytest.mark.parametrize("space", ["  ", "\xa0"], ids=["doubled", "nbsp"])
+def test_annotate_fields_hold_when_spaces_change(tmp_path, space):
+    corpus = gen_corpus(10, 42, 0.1, tmp_path / "corpus")
+    edited = tmp_path / "edited"
+    edited.mkdir()
+    for src in sorted((corpus / "docs").iterdir()):
+        doc = json.loads(src.read_text(encoding="utf-8"))
+        doc["pages"] = [page.replace(" ", space) for page in doc["pages"]]
+        (edited / src.name).write_text(json.dumps(doc), encoding="utf-8")
+    fields = []
+    for docs in (corpus / "docs", edited):
+        out = tmp_path / f"{docs.name}.csv"
+        assert main(["annotate", "--in", str(docs), "--out", str(out)]) == 0
+        fields.append({(r["doc_id"], r["field"], r["value"]) for r in read_results_file(out)})
+    assert fields[0] and fields[1] == fields[0]

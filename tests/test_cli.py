@@ -1,5 +1,6 @@
 import argparse
 import ast
+import csv
 import inspect
 import json
 import math
@@ -41,42 +42,25 @@ def test_annotate_end_to_end(corpus, tmp_path):
     assert len(lines) == 1 + 3 * 8
 
 
-def test_annotate_csv_and_jsonl_read_back_the_same_rows(corpus, tmp_path):
-    rows = {}
-    for fmt in ("csv", "jsonl"):
-        out = tmp_path / f"fields.{fmt}"
-        assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(out)]) == 0
-        rows[fmt] = [{k: str(v) for k, v in row.items()} for row in read_results_file(out)]
-    assert len(rows["csv"]) == 3 * 8
-    assert rows["csv"] == rows["jsonl"]  # the same (doc_id, field, value) and token range
-
-
-def test_eval_report_is_the_same_for_csv_and_jsonl_predictions(corpus, tmp_path):
-    tables = tmp_path / "tables.jsonl"
-    assert main(["tables", "--masks", str(corpus / "masks"), "--pages", str(corpus / "docs"),
-                 "--out", str(tables)]) == 0
-    reports = []
-    for fmt in ("csv", "jsonl"):
-        pred = tmp_path / fmt
-        pred.mkdir()
-        shutil.copy(tables, pred / "tables.jsonl")
-        assert main(["annotate", "--in", str(corpus / "docs"),
-                     "--out", str(pred / f"fields.{fmt}")]) == 0
-        assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
-        reports.append((pred / "eval_report.json").read_bytes())
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["micro"]["precision"] == 1.0
-
-
-def test_annotate_out_suffix_names_the_format(corpus, tmp_path):
+def test_eval_ignores_a_stale_fields_jsonl(corpus, tmp_path):
     pred = tmp_path / "pred"
     pred.mkdir()
-    assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(pred / "fields.jsonl")]) == 0
+    (pred / "fields.jsonl").write_text(
+        json.dumps({"doc_id": "kid00001", "field": "ISIN", "value": "stale"}) + "\n",
+        encoding="utf-8")
+    assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(pred / "fields.csv")]) == 0
     assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
-    assert json.loads((pred / "eval_report.json").read_bytes())["micro"]["precision"] == 1.0
-    for name in ("x.csv", "x.txt"):
+    micro = json.loads((pred / "eval_report.json").read_bytes())["micro"]
+    assert (micro["precision"], micro["recall"]) == (1.0, 1.0)
+
+
+def test_annotate_out_writes_csv_whatever_its_suffix(corpus, tmp_path):
+    for name in ("x.csv", "x.txt", "x.jsonl", "x.JSONL"):
         assert main(["annotate", "--in", str(corpus / "docs"), "--out", str(tmp_path / name)]) == 0
-    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "x.txt").read_bytes()
+    csv_bytes = (tmp_path / "x.csv").read_bytes()
+    assert len(read_results_file(tmp_path / "x.csv")) == 3 * 8
+    for name in ("x.txt", "x.jsonl", "x.JSONL"):
+        assert (tmp_path / name).read_bytes() == csv_bytes
     with pytest.raises(SystemExit) as exc:
         main(["annotate", "--format", "csv", "--in", str(corpus / "docs"),
               "--out", str(tmp_path / "y.csv")])
@@ -133,7 +117,7 @@ def test_escaped_surrogate_pair_still_extracts(tmp_path):
     docs = tmp_path / "docs"
     docs.mkdir()
     (docs / "kid1.pages.json").write_text(_PAGE_FILE % "\\ud83d\\ude00", encoding="utf-8")
-    out = tmp_path / "fields.jsonl"
+    out = tmp_path / "fields.csv"
     assert main(["annotate", "--in", str(docs), "--out", str(out)]) == 0
     assert [(r["doc_id"], r["field"], r["value"]) for r in read_results_file(out)] == \
         [("kid\U0001F600", "ISIN", "IT0001234567")]
@@ -145,13 +129,9 @@ def test_eval_reads_a_csv_field_longer_than_the_csv_modules_default_limit(tmp_pa
     pred.mkdir()
     text = "Cos'è questo prodotto?\nProdotto : " + "parola " * 30000 + "\nISIN : IT0001234567 fine\n"
     (docs / "kid1.pages.json").write_text(json.dumps({"pages": [text]}), encoding="utf-8")
-    for fmt in ("jsonl", "csv"):
-        assert main(["annotate", "--in", str(docs), "--out", str(pred / f"fields.{fmt}")]) == 0
+    assert main(["annotate", "--in", str(docs), "--out", str(pred / "fields.csv")]) == 0
     rows = read_results_file(pred / "fields.csv")
-    assert rows == [{k: str(v) for k, v in row.items()}
-                    for row in read_results_file(pred / "fields.jsonl")]
     assert max(len(r["value"]) for r in rows) > 131072  # the csv module's default field limit
-    (pred / "fields.jsonl").unlink()
     gold = tmp_path / "gold"
     gold.mkdir()
     for name in ("fields.jsonl", "tables.jsonl"):
@@ -614,13 +594,13 @@ def test_missing_page_makes_type_missing(corpus, tmp_path):
 def test_eval_gold_vs_itself_is_perfect(corpus, tmp_path, capsys):
     pred = tmp_path / "pred"
     pred.mkdir()
-    # gold as predictions: convert gold fields to a jsonl prediction file
-    rows = []
-    for line in (corpus / "gold" / "fields.jsonl").read_text(encoding="utf-8").splitlines():
-        row = json.loads(line)
-        row.update({"tag": "x", "first_token": 0, "last_token": 0, "rule_id": "g"})
-        rows.append(json.dumps(row))
-    (pred / "fields.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # gold as predictions: convert gold fields to a CSV prediction file
+    with open(pred / "fields.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["doc_id", "field", "value", "tag", "first_token", "last_token", "rule_id"])
+        for line in (corpus / "gold" / "fields.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            writer.writerow([row["doc_id"], row["field"], row["value"], "x", 0, 0, "g"])
     (pred / "tables.jsonl").write_bytes((corpus / "gold" / "tables.jsonl").read_bytes())
     assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 0
     out = capsys.readouterr().out
@@ -637,27 +617,18 @@ def test_eval_missing_gold_exit_1(tmp_path, capsys):
     assert "fields.jsonl" in capsys.readouterr().err
 
 
-def _pred_dir_with_fields(tmp_path, lines):
+def _pred_dir_with_fields(tmp_path, text):
     pred = tmp_path / "pred"
     pred.mkdir()
-    (pred / "fields.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (pred / "fields.csv").write_text(text, encoding="utf-8")
     return pred
-
-
-def test_eval_malformed_prediction_line_exit_1(corpus, tmp_path, capsys):
-    good = json.dumps({"doc_id": "kid00001", "field": "isin", "value": "X"})
-    pred = _pred_dir_with_fields(tmp_path, [good, "{broken"])
-    assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ")
-    assert "fields.jsonl:2: not valid JSON" in err
 
 
 @pytest.mark.parametrize("key", ["doc_id", "field", "value"])
 def test_eval_prediction_row_missing_key_exit_1(corpus, tmp_path, capsys, key):
     row = {"doc_id": "kid00001", "field": "isin", "value": "X"}
     del row[key]
-    pred = _pred_dir_with_fields(tmp_path, [json.dumps(row)])
+    pred = _pred_dir_with_fields(tmp_path, ",".join(row) + "\n" + ",".join(row.values()) + "\n")
     assert main(["eval", "--gold", str(corpus / "gold"), "--pred", str(pred)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
@@ -669,7 +640,7 @@ def test_eval_gold_value_not_a_string_exit_1(tmp_path, capsys):
     gold.mkdir()
     (gold / "fields.jsonl").write_text(
         json.dumps({"doc_id": "kid00001", "field": "isin", "value": 5}) + "\n", encoding="utf-8")
-    pred = _pred_dir_with_fields(tmp_path, [])
+    pred = _pred_dir_with_fields(tmp_path, "")
     assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
@@ -934,11 +905,10 @@ def _eval_argv(corpus, tmp_path):
      "config error: "),
     ("gold/fields.jsonl", _eval_argv, "input error: "),
     ("gold/tables.jsonl", _eval_argv, "input error: "),
-    ("pred/fields.jsonl", _eval_argv, "input error: "),
     ("pred/fields.csv", _eval_argv, "input error: "),
     ("pred/tables.jsonl", _eval_argv, "input error: "),
 ], ids=["sections", "rules", "labels", "config", "gold-fields", "gold-tables",
-        "pred-fields-jsonl", "pred-fields-csv", "pred-tables"])
+        "pred-fields-csv", "pred-tables"])
 def test_input_not_utf8_exit_1(corpus, tmp_path, capsys, bad_file, argv, prefix):
     shutil.copytree(corpus / "gold", tmp_path / "gold")
     (tmp_path / "pred").mkdir()

@@ -161,16 +161,16 @@ def test_gold_set_requires_fields_file(tmp_path):
         load_gold_set(tmp_path)
 
 
-def test_load_predictions_reads_fields_jsonl_before_fields_csv(tmp_path):
+def test_load_predictions_reads_only_fields_csv(tmp_path):
     assert load_predictions(tmp_path) == ([], {})
-    (tmp_path / "fields.csv").write_text("doc_id,field,value\nd,F,csv\n", encoding="utf-8")
-    assert load_predictions(tmp_path) == ([("d", "F", "csv")], {})
     (tmp_path / "fields.jsonl").write_text(
         json.dumps({"doc_id": "d", "field": "F", "value": "jsonl"}) + "\n", encoding="utf-8")
+    assert load_predictions(tmp_path) == ([], {})
+    (tmp_path / "fields.csv").write_text("doc_id,field,value\nd,F,csv\n", encoding="utf-8")
     (tmp_path / "tables.jsonl").write_text(json.dumps(
         {"doc_id": "d", "page": None, "type": "costs_evolution", "status": "missing",
          "record": None}) + "\n", encoding="utf-8")
-    assert load_predictions(tmp_path) == ([("d", "F", "jsonl")],
+    assert load_predictions(tmp_path) == ([("d", "F", "csv")],
                                           {("d", TableType.COSTS_EVOLUTION): None})
     with pytest.raises(NotADirectoryError, match="not a directory: "):
         load_predictions(tmp_path / "fields.csv")

@@ -360,12 +360,12 @@ def test_rfc4180_quoting():
     assert '"Fondo, ""Alfa"""' in text
 
 
-def test_jsonl_round_trip(tmp_path):
-    rows = [_result(), _result(field="PRODUCT_NAME", value="Fondo Alfa")]
-    out = export_results(rows, tmp_path / "out.jsonl")
-    back = read_results_file(out)
+def test_csv_round_trip(tmp_path):
+    rows = [_result(), _result(field="PRODUCT_NAME", value='Fondo, "Alfa"\r\nB')]
+    back = read_results_file(export_results(rows, tmp_path / "out.jsonl"))
     assert [r["field"] for r in back] == ["ISIN", "PRODUCT_NAME"]
-    assert back[0]["first_token"] == 2
+    assert back[1]["value"] == 'Fondo, "Alfa"\r\nB'
+    assert back[0]["first_token"] == "2"
 
 
 def test_deterministic_exports(tmp_path):
